@@ -17,6 +17,7 @@ import sys
 import click
 import numpy as np
 
+from . import __version__
 from .classical import (
     build_chain,
     classical_mhtf,
@@ -68,8 +69,14 @@ EXIT_NUMERIC = 5
 _MAP_ERRORS = (ValidationError, PreconditionError, DimensionError)
 
 
+def _echo(message: str, err: bool = False) -> None:
+    # An explicit file keeps click from caching a wrapper per sys.stdout
+    # object, which keeps every redirected in-process stream alive.
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _abort(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -105,7 +112,7 @@ def _matrix_lines(m: np.ndarray, digits: int, indent: str = "    ") -> list[str]
 
 
 def _emit_json(record) -> None:
-    click.echo(json.dumps(record, sort_keys=True, indent=2))
+    _echo(json.dumps(record, sort_keys=True, indent=2))
 
 
 def _load_map(map_file: str, row_stochastic: bool, tol: Tolerance | None):
@@ -120,7 +127,7 @@ def _load_map(map_file: str, row_stochastic: bool, tol: Tolerance | None):
 
 
 @click.group()
-@click.version_option(package_name="hittime")
+@click.version_option(version=__version__)
 def main() -> None:
     """Hitting probabilities, mean hitting times and return times for
     trace-preserving maps and classical chains."""
@@ -189,44 +196,68 @@ def validate(map_file: str, tol: float | None, as_json: bool, digits: int,
     if as_json:
         _emit_json(record)
     else:
-        click.echo(f"map file: {map_file}")
-        click.echo(f"  dim                  {channel.dim}")
-        click.echo(f"  provenance           {channel.provenance}")
-        click.echo(
+        _echo(f"map file: {map_file}")
+        _echo(f"  dim                  {channel.dim}")
+        _echo(f"  provenance           {channel.provenance}")
+        _echo(
             f"  trace preserving     {'yes' if tp.ok else 'no'} "
             f"(residual {_fmt(tp.residual, digits)})"
         )
-        click.echo(
+        _echo(
             f"  completely positive  {'yes' if cp.ok else 'no'} "
             f"(min Choi eigenvalue {_fmt(cp.min_choi_eigenvalue, digits)})"
         )
         if sampled is not None:
-            click.echo(
+            _echo(
                 f"  positivity sampling  {'pass' if sampled.ok else 'FAIL'} "
                 f"({sampled.failures} failures in {sampled.samples} samples, "
                 f"worst eigenvalue {_fmt(sampled.worst_eigenvalue, digits)})"
             )
         if cert is None:
-            click.echo("  irreducibility       skipped (map is not trace preserving)")
+            _echo("  irreducibility       skipped (map is not trace preserving)")
         else:
-            click.echo(f"  irreducibility       {cert.verdict}")
-            click.echo(f"  fixed space dim      {cert.fixed_space_dim}")
-            click.echo(
+            _echo(f"  irreducibility       {cert.verdict}")
+            _echo(f"  fixed space dim      {cert.fixed_space_dim}")
+            _echo(
                 f"  min eigenvalue of pi {_fmt(cert.min_eigenvalue_of_pi, digits)}"
             )
             if cert.invariant_state is not None:
-                click.echo("  invariant state:")
+                _echo("  invariant state:")
                 for line in _matrix_lines(cert.invariant_state.matrix, digits):
-                    click.echo(line)
+                    _echo(line)
     if not (tp.ok and certified):
         sys.exit(EXIT_MAP)
 
 
-def _evaluate_query(channel, cert, query, tolerance, method):
+class _Solutions:
+    """Lazily memoized solves of one map: one per (subspace, tolerance).
+
+    The fundamental map of the first solve at a tolerance is passed to every
+    later solve at that tolerance, so it is computed once per map.
+    """
+
+    def __init__(self, channel, cert):
+        self.channel, self.cert = channel, cert
+        self.fundamentals = {}
+        self.solutions = {}
+
+    def get(self, subspace, tol):
+        key = (subspace.projector_p.tobytes(), tol)
+        if key not in self.solutions:
+            hs = solve_hitting(
+                self.channel, subspace, self.cert, tol, self.fundamentals.get(tol)
+            )
+            self.fundamentals[tol] = hs.fd
+            self.solutions[key] = hs
+        return self.solutions[key]
+
+
+def _evaluate_query(solutions, query, tolerance, method):
+    channel = solutions.channel
     subspace = realize_subspace(query, channel.dim)
     initial = realize_initial(query, channel.dim, tolerance)
     query_tol = query.tol or tolerance
-    hs = solve_hitting(channel, subspace, cert, query_tol)
+    hs = solutions.get(subspace, query_tol)
     rho = initial.state
 
     probability = hitting_probability(hs, rho)
@@ -266,33 +297,33 @@ def _evaluate_query(channel, cert, query, tolerance, method):
 
 def _print_hit_record(record, index: int, total: int, digits: int) -> None:
     if total > 1:
-        click.echo(f"query {index + 1}:")
+        _echo(f"query {index + 1}:")
         pad = "  "
     else:
         pad = ""
-    click.echo(f"{pad}method                 {record['method']}")
-    click.echo(f"{pad}tau                    {_fmt(record['tau'], digits)}")
+    _echo(f"{pad}method                 {record['method']}")
+    _echo(f"{pad}tau                    {_fmt(record['tau'], digits)}")
     for name in ("direct", "mhtf", "series"):
         if name in record["routes"]:
-            click.echo(f"{pad}  {name:<20} {_fmt(record['routes'][name], digits)}")
+            _echo(f"{pad}  {name:<20} {_fmt(record['routes'][name], digits)}")
     if "max_route_deviation" in record:
-        click.echo(
+        _echo(
             f"{pad}max route deviation    "
             f"{_fmt(record['max_route_deviation'], digits)}"
         )
-    click.echo(
+    _echo(
         f"{pad}hitting probability    {_fmt(record['hitting_probability'], digits)} "
         f"(residual {_fmt(record['hitting_probability_residual'], digits)})"
     )
-    click.echo(
+    _echo(
         f"{pad}normalization          {_fmt(record['normalization']['factor'], digits)} "
         f"({record['normalization']['input']})"
     )
     diag = record["diagnostics"]
-    click.echo(
+    _echo(
         f"{pad}spectral radius (QT)   {_fmt(diag['spectral_radius_qphi'], digits)}"
     )
-    click.echo(
+    _echo(
         f"{pad}condition estimate     {_fmt(diag['condition_estimate'], digits)}"
     )
 
@@ -333,13 +364,14 @@ def hit(map_file: str, query_file: str, method: str | None, tol: float | None,
             f"map is not certified irreducible (verdict: {cert.verdict})",
         )
 
+    # Queries are answered in input order, so the first failing one sets the
+    # exit code; those sharing a subspace and tolerance share one solve.
+    solutions = _Solutions(channel, cert)
     records = []
     for query in queries:
         try:
             records.append(
-                _evaluate_query(
-                    channel, cert, query, tolerance, method or query.method
-                )
+                _evaluate_query(solutions, query, tolerance, method or query.method)
             )
         except ParseError as exc:
             _abort(EXIT_PARSE, str(exc))
@@ -371,19 +403,19 @@ def _classical_emit(record, as_json: bool, digits: int) -> None:
     if as_json:
         _emit_json(record)
         return
-    click.echo(f"command                {record['command']}")
-    click.echo(f"tau                    {_fmt(record['tau'], digits)}")
+    _echo(f"command                {record['command']}")
+    _echo(f"tau                    {_fmt(record['tau'], digits)}")
     if "return_times" in record:
-        click.echo("return times:")
+        _echo("return times:")
         for state, value in sorted(record["return_times"].items()):
-            click.echo(f"  state {state:<4}           {_fmt(value, digits)}")
-        click.echo(
+            _echo(f"  state {state:<4}           {_fmt(value, digits)}")
+        _echo(
             f"anchor independence    "
             f"{_fmt(record['j_independence_residual'], digits)}"
         )
     if "monte_carlo" in record:
         mc = record["monte_carlo"]
-        click.echo(
+        _echo(
             f"monte carlo            {_fmt(mc['mean'], digits)} "
             f"(std error {_fmt(mc['std_error'], digits)}, "
             f"trials {mc['trials']}, seed {mc['seed']})"
@@ -542,10 +574,10 @@ def selftest(seed: int, as_json: bool) -> None:
     else:
         for result in results:
             status = " ok " if result.ok else "FAIL"
-            click.echo(f"[{status}] {result.name}: {result.detail}")
+            _echo(f"[{status}] {result.name}: {result.detail}")
     failed = [r.name for r in results if not r.ok]
     if failed:
-        click.echo(f"failed checks: {', '.join(failed)}", err=True)
+        _echo(f"failed checks: {', '.join(failed)}", err=True)
         sys.exit(EXIT_SELFTEST)
 
 

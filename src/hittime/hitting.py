@@ -12,11 +12,17 @@ of ever reaching V and Tr((I - Q) K rho) the expected time of the first visit.
 The block decomposition induced by I - Q and Q links K to the fundamental map
 Z and yields the mean hitting time formula used by :func:`mhtf_orthogonal`
 and :func:`mhtf_general`.
+
+Every answer is a linear functional of the start state, <l, vec(rho)> for a
+fixed covector l, so :func:`solve_hitting` keeps only the covectors, found by
+transposed vector solves against I - QT.  The dense H, K and blocks of K are
+left to :func:`hitting_maps`, for the identity and golden checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +70,10 @@ _MIN_SPECTRAL_GAP = 1e-9
 
 _COND_CEIL = 1e14
 
+# A solve with condition number c loses about c unit roundoffs of relative
+# accuracy (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 @dataclass(frozen=True, eq=False)
 class ArrivalSubspace:
@@ -87,21 +97,62 @@ class SuperProjectors:
 
 @dataclass(frozen=True, eq=False)
 class HittingSolution:
-    """Everything needed to answer hitting-time queries for one (map, subspace)."""
+    """Everything needed to answer hitting-time queries for one (map, subspace).
+
+    Each query is a pairing <l, vec(rho)> with one of the covectors (row
+    vectors) below, with e = vec(I):
+
+    - ``probability_covector``  e (I - QQ) H   (hitting probability)
+    - ``time_covector``         e (I - QQ) K   (direct mean time)
+    - ``trace_covector``        e H            (cross-check of the direct time)
+    - ``return_covector``       e K11 Z (I - QQ)   (return summand of the mhtf)
+    - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
+
+    The dense maps ``h_rep``, ``k_rep`` and the blocks ``k11`` .. ``k22`` are
+    computed by :func:`hitting_maps` on first access; no query touches them.
+    """
 
     map: SuperOperator
     subspace: ArrivalSubspace
     projectors: SuperProjectors
     fd: FundamentalData
-    h_rep: np.ndarray
-    k_rep: np.ndarray
-    k11: np.ndarray
-    k12: np.ndarray
-    k21: np.ndarray
-    k22: np.ndarray
+    survival_rep: np.ndarray  # QT
+    probability_covector: np.ndarray
+    time_covector: np.ndarray
+    trace_covector: np.ndarray
+    return_covector: np.ndarray
+    start_covector: np.ndarray
     spectral_radius_qphi: float
     condition_estimate: float
     tol: Tolerance
+
+    @cached_property
+    def _dense(self) -> HittingMapsResult:
+        return hitting_maps(self.map, self.projectors, self.tol)
+
+    @property
+    def h_rep(self) -> np.ndarray:
+        return self._dense.h_rep
+
+    @property
+    def k_rep(self) -> np.ndarray:
+        return self._dense.k_rep
+
+    @cached_property
+    def k11(self) -> np.ndarray:
+        return block(self.k_rep, self.projectors, 1, 1)
+
+    @cached_property
+    def k12(self) -> np.ndarray:
+        return block(self.k_rep, self.projectors, 1, 2)
+
+    @cached_property
+    def k21(self) -> np.ndarray:
+        return block(self.k_rep, self.projectors, 2, 1)
+
+    @cached_property
+    def k22(self) -> np.ndarray:
+        return block(self.k_rep, self.projectors, 2, 2)
 
 
 class HittingMapsResult(NamedTuple):
@@ -186,6 +237,31 @@ def super_projectors(subspace: ArrivalSubspace) -> SuperProjectors:
     return SuperProjectors(pp, qq, rr)
 
 
+def _survival_resolvent(
+    t: SuperOperator, sp: SuperProjectors
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """QT and I - QT, with the spectral radius of QT and the condition of I - QT.
+
+    Raises :class:`NumericError` unless the monitored evolution contracts and
+    the resolvent is well conditioned.
+    """
+    qphi = sp.qq_rep @ t.rep
+    radius = spectral_radius(qphi)
+    if radius >= 1.0 - _MIN_SPECTRAL_GAP:
+        raise NumericError(
+            f"monitored evolution does not contract: spectral radius of the "
+            f"survival map is {radius:.12g} (map reducible or subspace trivial)"
+        )
+    m = np.eye(qphi.shape[0]) - qphi
+    cond = float(np.linalg.cond(m))
+    if not np.isfinite(cond) or cond > _COND_CEIL:
+        raise NumericError(
+            f"survival resolvent is singular to working precision "
+            f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
+        )
+    return qphi, m, radius, cond
+
+
 def hitting_maps(
     t: SuperOperator,
     sp: SuperProjectors,
@@ -197,23 +273,7 @@ def hitting_maps(
     Requires the monitored evolution QT to contract, which holds whenever the
     map is certified irreducible and the subspace is proper.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
-    qphi = sp.qq_rep @ t.rep
-    radius = spectral_radius(qphi)
-    if radius >= 1.0 - _MIN_SPECTRAL_GAP:
-        raise NumericError(
-            f"monitored evolution does not contract: spectral radius of the "
-            f"survival map is {radius:.12g} (map reducible or subspace trivial)"
-        )
-    d = qphi.shape[0]
-    m = np.eye(d) - qphi
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > _COND_CEIL:
-        raise NumericError(
-            f"survival resolvent is singular to working precision "
-            f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
-        )
+    _, m, radius, cond = _survival_resolvent(t, sp)
     h_rep = np.linalg.solve(m.T, t.rep.T).T
     k_rep = np.linalg.solve(m.T, h_rep.T).T
     return HittingMapsResult(h_rep, k_rep, radius, cond)
@@ -234,42 +294,57 @@ def solve_hitting(
     subspace: ArrivalSubspace,
     cert: IrreducibilityCertificate | None = None,
     tol: Tolerance | None = None,
+    fd: FundamentalData | None = None,
 ) -> HittingSolution:
-    """Bundle fundamental data, hitting maps and K blocks for one (map, subspace)."""
+    """Query covectors for one (map, subspace).
+
+    ``fd`` is the fundamental map of ``t``; pass it to share one across the
+    subspaces of a map, otherwise it is computed here (from ``cert`` when
+    given).  The covectors come from two transposed solves against I - QT:
+    one for the probability and trace rows, one for the time row.
+    """
     if tol is None:
         tol = DEFAULT_TOL
     if subspace.dim_ambient != t.dim:
         raise DimensionError(
             f"subspace lives in dimension {subspace.dim_ambient}, map in {t.dim}"
         )
-    if cert is None:
-        cert = invariant_state(t, tol)
+    if fd is None:
+        if cert is None:
+            cert = invariant_state(t, tol)
+        fd = fundamental_map(t, cert, tol)
     sp = super_projectors(subspace)
-    fd = fundamental_map(t, cert, tol)
-    hm = hitting_maps(t, sp, tol)
+    qphi, m, radius, cond = _survival_resolvent(t, sp)
+    # A covector l with l (I - QT) = r solves (I - QT)^T l = r.
+    trace_row = vec(np.eye(t.dim))
+    first_row = trace_row - trace_row @ sp.qq_rep  # e (I - QQ)
+    probability, trace = np.linalg.solve(
+        m.T, np.column_stack([first_row @ t.rep, trace_row @ t.rep])
+    ).T
+    time = np.linalg.solve(m.T, probability)
+    k11_row = time - time @ sp.qq_rep  # e K11 = e (I - QQ) K (I - QQ)
+    kz = k11_row @ fd.z_rep
+    start = kz @ sp.qq_rep
     return HittingSolution(
         map=t,
         subspace=subspace,
         projectors=sp,
         fd=fd,
-        h_rep=hm.h_rep,
-        k_rep=hm.k_rep,
-        k11=block(hm.k_rep, sp, 1, 1),
-        k12=block(hm.k_rep, sp, 1, 2),
-        k21=block(hm.k_rep, sp, 2, 1),
-        k22=block(hm.k_rep, sp, 2, 2),
-        spectral_radius_qphi=hm.spectral_radius_qphi,
-        condition_estimate=hm.condition_estimate,
+        survival_rep=qphi,
+        probability_covector=probability,
+        time_covector=time,
+        trace_covector=trace,
+        return_covector=kz - start,
+        start_covector=start,
+        spectral_radius_qphi=radius,
+        condition_estimate=cond,
         tol=tol,
     )
 
 
-def _trace_vec(n: int) -> np.ndarray:
-    return vec(np.eye(n))
-
-
-def _trace_of(n: int, w: np.ndarray) -> float:
-    return float(np.real(_trace_vec(n) @ w))
+def _pair(covector: np.ndarray, w: np.ndarray) -> float:
+    """Real part of <covector, w>, a trace functional of the vectorized w."""
+    return float(np.real(covector @ w))
 
 
 def hitting_probability(hs: HittingSolution, rho) -> float:
@@ -279,23 +354,22 @@ def hitting_probability(hs: HittingSolution, rho) -> float:
     numerical health indicator.
     """
     state = as_density(rho, hs.tol)
-    d = hs.h_rep.shape[0]
-    w = (np.eye(d) - hs.projectors.qq_rep) @ (hs.h_rep @ vec(state.matrix))
-    return _trace_of(hs.map.dim, w)
+    return _pair(hs.probability_covector, vec(state.matrix))
 
 
 def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
     """Mean time of first visit, Tr((I - Q) K rho).
 
     The equivalent resolvent expression Tr(H rho) is evaluated as a built-in
-    cross-check; disagreement signals numerical breakdown.
+    cross-check; a deviation beyond the tolerance or beyond the forward error
+    the condition of I - QT allows signals numerical breakdown.
     """
     state = as_density(rho, hs.tol)
-    d = hs.k_rep.shape[0]
     w = vec(state.matrix)
-    tau = _trace_of(hs.map.dim, (np.eye(d) - hs.projectors.qq_rep) @ (hs.k_rep @ w))
-    cross = _trace_of(hs.map.dim, hs.h_rep @ w)
-    if abs(tau - cross) > hs.tol.atol * max(1.0, abs(tau)):
+    tau = _pair(hs.time_covector, w)
+    cross = _pair(hs.trace_covector, w)
+    rel = max(hs.tol.atol, hs.condition_estimate * _UNIT_ROUNDOFF)
+    if abs(tau - cross) > rel * max(1.0, abs(tau)):
         raise NumericError(
             f"mean hitting time cross-check failed: {tau!r} vs {cross!r}"
         )
@@ -346,12 +420,10 @@ def mhtf_orthogonal(
         frobenius(p @ psi_state.matrix @ p - psi_state.matrix),
         ortho_tol,
     )
-    dz = (hs.k11 + hs.k22) @ hs.fd.z_rep
-    dz11 = block(dz, hs.projectors, 1, 1)
-    dz12 = block(dz, hs.projectors, 1, 2)
-    n = hs.map.dim
-    psi_term = _trace_of(n, dz11 @ vec(psi_state.matrix))
-    phi_term = _trace_of(n, dz12 @ vec(phi_state.matrix))
+    # Tr((DZ)_11 x) and Tr((DZ)_12 x) are the return and start covectors:
+    # e (I - QQ) D = e K11.
+    psi_term = _pair(hs.return_covector, vec(psi_state.matrix))
+    phi_term = _pair(hs.start_covector, vec(phi_state.matrix))
     return OrthogonalMhtf(psi_term - phi_term, psi_term, phi_term)
 
 
@@ -413,13 +485,11 @@ def mhtf_general(
         frobenius(p @ psi_state.matrix @ p - psi_state.matrix),
         ortho_tol,
     )
-    sigma_vec = hs.projectors.qq_rep @ (hs.map.rep @ vec(state.matrix))
+    sigma_vec = hs.survival_rep @ vec(state.matrix)
     if float(np.linalg.norm(sigma_vec)) <= hs.tol.atol:
         return 1.0
-    n = hs.map.dim
-    z11 = block(hs.fd.z_rep, hs.projectors, 1, 1)
-    z12 = block(hs.fd.z_rep, hs.projectors, 1, 2)
-    weight = _trace_of(n, sigma_vec)
-    psi_term = _trace_of(n, hs.k11 @ (z11 @ vec(psi_state.matrix)))
-    start_term = _trace_of(n, hs.k11 @ (z12 @ sigma_vec))
+    # e K11 Z11 and e K11 Z12 are the return and start covectors.
+    weight = _pair(vec(np.eye(hs.map.dim)), sigma_vec)
+    psi_term = _pair(hs.return_covector, vec(psi_state.matrix))
+    start_term = _pair(hs.start_covector, sigma_vec)
     return 1.0 + psi_term * weight - start_term

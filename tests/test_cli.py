@@ -1,10 +1,16 @@
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hittime
+import hittime.cli
 import hittime.examples as examples
 from hittime.cli import main
 
@@ -264,6 +270,130 @@ def test_hit_batch_order_and_byte_stability(runner, tmp_path):
     assert len(records) == 2
     assert records[0]["tau"] == pytest.approx(4.0, abs=1e-9)
     assert records[1]["tau"] == pytest.approx(4.0, abs=1e-9)
+
+
+def fanout_queries():
+    """Ten queries on the M4 demo map: five starts on each of two subspaces."""
+    r = 1 / math.sqrt(2)
+    subspaces = ({"indices": [3, 4]}, {"vectors": [[[r, 0], [0, 0], [r, 0], [0, 0]]]})
+    starts = (
+        ({"index": 1}, "direct"),
+        ({"vector": [[r, 0], [0, 0], [0, 0], [r, 0]]}, "mhtf"),
+        ({"distribution": [0.1, 0.2, 0.3, 0.4]}, "all"),
+        ({"density": np.eye(4).tolist()}, "direct"),
+        ({"index": 2}, "mhtf-orthogonal"),
+    )
+    return [
+        {"subspace": sub, "initial": init, "method": method}
+        for sub in subspaces
+        for init, method in starts
+    ]
+
+
+def test_hit_batch_solves_once_per_subspace(runner, tmp_path, monkeypatch):
+    calls = []
+    solve = hittime.cli.solve_hitting
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hittime.cli, "solve_hitting", counted)
+    query = write(tmp_path, "q.json", {"queries": fanout_queries()})
+    result = runner.invoke(main, ["hit", qudit_map_file(tmp_path), query, "--json"])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)) == 10
+    assert len(calls) == 2
+
+
+def test_hit_batch_records_match_single_queries(runner, tmp_path):
+    map_path = qudit_map_file(tmp_path)
+    queries = fanout_queries()
+    batch = runner.invoke(
+        main, ["hit", map_path, write(tmp_path, "batch.json", {"queries": queries}), "--json"]
+    )
+    assert batch.exit_code == 0, batch.output
+    for index, (query, record) in enumerate(zip(queries, json.loads(batch.output))):
+        single = runner.invoke(
+            main, ["hit", map_path, write(tmp_path, f"q{index}.json", query), "--json"]
+        )
+        assert single.exit_code == 0, single.output
+        assert json.dumps(record, sort_keys=True) == json.dumps(
+            json.loads(single.output), sort_keys=True
+        )
+
+
+def test_hit_batch_orthogonality_violation_on_shared_subspace_exits_3(runner, tmp_path):
+    query = write(
+        tmp_path,
+        "q.json",
+        {
+            "queries": [
+                {"subspace": {"indices": [2]}, "initial": {"index": 1},
+                 "method": "mhtf-orthogonal"},
+                {"subspace": {"indices": [2]}, "initial": {"index": 2},
+                 "method": "mhtf-orthogonal"},
+                {"subspace": {"indices": [2]}, "initial": {"index": 3}},
+            ]
+        },
+    )
+    result = runner.invoke(main, ["hit", chain_file(tmp_path), query, "--json"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: initial state violates its support precondition (residual 1.000e+00)\n"
+    )
+
+
+def test_hit_direct_route_on_nearly_reducible_chain(runner, tmp_path):
+    chain = examples.symmetric_two_state_chain(1e-7)
+    path = write(tmp_path, "slow.json", {"dim": 2, "stochastic": chain.tolist()})
+    query = write(
+        tmp_path,
+        "q.json",
+        {"subspace": {"indices": [2]}, "initial": {"index": 1}, "method": "direct"},
+    )
+    result = runner.invoke(main, ["hit", path, query, "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["tau"] == pytest.approx(1e7, rel=1e-6)
+
+
+def _call_redirected(argv):
+    """Run the CLI in process with redirected streams, as an embedding caller does."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), weakref.ref(out), weakref.ref(err)
+
+
+@pytest.mark.parametrize("initial,method,exit_code", [
+    ({"index": 1}, "direct", 0),
+    ({"index": 2}, "mhtf-orthogonal", 3),
+])
+def test_hit_releases_redirected_streams(tmp_path, initial, method, exit_code):
+    query = write(
+        tmp_path,
+        "q.json",
+        {"subspace": {"indices": [2]}, "initial": initial, "method": method},
+    )
+    code, out, err, out_ref, err_ref = _call_redirected(
+        ["hit", chain_file(tmp_path), query, "--json"]
+    )
+    assert code == exit_code
+    assert (out if exit_code == 0 else err)
+    gc.collect()
+    assert out_ref() is None
+    assert err_ref() is None
+
+
+def test_version_flag(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.output.rstrip().endswith(f"version {hittime.__version__}")
 
 
 # -------------------------------------------------------------------- classical

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,7 +32,9 @@ from hittime import (
     unvec,
     vec,
 )
+from hittime.examples import symmetric_two_state_chain
 from hittime.sampling import (
+    random_cptp_map,
     random_density,
     random_density_supported,
     random_irreducible_cptp,
@@ -450,3 +454,82 @@ def test_raw_rep_gives_same_hitting_results(qubit_solution, qubit_states):
     assert mean_hitting_time_direct(hs, qubit_states["phi"]) == pytest.approx(
         6.0, abs=1e-9
     )
+
+
+# ------------------------------------------------------------------ covectors
+
+COVECTOR_CASES = [
+    (n, kraus_rank, rank)
+    for n in (2, 3, 4)
+    for kraus_rank in (2, 3)
+    for rank in range(1, n)
+]
+
+
+@pytest.mark.parametrize("n,kraus_rank,rank", COVECTOR_CASES)
+def test_covector_queries_match_dense_formulas(n, kraus_rank, rank):
+    rng = np.random.default_rng([n, kraus_rank, rank])
+    channel, cert = random_irreducible_cptp(n, kraus_rank, rng=rng)
+    sub = random_subspace(n, rank, rng=rng)
+    hs = solve_hitting(channel, sub, cert)
+    rho_psi = random_density_supported(sub.basis, rng=rng)
+    starts = {
+        "pure": random_density(n, rng=rng, rank=1),
+        "mixed": random_density(n, rng=rng),
+        "complement": random_density_supported(complement_basis(sub.projector_q), rng=rng),
+    }
+    answers = {
+        label: (
+            hitting_probability(hs, rho),
+            mean_hitting_time_direct(hs, rho),
+            mhtf_general(hs, rho, rho_psi),
+        )
+        for label, rho in starts.items()
+    }
+    ortho = mhtf_orthogonal(hs, starts["complement"], rho_psi)
+    assert "_dense" not in vars(hs)  # the queries never build H or K
+
+    sp = super_projectors(sub)
+    maps = hitting_maps(channel, sp)
+    eye = np.eye(n * n)
+    k11 = block(maps.k_rep, sp, 1, 1)
+    dz = (k11 + block(maps.k_rep, sp, 2, 2)) @ hs.fd.z_rep
+    z11 = block(hs.fd.z_rep, sp, 1, 1)
+    z12 = block(hs.fd.z_rep, sp, 1, 2)
+
+    def tr(rep, rho):
+        return np.trace(apply_rep(rep, rho.matrix)).real
+
+    return_term = tr(k11 @ z11, rho_psi)
+    for label, rho in starts.items():
+        sigma = unvec(sp.qq_rep @ channel.rep @ vec(rho.matrix))
+        expected = (
+            tr(maps.h_rep - sp.qq_rep @ maps.h_rep, rho),
+            tr(maps.k_rep - sp.qq_rep @ maps.k_rep, rho),
+            1.0 + return_term * np.trace(sigma).real
+            - np.trace(apply_rep(k11 @ z12, sigma)).real,
+        )
+        assert answers[label] == pytest.approx(expected, rel=1e-10, abs=1e-10), label
+    assert ortho.psi_term == pytest.approx(tr(block(dz, sp, 1, 1), rho_psi), rel=1e-10, abs=1e-10)
+    assert ortho.phi_term == pytest.approx(
+        tr(block(dz, sp, 1, 2), starts["complement"]), rel=1e-10, abs=1e-10
+    )
+
+
+def test_unitary_channel_is_refused():
+    # one Kraus operator with V* V = I is a unitary conjugation, which fixes
+    # every function of V: never irreducible
+    channel = random_cptp_map(3, 1, rng=50)
+    with pytest.raises(PreconditionError, match="certified"):
+        solve_hitting(channel, random_subspace(3, 1, rng=51))
+
+
+def test_direct_cross_check_rejects_deviation_beyond_conditioning():
+    channel = from_stochastic(symmetric_two_state_chain(1e-7))
+    hs = solve_hitting(channel, subspace_from_indices(2, [1]))
+    start = pure_density([1.0, 0.0])
+    assert mean_hitting_time_direct(hs, start) == pytest.approx(1e7, rel=1e-6)
+    # the allowed relative deviation is about cond x unit roundoff, 1.1e-9 here
+    skewed = dataclasses.replace(hs, trace_covector=hs.trace_covector * (1 + 1e-8))
+    with pytest.raises(NumericError, match="cross-check"):
+        mean_hitting_time_direct(skewed, start)
