@@ -13,10 +13,15 @@ turns mean hitting times into matrix lookups:
     tau(x -> j) = 1 + (Z[j, j] - (Z P x)[j]) / pi[j] (distribution start)
     tau(i -> S) = sum_{k in S} (Z[k, j] - Z[k, i]) tau(k -> S),  any j in S.
 
-The subset return times tau(k -> S) are obtained from the matrix-map
-embedding of the chain, exercising the same machinery the quantum side uses.
-State indices are 0-based here; the command-line layer converts from the
-1-based indices used in files and messages.
+Everything works on the n x n chain.  The subset return times tau(k -> S)
+come from a first-step solve on the complement C of S,
+
+    h = (I - P[C, C]^T)^{-1} 1,    tau(k -> S) = 1 + P[C, k] . h,
+
+which never touches Z, so the anchor independence of the last formula
+cross-checks Z against an independent solve.  State indices are 0-based
+here; the command-line layer converts from the 1-based indices used in files
+and messages.
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ValidationError
-from .hitting import mean_hitting_time_direct, solve_hitting, subspace_from_indices
 from .linalg import DEFAULT_TOL, Tolerance, fixed_space
-from .maps import from_stochastic, invariant_state, pure_density, validate_column_stochastic
+from .maps import validate_column_stochastic
 
 __all__ = [
     "MarkovChain",
@@ -70,7 +74,9 @@ def build_chain(p, tol: Tolerance | None = None) -> MarkovChain:
     """
     if tol is None:
         tol = DEFAULT_TOL
-    arr = validate_column_stochastic(p, tol)
+    # A C-ordered copy: the chain owns its matrix, and a transposed view (a
+    # row-oriented file) gives bit for bit the products a column file gives.
+    arr = validate_column_stochastic(p, tol).copy()
     n = arr.shape[0]
     basis = fixed_space(arr, tol)
     if len(basis) != 1:
@@ -130,22 +136,39 @@ def classical_mhtf_distribution(mc: MarkovChain, x, j: int) -> float:
     return float(1.0 + (mc.z[j, j] - reached[j]) / mc.pi[j])
 
 
+def _first_step_return_times(p: np.ndarray, states: list[int]) -> dict[int, float]:
+    """Return times tau(k -> S) for k in S from the first-step system on C."""
+    rest = np.setdiff1d(np.arange(p.shape[0]), states)
+    try:
+        h = np.linalg.solve(
+            np.eye(rest.size) - p[np.ix_(rest, rest)].T, np.ones(rest.size)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"first-step system on the complement of the subset is singular ({exc})"
+        ) from exc
+    taus = 1.0 + p[np.ix_(rest, states)].T @ h
+    if not np.all(np.isfinite(taus)):
+        raise NumericError(
+            "first-step system on the complement of the subset gave non-finite "
+            "return times"
+        )
+    return {k: float(t) for k, t in zip(states, taus)}
+
+
 def classical_mhtf_subset(
     mc: MarkovChain,
     i: int,
     subset,
-    tol: Tolerance | None = None,
     j_tol: float = _J_INDEPENDENCE_TOL,
 ) -> SubsetHitting:
     """Mean time to reach a subset of states from outside it.
 
-    The per-state return times tau(k -> S) are computed on the matrix-map
-    embedding of the chain.  The defining sum is evaluated for every anchor
+    The per-state return times tau(k -> S) come from the first-step system on
+    the complement of S.  The defining sum is evaluated for every anchor
     state j in S; its independence of j is verified to ``j_tol`` and the
     residual reported.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     i = _check_state(mc, "initial state", i)
     states = sorted(set(_check_state(mc, "subset state", k) for k in subset))
     if not states:
@@ -155,17 +178,10 @@ def classical_mhtf_subset(
     if i in states:
         raise PreconditionError("initial state must lie outside the subset")
 
-    embedded = from_stochastic(mc.p, tol)
-    cert = invariant_state(embedded, tol)
-    sub = subspace_from_indices(mc.n, states)
-    hs = solve_hitting(embedded, sub, cert, tol)
-    unit = np.eye(mc.n)
-    return_times = {
-        k: mean_hitting_time_direct(hs, pure_density(unit[:, k])) for k in states
-    }
+    return_times = _first_step_return_times(mc.p, states)
     sums = [sum(mc.z[k, j] * return_times[k] for k in states) for j in states]
     residual = float(max(sums) - min(sums))
-    if residual > j_tol:
+    if not residual <= j_tol:  # a NaN residual fails too
         raise NumericError(
             f"anchor-state independence violated: sums over the subset spread "
             f"by {residual:.3e} (tolerance {j_tol:.1e})"

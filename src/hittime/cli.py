@@ -48,6 +48,7 @@ from .io import (
     load_query_file,
     realize_initial,
     realize_subspace,
+    stochastic_matrix,
 )
 from .linalg import Tolerance, frobenius
 from .maps import (
@@ -115,11 +116,15 @@ def _emit_json(record) -> None:
     _echo(json.dumps(record, sort_keys=True, indent=2))
 
 
-def _load_map(map_file: str, row_stochastic: bool, tol: Tolerance | None):
+def _load_spec(map_file: str):
     try:
-        spec = load_map_spec(map_file)
+        return load_map_spec(map_file)
     except ParseError as exc:
         _abort(EXIT_PARSE, str(exc))
+
+
+def _load_map(map_file: str, row_stochastic: bool, tol: Tolerance | None):
+    spec = _load_spec(map_file)
     try:
         return spec, build_superoperator(spec, row_stochastic, tol)
     except _MAP_ERRORS as exc:
@@ -388,11 +393,11 @@ def hit(map_file: str, query_file: str, method: str | None, tol: float | None,
 
 
 def _load_chain(map_file: str, row_stochastic: bool, tol: Tolerance | None):
-    spec, channel = _load_map(map_file, row_stochastic, tol)
+    spec = _load_spec(map_file)
     if spec.kind != "stochastic":
         _abort(EXIT_MAP, "classical commands require a stochastic map file")
     try:
-        return build_chain(channel.stochastic, tol)
+        return build_chain(stochastic_matrix(spec, row_stochastic), tol)
     except _MAP_ERRORS as exc:
         _abort(EXIT_MAP, str(exc))
     except NumericError as exc:
@@ -539,9 +544,7 @@ def classical_subset_cmd(map_file, i, subset_spec, tol, as_json, digits,
     except ValueError:
         _abort(EXIT_PARSE, f"cannot parse subset {subset_spec!r}")
     try:
-        result = classical_mhtf_subset(
-            chain, i - 1, [k - 1 for k in subset], tolerance
-        )
+        result = classical_mhtf_subset(chain, i - 1, [k - 1 for k in subset])
         record = {
             "command": "subset",
             "i": i,

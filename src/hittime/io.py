@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -28,12 +29,16 @@ __all__ = [
     "METHODS",
     "load_map_spec",
     "build_superoperator",
+    "stochastic_matrix",
     "load_query_file",
     "realize_subspace",
     "realize_initial",
 ]
 
 METHODS = ("direct", "mhtf", "mhtf-orthogonal", "series", "all")
+
+# JSON numbers; bool is excluded by comparing exact types.
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +101,34 @@ def _parse_complex_vector(node, where: str) -> np.ndarray:
     )
 
 
+def _fast_matrix(node) -> np.ndarray | None:
+    """One-call conversion of equal-length rows of bare numbers or of pairs.
+
+    Returns a float array of shape (rows, cols) or (rows, cols, 2), or None
+    for anything else, which the element-wise parser then handles (and
+    reports) as before.
+    """
+    if not isinstance(node, list) or not node or any(type(row) is not list for row in node):
+        return None
+    entries = list(chain.from_iterable(node))
+    kinds = set(map(type, entries))
+    if kinds == {list}:
+        kinds = set(map(type, chain.from_iterable(entries)))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    try:
+        m = np.array(node, dtype=float)  # ragged rows raise ValueError
+    except (ValueError, OverflowError):
+        return None
+    if m.size == 0 or m.shape[2:] not in ((), (2,)):
+        return None
+    return m
+
+
 def _parse_complex_matrix(node, where: str) -> np.ndarray:
+    fast = _fast_matrix(node)
+    if fast is not None:
+        return fast.astype(complex) if fast.ndim == 2 else fast.view(complex)[..., 0]
     if not isinstance(node, list) or not node:
         raise _fail(where, "expected a nonempty array of rows")
     rows = [_parse_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(node)]
@@ -108,6 +140,9 @@ def _parse_complex_matrix(node, where: str) -> np.ndarray:
 
 
 def _parse_real_matrix(node, where: str) -> np.ndarray:
+    fast = _fast_matrix(node)
+    if fast is not None and fast.ndim == 2:
+        return fast
     m = _parse_complex_matrix(node, where)
     if np.max(np.abs(m.imag)) > 0:
         raise _fail(where, "matrix must be real")
@@ -189,17 +224,23 @@ def build_superoperator(
 ) -> SuperOperator:
     """Turn a parsed map spec into a superoperator.
 
-    For stochastic specs the effective orientation is the ``--row-stochastic``
-    flag if set, else the file's ``orientation`` field, else column; a row
-    matrix is transposed at ingestion.
+    A stochastic spec is oriented by :func:`stochastic_matrix` first.
     """
     if spec.kind == "kraus":
         return from_kraus(spec.kraus, tol)
     if spec.kind == "stochastic":
-        orientation = "row" if row_stochastic else (spec.orientation or "column")
-        matrix = spec.stochastic.T if orientation == "row" else spec.stochastic
-        return from_stochastic(matrix, tol)
+        return from_stochastic(stochastic_matrix(spec, row_stochastic), tol)
     return from_raw(spec.superoperator)
+
+
+def stochastic_matrix(spec: MapSpec, row_stochastic: bool = False) -> np.ndarray:
+    """The column-stochastic matrix of a stochastic spec, unvalidated.
+
+    The effective orientation is the ``--row-stochastic`` flag if set, else
+    the file's ``orientation`` field, else column; a row matrix is transposed.
+    """
+    orientation = "row" if row_stochastic else (spec.orientation or "column")
+    return spec.stochastic.T if orientation == "row" else spec.stochastic
 
 
 def _parse_tol(node, where: str) -> Tolerance:

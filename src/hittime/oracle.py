@@ -31,6 +31,9 @@ __all__ = [
 
 _MIN_SPECTRAL_GAP = 1e-9
 _MAX_SERIES_TERMS = 1_000_000
+# Gathered cumulative entries per Monte-Carlo block, so one step needs
+# O(trials) memory whatever the number of states.
+_MC_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +171,12 @@ def classical_monte_carlo(
             raise ValidationError("start distribution must be non-negative and sum to 1")
         states = rng.choice(n, size=trials, p=dist / dist.sum()).astype(np.int64)
 
-    cum = np.cumsum(arr, axis=0)
-    cum[-1, :] = 1.0  # guard against float round-off at the top
+    # Row s holds the cumulative outgoing distribution of state s.  Clipping
+    # the entries validation lets through in [-atol, 0) keeps every row
+    # monotone, so a state of negative weight is never drawn.
+    cum = np.cumsum(np.maximum(arr, 0.0), axis=0).T.copy()
+    cum[:, -1] = 1.0  # guard against float round-off at the top
+    block = max(1, _MC_BLOCK_ENTRIES // n)
     in_target = np.zeros(n, dtype=bool)
     in_target[target_set] = True
 
@@ -185,10 +192,12 @@ def classical_monte_carlo(
         idx = np.flatnonzero(alive)
         cur = states[idx]
         draws = rng.random(idx.size)
+        # The count of cumulative entries <= the draw is what
+        # searchsorted(side="right") returns on a monotone row.
         nxt = np.empty_like(cur)
-        for s in np.unique(cur):
-            mask = cur == s
-            nxt[mask] = np.searchsorted(cum[:, s], draws[mask], side="right")
+        for lo in range(0, idx.size, block):
+            rows = slice(lo, lo + block)
+            nxt[rows] = (cum[cur[rows]] <= draws[rows, None]).sum(axis=1)
         states[idx] = nxt
         hit = in_target[nxt]
         times[idx[hit]] = step

@@ -12,6 +12,8 @@ from click.testing import CliRunner
 import hittime
 import hittime.cli
 import hittime.examples as examples
+import hittime.io
+import hittime.maps
 from hittime.cli import main
 
 
@@ -485,6 +487,109 @@ def test_classical_row_stochastic_flag(runner, tmp_path):
     assert result.exit_code == 0
     # column-stochastic transpose has stationary distribution (4/7, 3/7)
     assert json.loads(result.output)["tau"] == pytest.approx(7.0 / 4.0, abs=1e-10)
+
+
+@pytest.fixture()
+def no_embedding(monkeypatch):
+    """Make every route to the n^2 x n^2 embedding of a chain raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classical commands must not build the embedding")
+
+    monkeypatch.setattr(hittime.cli, "build_superoperator", refuse)
+    monkeypatch.setattr(hittime.maps, "from_stochastic", refuse)
+    monkeypatch.setattr(hittime.io, "from_stochastic", refuse)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mhtf", "-i", "1", "-j", "3"],
+        ["kac", "-j", "2"],
+        ["dist", "-x", "0.25,0.25,0.5", "-j", "1"],
+        ["subset", "-i", "1", "-S", "2,3"],
+        ["mhtf", "-i", "1", "-j", "3", "--trials", "200", "--seed", "4"],
+    ],
+)
+def test_classical_commands_skip_embedding(runner, tmp_path, no_embedding, args):
+    p = [[0.2, 0.5, 0.3], [0.3, 0.1, 0.6], [0.5, 0.4, 0.1]]
+    path = write(tmp_path, "c3.json", {"dim": 3, "stochastic": p})
+    command, *rest = args
+    result = runner.invoke(main, ["classical", command, path, *rest, "--json"])
+    assert result.exit_code == 0, result.output
+    assert math.isfinite(json.loads(result.output)["tau"])
+
+
+def test_classical_exit_codes_without_embedding(runner, tmp_path, no_embedding):
+    reducible = write(
+        tmp_path, "red.json", {"dim": 2, "stochastic": [[1.0, 0.0], [0.0, 1.0]]}
+    )
+    non_stochastic = write(
+        tmp_path, "bad.json", {"dim": 2, "stochastic": [[0.5, 0.5], [0.6, 0.5]]}
+    )
+    malformed = tmp_path / "broken.json"
+    malformed.write_text("{ not json")
+    cases = [
+        (qubit_map_file(tmp_path), 2),
+        (str(malformed), 1),
+        (reducible, 2),
+        (non_stochastic, 2),
+    ]
+    for path, code in cases:
+        for args in (["mhtf", path, "-i", "1", "-j", "2"], ["kac", path, "-j", "1"],
+                     ["dist", path, "-x", "0.5,0.5", "-j", "1"],
+                     ["subset", path, "-i", "1", "-S", "2"]):
+            result = runner.invoke(main, ["classical", *args])
+            assert result.exit_code == code, (args, result.output)
+            assert isinstance(result.exception, SystemExit), args
+
+
+def test_classical_orientation_without_embedding(runner, tmp_path, no_embedding):
+    p_row = [[0.7, 0.3], [0.4, 0.6]]  # rows sum to 1; stationary (4/7, 3/7)
+    flagged = write(tmp_path, "row.json", {"dim": 2, "stochastic": p_row})
+    tagged = write(
+        tmp_path, "tagged.json", {"dim": 2, "stochastic": p_row, "orientation": "row"}
+    )
+    for path, flag in ((flagged, ["--row-stochastic"]), (tagged, [])):
+        result = runner.invoke(
+            main, ["classical", "kac", path, "-j", "1", "--json", *flag]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["tau"] == pytest.approx(7.0 / 4.0, abs=1e-10)
+    # read as column-stochastic, the same rows are refused
+    result = runner.invoke(main, ["classical", "kac", flagged, "-j", "1"])
+    assert result.exit_code == 2
+
+
+def test_classical_subset_nearly_reducible_answers_or_exits_5(
+    runner, tmp_path, no_embedding
+):
+    eps = 1e-9
+    block = np.array([[0.5, 0.2, 0.3], [0.25, 0.5, 0.3], [0.25, 0.3, 0.4]])
+    p = np.zeros((6, 6))
+    p[:3, :3] = block
+    p[3:, 3:] = block.T / block.T.sum(axis=0)
+    p[:, 2] *= 1 - eps
+    p[3, 2] += eps
+    p[:, 5] *= 1 - eps
+    p[0, 5] += eps
+    path = write(tmp_path, "nearly.json", {"dim": 6, "stochastic": p.tolist()})
+    answered = 0
+    for subset in ([4], [4, 5], [2, 5]):
+        spec = ",".join(map(str, subset))
+        result = runner.invoke(
+            main, ["classical", "subset", path, "-i", "1", "-S", spec, "--json"]
+        )
+        assert result.exit_code in (0, 5), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 0:
+            answered += 1
+            rest = [k for k in range(6) if k + 1 not in subset]
+            h = np.linalg.solve(
+                np.eye(len(rest)) - p[np.ix_(rest, rest)].T, np.ones(len(rest))
+            )
+            assert json.loads(result.output)["tau"] == pytest.approx(h[0], rel=1e-6)
+    assert answered >= 1
 
 
 # ----------------------------------------------------------------- edge cases

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hittime.io
 from hittime import ParseError, Tolerance, apply
 from hittime.io import (
     build_superoperator,
@@ -218,3 +219,73 @@ def test_realize_initial_dimension_checks(tmp_path):
     query = load_query_file(write(tmp_path, "q.json", payload))[0]
     with pytest.raises(ParseError, match="exceeds"):
         realize_initial(query, 2)
+
+
+# ---------------------------------------------------- whole-array fast path
+
+def _random_matrix_node(rng, pairs: bool):
+    rows, cols = (int(k) for k in rng.integers(1, 7, size=2))
+
+    def number():
+        kind = rng.integers(4)
+        if kind == 0:
+            return int(rng.integers(-2**62, 2**62))
+        if kind == 1:
+            return int(rng.integers(-5, 6))
+        if kind == 2:
+            return -0.0
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+
+    if pairs:
+        return [[[number(), number()] for _ in range(cols)] for _ in range(rows)]
+    return [[number() for _ in range(cols)] for _ in range(rows)]
+
+
+def _element_wise(monkeypatch, parse, node):
+    with monkeypatch.context() as patch:
+        patch.setattr(hittime.io, "_fast_matrix", lambda node: None)
+        return parse(node, "m")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fast_matrix_parse_matches_element_wise(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    for pairs in (False, True):
+        node = _random_matrix_node(rng, pairs)
+        assert hittime.io._fast_matrix(node) is not None
+        parsers = [hittime.io._parse_complex_matrix]
+        if not pairs:
+            parsers.append(hittime.io._parse_real_matrix)
+        for parse in parsers:
+            fast = parse(node, "m")
+            slow = _element_wise(monkeypatch, parse, node)
+            assert fast.dtype == slow.dtype and fast.shape == slow.shape
+            assert fast.tobytes() == slow.tobytes()  # also tells -0.0 from 0.0
+
+
+def test_real_matrix_of_zero_imaginary_pairs(monkeypatch):
+    node = [[[1, 0], [-0.0, 0.0]], [[2.5, -0.0], [3, 0]]]
+    fast = hittime.io._parse_real_matrix(node, "m")
+    slow = _element_wise(monkeypatch, hittime.io._parse_real_matrix, node)
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        [[1, 2], [3]],
+        [[1, True], [0, 1]],
+        [[1, "2"], [3, 4]],
+        [[1, None]],
+        [[]],
+        [[[1, 2, 3]]],
+        [[[1, 0], 2]],
+        [[[1, 0]], [[1, 0], [0, 1]]],
+        [[[]]],
+        [[10**400]],
+        [1, 2],
+        [],
+    ],
+)
+def test_malformed_matrix_takes_element_wise_path(node):
+    assert hittime.io._fast_matrix(node) is None

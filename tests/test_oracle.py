@@ -13,7 +13,9 @@ from hittime import (
     super_projectors,
     tau_series,
 )
+import hittime.oracle
 from hittime.examples import cycle_chain, symmetric_two_state_chain
+from hittime.sampling import random_column_stochastic
 
 
 def chain_setup(p_matrix, target_indices):
@@ -155,3 +157,38 @@ def test_monte_carlo_validations():
         classical_monte_carlo(chain, 0, [1], trials=0, seed=0)
     with pytest.raises(ValidationError):
         classical_monte_carlo(chain, [0.7, 0.7], [1], trials=10, seed=0)
+
+
+def _sparse_chain():
+    p = random_column_stochastic(12, rng=75)
+    p[p < 0.08] = 0.0  # exact zeros give ties in the cumulative columns
+    return p / p.sum(axis=0)
+
+
+_RAMP = np.linspace(1.0, 2.0, 12) / np.linspace(1.0, 2.0, 12).sum()
+
+# (chain, start, target, trials, seed) -> (mean, std_error) as the earlier
+# per-state searchsorted step gave them; the vectorized step must match
+# them bit for bit.
+PINNED_MONTE_CARLO = [
+    (lambda: random_column_stochastic(6, rng=70), 0, [3], 2000, 71,
+     6.685, 0.1219869989546303),
+    (lambda: random_column_stochastic(9, rng=72), np.full(9, 1 / 9), [2, 5], 1500, 73,
+     5.550666666666666, 0.13986102783993354),
+    (_sparse_chain, 4, [0, 7, 11], 1200, 76, 3.0458333333333334, 0.08321988037411479),
+    (_sparse_chain, _RAMP, [5], 800, 77, 22.8975, 0.840342690206638),
+    (lambda: random_column_stochastic(5, rng=78), 1, [1], 1000, 79,
+     5.834, 0.14921363445981975),
+    (lambda: cycle_chain(5), 2, [2], 300, 74, 5.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("block_entries", [None, 40])
+@pytest.mark.parametrize("case", range(len(PINNED_MONTE_CARLO)))
+def test_monte_carlo_pinned_output(monkeypatch, case, block_entries):
+    make, start, target, trials, seed, mean, std_error = PINNED_MONTE_CARLO[case]
+    if block_entries is not None:
+        # a few rows per block, so one step crosses many blocks
+        monkeypatch.setattr(hittime.oracle, "_MC_BLOCK_ENTRIES", block_entries)
+    estimate = classical_monte_carlo(make(), start, target, trials, seed)
+    assert (estimate.mean, estimate.std_error) == (mean, std_error)
