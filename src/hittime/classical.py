@@ -166,8 +166,9 @@ def classical_mhtf_subset(
 
     The per-state return times tau(k -> S) come from the first-step system on
     the complement of S.  The defining sum is evaluated for every anchor
-    state j in S; its independence of j is verified to ``j_tol`` and the
-    residual reported.
+    state j in S; its independence of j is verified to ``j_tol`` relative to
+    the largest summand |Z[k, j] tau(k -> S)|, since the sums grow with the
+    return times, and the (absolute) spread of the sums is reported.
     """
     i = _check_state(mc, "initial state", i)
     states = sorted(set(_check_state(mc, "subset state", k) for k in subset))
@@ -181,10 +182,12 @@ def classical_mhtf_subset(
     return_times = _first_step_return_times(mc.p, states)
     sums = [sum(mc.z[k, j] * return_times[k] for k in states) for j in states]
     residual = float(max(sums) - min(sums))
-    if not residual <= j_tol:  # a NaN residual fails too
+    bound = j_tol * max(abs(mc.z[k, j] * return_times[k]) for k in states for j in states)
+    if not residual <= bound:  # a NaN residual fails too
         raise NumericError(
             f"anchor-state independence violated: sums over the subset spread "
-            f"by {residual:.3e} (tolerance {j_tol:.1e})"
+            f"by {residual:.3e} (tolerance {j_tol:.1e} relative to the largest "
+            f"summand, {bound:.3e})"
         )
     j0 = states[0]
     tau = float(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .linalg import DEFAULT_TOL, Tolerance, frobenius, vec
+from .linalg import COND_CEIL, DEFAULT_TOL, Tolerance, frobenius, hermitian_form, vec
 from .maps import (
     CERTIFIED_IRREDUCIBLE,
     DensityMatrix,
@@ -37,9 +37,6 @@ __all__ = [
     "fundamental_map",
     "verify_fundamental_identities",
 ]
-
-_COND_CEIL = 1e14
-
 
 @dataclass(frozen=True, eq=False)
 class FundamentalData:
@@ -92,8 +89,8 @@ def fundamental_map(
     omega = build_omega(cert.invariant_state, tol)
     d = t.rep.shape[0]
     a = np.eye(d) - t.rep + omega
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > _COND_CEIL:
+    cond = float(np.linalg.cond(hermitian_form(a)))
+    if not np.isfinite(cond) or cond > COND_CEIL:
         raise NumericError(
             f"fundamental solve is singular to working precision "
             f"(condition estimate {cond:.3e})"

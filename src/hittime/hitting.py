@@ -29,7 +29,18 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, OrthogonalityError, ValidationError
 from .fundamental import FundamentalData, fundamental_map
-from .linalg import DEFAULT_TOL, Tolerance, frobenius, hermitize, spectral_radius, vec, unvec
+from .linalg import (
+    COND_CEIL,
+    DEFAULT_TOL,
+    MIN_SPECTRAL_GAP,
+    Tolerance,
+    frobenius,
+    hermitian_form,
+    hermitize,
+    survival_radius,
+    unvec,
+    vec,
+)
 from .maps import (
     DensityMatrix,
     IrreducibilityCertificate,
@@ -64,12 +75,6 @@ __all__ = [
 # checked against a residual looser than the numerical tolerance.
 ORTHOGONALITY_TOL = 1e-8
 
-# Monitored evolution must contract; spectral radius of QT this close to 1
-# makes the resolvent solves meaningless.
-_MIN_SPECTRAL_GAP = 1e-9
-
-_COND_CEIL = 1e14
-
 # A solve with condition number c loses about c unit roundoffs of relative
 # accuracy (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -84,15 +89,30 @@ class ArrivalSubspace:
     projector_p: np.ndarray
     projector_q: np.ndarray
     basis: np.ndarray  # n x rank, orthonormal columns spanning the subspace
+    complement_basis: np.ndarray  # n x (n - rank), orthonormal columns spanning range(Q)
 
 
 @dataclass(frozen=True, eq=False)
 class SuperProjectors:
-    """Projectors P.P, Q.Q and the traceless remainder on M_n."""
+    """Projectors P.P, Q.Q and the traceless remainder on M_n.
 
-    pp_rep: np.ndarray
+    ``complement_basis`` is an orthonormal basis of range(Q), from which the
+    survival radius is computed.  No query reads ``pp_rep`` or ``rr_rep``,
+    so they are built on first access.
+    """
+
+    projector_p: np.ndarray
     qq_rep: np.ndarray
-    rr_rep: np.ndarray
+    complement_basis: np.ndarray
+
+    @cached_property
+    def pp_rep(self) -> np.ndarray:
+        p = self.projector_p
+        return np.kron(p, p.conj())
+
+    @cached_property
+    def rr_rep(self) -> np.ndarray:
+        return np.eye(self.qq_rep.shape[0]) - self.pp_rep - self.qq_rep
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +216,7 @@ def subspace_from_vectors(vectors, tol: Tolerance | None = None) -> ArrivalSubsp
         if v.size != n:
             raise DimensionError("spanning vectors have mixed lengths")
     a = np.column_stack(cols)
-    u, sing, _ = np.linalg.svd(a, full_matrices=False)
+    u, sing, _ = np.linalg.svd(a)
     if sing.size == 0 or sing[0] <= tol.atol:
         raise ValidationError("spanning vectors span the zero subspace")
     rank = int(np.sum(sing > tol.atol + tol.rtol * sing[0]))
@@ -206,7 +226,7 @@ def subspace_from_vectors(vectors, tol: Tolerance | None = None) -> ArrivalSubsp
         )
     basis = u[:, :rank]
     p = hermitize(basis @ basis.conj().T)
-    return ArrivalSubspace(n, rank, p, np.eye(n) - p, basis)
+    return ArrivalSubspace(n, rank, p, np.eye(n) - p, basis, u[:, rank:])
 
 
 def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
@@ -220,21 +240,19 @@ def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
         raise ValidationError(
             "arrival subspace must be proper (a nontrivial subspace is required)"
         )
-    basis = np.zeros((n, len(idx)), dtype=complex)
-    for col, i in enumerate(idx):
-        basis[i, col] = 1.0
+    eye = np.eye(n, dtype=complex)
     p = np.zeros((n, n), dtype=complex)
     p[idx, idx] = 1.0
-    return ArrivalSubspace(n, len(idx), p, np.eye(n) - p, basis)
+    rest = np.setdiff1d(np.arange(n), idx)
+    return ArrivalSubspace(n, len(idx), p, np.eye(n) - p, eye[:, idx], eye[:, rest])
 
 
 def super_projectors(subspace: ArrivalSubspace) -> SuperProjectors:
     """Lift (P, Q) to M_n: PP = kron(P, conj(P)), QQ = kron(Q, conj(Q))."""
-    p, q = subspace.projector_p, subspace.projector_q
-    pp = np.kron(p, p.conj())
-    qq = np.kron(q, q.conj())
-    rr = np.eye(pp.shape[0]) - pp - qq
-    return SuperProjectors(pp, qq, rr)
+    q = subspace.projector_q
+    return SuperProjectors(
+        subspace.projector_p, np.kron(q, q.conj()), subspace.complement_basis
+    )
 
 
 def _survival_resolvent(
@@ -245,16 +263,16 @@ def _survival_resolvent(
     Raises :class:`NumericError` unless the monitored evolution contracts and
     the resolvent is well conditioned.
     """
-    qphi = sp.qq_rep @ t.rep
-    radius = spectral_radius(qphi)
-    if radius >= 1.0 - _MIN_SPECTRAL_GAP:
+    radius = survival_radius(t.rep, sp.complement_basis)
+    if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NumericError(
             f"monitored evolution does not contract: spectral radius of the "
             f"survival map is {radius:.12g} (map reducible or subspace trivial)"
         )
+    qphi = sp.qq_rep @ t.rep
     m = np.eye(qphi.shape[0]) - qphi
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > _COND_CEIL:
+    cond = float(np.linalg.cond(hermitian_form(m)))
+    if not np.isfinite(cond) or cond > COND_CEIL:
         raise NumericError(
             f"survival resolvent is singular to working precision "
             f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"

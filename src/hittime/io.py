@@ -79,17 +79,23 @@ def _fail(where: str, message: str) -> ParseError:
     return ParseError(f"{where}: {message}")
 
 
+_OUT_OF_RANGE = "number is too large for a double-precision float"
+
+
 def _parse_complex(node, where: str) -> complex:
     if isinstance(node, bool):
         raise _fail(where, "expected a number or [re, im] pair")
-    if isinstance(node, (int, float)):
-        return complex(float(node), 0.0)
-    if (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
-    ):
-        return complex(float(node[0]), float(node[1]))
+    try:
+        if isinstance(node, (int, float)):
+            return complex(float(node), 0.0)
+        if (
+            isinstance(node, list)
+            and len(node) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
+        ):
+            return complex(float(node[0]), float(node[1]))
+    except OverflowError:  # a JSON integer beyond the double range
+        raise _fail(where, _OUT_OF_RANGE) from None
     raise _fail(where, f"expected a number or [re, im] pair, got {node!r}")
 
 
@@ -245,7 +251,10 @@ def stochastic_matrix(spec: MapSpec, row_stochastic: bool = False) -> np.ndarray
 
 def _parse_tol(node, where: str) -> Tolerance:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        value = float(node)
+        try:
+            value = float(node)
+        except OverflowError:
+            raise _fail(where, _OUT_OF_RANGE) from None
         if value < 0:
             raise _fail(where, "tolerance must be non-negative")
         return Tolerance(value, value)
@@ -255,7 +264,7 @@ def _parse_tol(node, where: str) -> Tolerance:
             raise _fail(where, f"unknown tolerance fields {sorted(extra)}")
         try:
             return Tolerance(float(node.get("atol", 1e-10)), float(node.get("rtol", 1e-10)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _fail(where, f"invalid tolerance: {exc}") from exc
     raise _fail(where, "expected a number or an object with 'atol'/'rtol'")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .hitting import SuperProjectors
-from .linalg import DEFAULT_TOL, Tolerance, spectral_radius, vec
+from .linalg import DEFAULT_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius, vec
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "classical_monte_carlo",
 ]
 
-_MIN_SPECTRAL_GAP = 1e-9
 _MAX_SERIES_TERMS = 1_000_000
 # Gathered cumulative entries per Monte-Carlo block, so one step needs
 # O(trials) memory whatever the number of states.
@@ -56,14 +55,14 @@ class MonteCarloEstimate:
 
 
 def _survival_data(t: SuperOperator, sp: SuperProjectors):
-    qphi = sp.qq_rep @ t.rep
-    radius = spectral_radius(qphi)
-    if radius >= 1.0 - _MIN_SPECTRAL_GAP:
+    """QT, the arrival covector e PP T = vec(conj(P))^T T and the radius of QT."""
+    radius = survival_radius(t.rep, sp.complement_basis)
+    if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NonConvergenceError(
             f"monitored series does not converge: spectral radius of the "
             f"survival map is {radius:.12g} (map not irreducible)"
         )
-    return qphi, sp.pp_rep @ t.rep, radius
+    return sp.qq_rep @ t.rep, vec(sp.projector_p.conj()) @ t.rep, radius
 
 
 def first_visit_series(
@@ -83,12 +82,11 @@ def first_visit_series(
     if r_max < 1:
         raise ValidationError("r_max must be at least 1")
     state = as_density(rho, tol)
-    qphi, pphi, radius = _survival_data(t, sp)
-    tvec = vec(np.eye(t.dim))
+    qphi, arrival, radius = _survival_data(t, sp)
     sigma = vec(state.matrix)
     probs = np.empty(r_max)
     for r in range(r_max):
-        probs[r] = float(np.real(tvec @ (pphi @ sigma)))
+        probs[r] = (arrival @ sigma).real
         sigma = qphi @ sigma
     tail = float(np.linalg.norm(sigma, 1)) / (1.0 - radius)
     return FirstVisitDistribution(probs, tail, r_max)
@@ -110,8 +108,7 @@ def tau_series(
     if tol is None:
         tol = DEFAULT_TOL
     state = as_density(rho, tol)
-    qphi, pphi, radius = _survival_data(t, sp)
-    tvec = vec(np.eye(t.dim))
+    qphi, arrival, radius = _survival_data(t, sp)
     sigma = vec(state.matrix)
     gap = 1.0 - radius
     target = tol.atol / 10.0
@@ -124,11 +121,12 @@ def tau_series(
                 f"series did not reach the target accuracy in {max_terms} terms "
                 f"(spectral radius {radius:.12g})"
             )
-        total += r * float(np.real(tvec @ (pphi @ sigma)))
+        total += r * (arrival @ sigma).real
         sigma = qphi @ sigma
-        tail = float(np.linalg.norm(sigma, 1)) * ((r + 1) * gap + radius) / (gap * gap)
+        # np.abs(sigma).sum() is the 1-norm of sigma, without norm's dispatch.
+        tail = np.abs(sigma).sum() * ((r + 1) * gap + radius) / (gap * gap)
         if tail < target:
-            return total
+            return float(total)
 
 
 def classical_monte_carlo(

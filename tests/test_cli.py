@@ -668,3 +668,67 @@ def test_selftest_detects_perturbation(runner, monkeypatch):
         result = runner.invoke(main, ["selftest"], catch_exceptions=False)
     assert result.exit_code == 4
     assert "FAIL" in result.output
+
+
+HUGE = 10**400  # a JSON integer beyond the double range
+
+
+@pytest.mark.parametrize(
+    "argv_tail,payload",
+    [
+        (["validate"], {"dim": 2, "kraus": [[[HUGE, 0], [0, 1]]]}),
+        (["validate"], {"dim": 2, "stochastic": [[0.5, HUGE], [0.5, 0.5]]}),
+        (["validate"], {"dim": 1, "superoperator": [[[HUGE, 0]]]}),
+        (["classical", "kac", "-j", "1"], {"dim": 2, "stochastic": [[HUGE, 0.5], [0.5, 0.5]]}),
+        (["classical", "mhtf", "-i", "1", "-j", "2"],
+         {"dim": 2, "stochastic": [[0.5, 0.5], [0.5, HUGE]]}),
+        (["hit", "QUERY"], {"dim": 2, "kraus": [[[1, 0], [0, HUGE]]]}),
+    ],
+)
+def test_number_out_of_double_range_in_map_file_exits_1(runner, tmp_path, argv_tail, payload):
+    path = write(tmp_path, "huge.json", payload)
+    query = write(tmp_path, "q.json", {"subspace": {"indices": [1]}, "initial": {"index": 2}})
+    command = argv_tail[:1] if argv_tail[0] != "classical" else argv_tail[:2]
+    options = [query if a == "QUERY" else a for a in argv_tail[len(command):]]
+    result = runner.invoke(main, [*command, path, *options, "--json"])
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "number is too large for a double-precision float" in result.output
+
+
+def test_number_out_of_double_range_in_query_vector_exits_1(runner, tmp_path):
+    query = write(
+        tmp_path,
+        "q.json",
+        {"subspace": {"vectors": [[[1, 0], [HUGE, 0]]]}, "initial": {"index": 2}},
+    )
+    result = runner.invoke(main, ["hit", chain_file(tmp_path), query, "--json"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "vectors[0][1]: number is too large" in result.output
+
+
+def test_classical_subset_nearly_reducible_answers_relative_anchor_check(runner, tmp_path):
+    # The 1e-9-coupled chain of the test above: the anchor sums are near 5e8,
+    # so their round-off spread exceeds any fixed absolute tolerance.
+    eps = 1e-9
+    block = np.array([[0.5, 0.2, 0.3], [0.25, 0.5, 0.3], [0.25, 0.3, 0.4]])
+    p = np.zeros((6, 6))
+    p[:3, :3] = block
+    p[3:, 3:] = block.T / block.T.sum(axis=0)
+    p[:, 2] *= 1 - eps
+    p[3, 2] += eps
+    p[:, 5] *= 1 - eps
+    p[0, 5] += eps
+    path = write(tmp_path, "nearly.json", {"dim": 6, "stochastic": p.tolist()})
+    for subset in ([4, 5], [2, 5]):
+        spec = ",".join(map(str, subset))
+        result = runner.invoke(
+            main, ["classical", "subset", path, "-i", "1", "-S", spec, "--json"]
+        )
+        assert result.exit_code == 0, result.output
+        rest = [k for k in range(6) if k + 1 not in subset]
+        h = np.linalg.solve(
+            np.eye(len(rest)) - p[np.ix_(rest, rest)].T, np.ones(len(rest))
+        )
+        assert json.loads(result.output)["tau"] == pytest.approx(h[0], rel=1e-6)

@@ -289,3 +289,36 @@ def test_real_matrix_of_zero_imaginary_pairs(monkeypatch):
 )
 def test_malformed_matrix_takes_element_wise_path(node):
     assert hittime.io._fast_matrix(node) is None
+
+
+HUGE = 10**400  # a JSON integer beyond the double range
+
+
+@pytest.mark.parametrize(
+    "payload,needle",
+    [
+        ({"dim": 2, "kraus": [[[HUGE, 0], [0, 1]]]}, r"kraus\[0\]\[0\]\[0\]"),
+        ({"dim": 2, "kraus": [[[[1, HUGE], [0, 0]], [[0, 0], [1, 0]]]]}, r"kraus\[0\]\[0\]\[0\]"),
+        ({"dim": 2, "stochastic": [[0.5, HUGE], [0.5, 0.5]]}, r"stochastic\[0\]\[1\]"),
+        ({"dim": 1, "superoperator": [[HUGE]]}, r"superoperator\[0\]\[0\]"),
+    ],
+)
+def test_map_file_number_out_of_double_range(tmp_path, payload, needle):
+    path = write(tmp_path, "huge.json", payload)
+    with pytest.raises(ParseError, match=needle + ": number is too large"):
+        load_map_spec(path)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"subspace": {"vectors": [[1, HUGE]]}, "initial": {"index": 1}},
+        {"subspace": {"indices": [1]}, "initial": {"vector": [[HUGE, 0], [0, 1]]}},
+        {"subspace": {"indices": [1]}, "initial": {"index": 1}, "tol": HUGE},
+        {"subspace": {"indices": [1]}, "initial": {"index": 1}, "tol": {"atol": HUGE}},
+    ],
+)
+def test_query_number_out_of_double_range(tmp_path, payload):
+    path = write(tmp_path, "huge.json", payload)
+    with pytest.raises(ParseError):
+        load_query_file(path)
