@@ -55,9 +55,7 @@ from .linalg import (
     fixed_space,
     frobenius,
     hermitize,
-    hs_inner,
     is_psd,
-    kron,
     spectral_radius,
     unvec,
     vec,
@@ -72,7 +70,6 @@ from .maps import (
     PositivitySample,
     SuperOperator,
     TraceCheck,
-    adjoint,
     apply,
     as_density,
     check_complete_positivity,

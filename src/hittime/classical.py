@@ -130,7 +130,8 @@ def classical_mhtf_distribution(mc: MarkovChain, x, j: int) -> float:
         raise ValidationError(
             f"distribution has length {dist.size}, chain has {mc.n} states"
         )
-    if dist.min() < -DEFAULT_TOL.atol or abs(dist.sum() - 1.0) > 1e-9:
+    # Written so that NaN and inf entries fail too.
+    if not (dist.min() >= -DEFAULT_TOL.atol and abs(dist.sum() - 1.0) <= 1e-9):
         raise ValidationError("initial distribution must be non-negative and sum to 1")
     reached = mc.z @ (mc.p @ dist)
     return float(1.0 + (mc.z[j, j] - reached[j]) / mc.pi[j])

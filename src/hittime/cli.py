@@ -6,11 +6,15 @@ subset) and ``selftest`` (embedded golden suite).  Results are printed as a
 human-readable table by default or as a JSON record with ``--json``.
 
 Exit codes: 0 success, 1 parse error, 2 map-validation failure, 3 query
-precondition failure, 4 self-test failure, 5 numeric failure.
+precondition failure, 4 self-test failure, 5 numeric failure.  A library
+error is mapped to its code in one place, :func:`_exits`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import functools
 import json
 import sys
 
@@ -25,14 +29,7 @@ from .classical import (
     classical_mhtf_subset,
     kac_return_time,
 )
-from .errors import (
-    DimensionError,
-    NumericError,
-    OrthogonalityError,
-    ParseError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import HittimeError, NumericError, ParseError, ValidationError
 from .hitting import (
     ORTHOGONALITY_TOL,
     hitting_probability,
@@ -67,8 +64,6 @@ EXIT_QUERY = 3
 EXIT_SELFTEST = 4
 EXIT_NUMERIC = 5
 
-_MAP_ERRORS = (ValidationError, PreconditionError, DimensionError)
-
 
 def _echo(message: str, err: bool = False) -> None:
     # An explicit file keeps click from caching a wrapper per sys.stdout
@@ -81,12 +76,51 @@ def _abort(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _tolerance(tol: float | None) -> Tolerance | None:
-    if tol is None:
-        return None
-    if tol < 0:
-        _abort(EXIT_PARSE, "--tol must be non-negative")
-    return Tolerance(tol, tol)
+@contextlib.contextmanager
+def _exits(stage: int):
+    """Exit on a library error: 1 for a parse error, 5 for a numeric failure,
+    and ``stage`` for any other: EXIT_MAP while the map file is loaded or
+    certified, EXIT_QUERY for a query or a state given on the command line."""
+    try:
+        yield
+    except ParseError as exc:
+        _abort(EXIT_PARSE, str(exc))
+    except NumericError as exc:
+        _abort(EXIT_NUMERIC, str(exc))
+    except HittimeError as exc:
+        _abort(stage, str(exc))
+
+
+_SHARED_FLAGS = (
+    click.option("--tol", type=float, default=None, help="Override atol and rtol."),
+    click.option("--json", "as_json", is_flag=True, help="Emit JSON output."),
+    click.option("--digits", type=int, default=12, show_default=True,
+                 help="Display precision (human output only)."),
+    click.option("--row-stochastic", is_flag=True,
+                 help="Interpret a stochastic matrix as row-stochastic."),
+)
+
+
+def _shared_flags(*trailing):
+    """Add the shared flags, then ``trailing`` options, to a command.
+
+    --tol and --digits are checked before the command runs (exit 1), and the
+    command gets ``tol`` as a Tolerance, or None when it is not given.
+    """
+    def decorate(command):
+        @functools.wraps(command)
+        def checked(*, tol, digits, **kwargs):
+            if tol is not None and not tol >= 0:  # NaN fails too
+                _abort(EXIT_PARSE, "--tol must be non-negative")
+            if digits < 0:
+                _abort(EXIT_PARSE, "--digits must be non-negative")
+            tolerance = None if tol is None else Tolerance(tol, tol)
+            return command(tol=tolerance, digits=digits, **kwargs)
+
+        for option in reversed((*_SHARED_FLAGS, *trailing)):
+            checked = option(checked)
+        return checked
+    return decorate
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -116,19 +150,12 @@ def _emit_json(record) -> None:
     _echo(json.dumps(record, sort_keys=True, indent=2))
 
 
-def _load_spec(map_file: str):
-    try:
-        return load_map_spec(map_file)
-    except ParseError as exc:
-        _abort(EXIT_PARSE, str(exc))
-
-
 def _load_map(map_file: str, row_stochastic: bool, tol: Tolerance | None):
-    spec = _load_spec(map_file)
-    try:
-        return spec, build_superoperator(spec, row_stochastic, tol)
-    except _MAP_ERRORS as exc:
-        _abort(EXIT_MAP, str(exc))
+    with _exits(EXIT_MAP):
+        return build_superoperator(load_map_spec(map_file), row_stochastic, tol)
+
+
+_MAP_FILE = click.argument("map_file", type=click.Path(dir_okay=False))
 
 
 @click.group()
@@ -139,55 +166,32 @@ def main() -> None:
 
 
 @main.command()
-@click.argument("map_file", type=click.Path(dir_okay=False))
-@click.option("--tol", type=float, default=None, help="Override atol and rtol.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON record.")
-@click.option("--digits", type=int, default=12, show_default=True,
-              help="Display precision (human output only).")
-@click.option("--row-stochastic", is_flag=True,
-              help="Interpret a stochastic matrix as row-stochastic.")
-def validate(map_file: str, tol: float | None, as_json: bool, digits: int,
+@_MAP_FILE
+@_shared_flags()
+def validate(map_file: str, tol: Tolerance | None, as_json: bool, digits: int,
              row_stochastic: bool) -> None:
     """Validate a map file: trace preservation, complete positivity,
     irreducibility certificate and invariant state.
 
     Exits 0 only for a certified irreducible, trace-preserving map.
     """
-    tolerance = _tolerance(tol)
-    _, channel = _load_map(map_file, row_stochastic, tolerance)
-    try:
-        tp = check_trace_preserving(channel, tolerance)
-        cp = check_complete_positivity(channel, tolerance)
-        sampled = None
-        if not cp.ok:
-            sampled = positivity_sample(channel, tol=tolerance)
-        cert = None
-        if tp.ok:
-            cert = invariant_state(channel, tolerance)
-    except NumericError as exc:
-        _abort(EXIT_NUMERIC, str(exc))
-    except _MAP_ERRORS as exc:
-        _abort(EXIT_MAP, str(exc))
+    channel = _load_map(map_file, row_stochastic, tol)
+    with _exits(EXIT_MAP):
+        tp = check_trace_preserving(channel, tol)
+        cp = check_complete_positivity(channel, tol)
+        sampled = None if cp.ok else positivity_sample(channel, tol=tol)
+        cert = invariant_state(channel, tol) if tp.ok else None
 
     record = {
         "dim": channel.dim,
         "provenance": channel.provenance,
-        "trace_preserving": {"ok": tp.ok, "residual": tp.residual},
-        "completely_positive": {
-            "ok": cp.ok,
-            "min_choi_eigenvalue": cp.min_choi_eigenvalue,
-        },
+        "trace_preserving": tp._asdict(),
+        "completely_positive": cp._asdict(),
         "irreducibility": None,
         "invariant_state": None,
     }
     if sampled is not None:
-        record["positivity_sampling"] = {
-            "ok": sampled.ok,
-            "failures": sampled.failures,
-            "worst_eigenvalue": sampled.worst_eigenvalue,
-            "samples": sampled.samples,
-            "seed": sampled.seed,
-        }
+        record["positivity_sampling"] = sampled._asdict()
     if cert is not None:
         record["irreducibility"] = {
             "verdict": cert.verdict,
@@ -334,17 +338,12 @@ def _print_hit_record(record, index: int, total: int, digits: int) -> None:
 
 
 @main.command()
-@click.argument("map_file", type=click.Path(dir_okay=False))
+@_MAP_FILE
 @click.argument("query_file", type=click.Path(dir_okay=False))
 @click.option("--method", type=click.Choice(METHODS), default=None,
               help="Override the method of every query.")
-@click.option("--tol", type=float, default=None, help="Override atol and rtol.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON records.")
-@click.option("--digits", type=int, default=12, show_default=True,
-              help="Display precision (human output only).")
-@click.option("--row-stochastic", is_flag=True,
-              help="Interpret a stochastic matrix as row-stochastic.")
-def hit(map_file: str, query_file: str, method: str | None, tol: float | None,
+@_shared_flags()
+def hit(map_file: str, query_file: str, method: str | None, tol: Tolerance | None,
         as_json: bool, digits: int, row_stochastic: bool) -> None:
     """Evaluate hitting-time queries from QUERY_FILE against MAP_FILE.
 
@@ -353,37 +352,24 @@ def hit(map_file: str, query_file: str, method: str | None, tol: float | None,
     (force the orthogonal formula), series (monitored-evolution summation),
     all (every route plus their maximum deviation).
     """
-    tolerance = _tolerance(tol)
-    _, channel = _load_map(map_file, row_stochastic, tolerance)
-    try:
+    channel = _load_map(map_file, row_stochastic, tol)
+    with _exits(EXIT_QUERY):
         queries = load_query_file(query_file)
-    except ParseError as exc:
-        _abort(EXIT_PARSE, str(exc))
-    try:
-        cert = invariant_state(channel, tolerance)
-    except _MAP_ERRORS as exc:
-        _abort(EXIT_MAP, str(exc))
-    if cert.verdict != CERTIFIED_IRREDUCIBLE:
-        _abort(
-            EXIT_MAP,
-            f"map is not certified irreducible (verdict: {cert.verdict})",
-        )
+    with _exits(EXIT_MAP):
+        cert = invariant_state(channel, tol)
+        if cert.verdict != CERTIFIED_IRREDUCIBLE:
+            raise ValidationError(
+                f"map is not certified irreducible (verdict: {cert.verdict})"
+            )
 
     # Queries are answered in input order, so the first failing one sets the
     # exit code; those sharing a subspace and tolerance share one solve.
     solutions = _Solutions(channel, cert)
-    records = []
-    for query in queries:
-        try:
-            records.append(
-                _evaluate_query(solutions, query, tolerance, method or query.method)
-            )
-        except ParseError as exc:
-            _abort(EXIT_PARSE, str(exc))
-        except (OrthogonalityError, *_MAP_ERRORS) as exc:
-            _abort(EXIT_QUERY, str(exc))
-        except NumericError as exc:
-            _abort(EXIT_NUMERIC, str(exc))
+    with _exits(EXIT_QUERY):
+        records = [
+            _evaluate_query(solutions, query, tol, method or query.method)
+            for query in queries
+        ]
 
     if as_json:
         _emit_json(records if len(records) > 1 else records[0])
@@ -393,15 +379,11 @@ def hit(map_file: str, query_file: str, method: str | None, tol: float | None,
 
 
 def _load_chain(map_file: str, row_stochastic: bool, tol: Tolerance | None):
-    spec = _load_spec(map_file)
-    if spec.kind != "stochastic":
-        _abort(EXIT_MAP, "classical commands require a stochastic map file")
-    try:
+    with _exits(EXIT_MAP):
+        spec = load_map_spec(map_file)
+        if spec.kind != "stochastic":
+            raise ValidationError("classical commands require a stochastic map file")
         return build_chain(stochastic_matrix(spec, row_stochastic), tol)
-    except _MAP_ERRORS as exc:
-        _abort(EXIT_MAP, str(exc))
-    except NumericError as exc:
-        _abort(EXIT_NUMERIC, str(exc))
 
 
 def _classical_emit(record, as_json: bool, digits: int) -> None:
@@ -427,140 +409,108 @@ def _classical_emit(record, as_json: bool, digits: int) -> None:
         )
 
 
-def _classical_options(func):
-    for option in reversed([
-        click.option("--tol", type=float, default=None, help="Override atol and rtol."),
-        click.option("--json", "as_json", is_flag=True, help="Emit a JSON record."),
-        click.option("--digits", type=int, default=12, show_default=True,
-                     help="Display precision (human output only)."),
-        click.option("--row-stochastic", is_flag=True,
-                     help="Interpret the stochastic matrix as row-stochastic."),
-        click.option("--trials", type=int, default=None,
-                     help="Also run a Monte-Carlo cross-check with this many trials."),
-        click.option("--seed", type=int, default=0, show_default=True,
-                     help="Monte-Carlo RNG seed (numpy PCG64)."),
-    ]):
-        func = option(func)
-    return func
-
-
-def _maybe_monte_carlo(record, chain, start, target, trials, seed):
-    if trials is None:
-        return
-    estimate = classical_monte_carlo(chain.p, start, target, trials, seed)
-    record["monte_carlo"] = {
-        "mean": estimate.mean,
-        "std_error": estimate.std_error,
-        "trials": estimate.trials,
-        "seed": estimate.seed,
-    }
-
-
 @main.group()
 def classical() -> None:
     """Classical-chain formulas on a stochastic map file (states are 1-based)."""
 
 
-@classical.command("mhtf")
-@click.argument("map_file", type=click.Path(dir_okay=False))
-@click.option("-i", "--initial", "i", type=int, required=True, help="Start state (1-based).")
-@click.option("-j", "--target", "j", type=int, required=True, help="Target state (1-based).")
-@_classical_options
-def classical_mhtf_cmd(map_file, i, j, tol, as_json, digits, row_stochastic,
-                       trials, seed) -> None:
+_MONTE_CARLO_OPTIONS = (
+    click.option("--trials", type=int, default=None,
+                 help="Also run a Monte-Carlo cross-check with this many trials."),
+    click.option("--seed", type=int, default=0, show_default=True,
+                 help="Monte-Carlo RNG seed (numpy PCG64)."),
+)
+
+
+def _classical_command(name: str, *options):
+    """Register ``classical NAME`` around a body that evaluates one formula.
+
+    The body gets the chain and the values of ``options``, and returns the
+    record fields, the Monte-Carlo start (a 0-based state or a distribution)
+    and the 0-based target states.  The command loads the chain, runs the
+    body and the optional ``--trials`` cross-check under the query exit
+    code, and prints the record.
+    """
+    def register(body):
+        def command(map_file, tol, as_json, digits, row_stochastic, trials, seed,
+                    **values):
+            chain = _load_chain(map_file, row_stochastic, tol)
+            with _exits(EXIT_QUERY):
+                fields, start, target = body(chain, **values)
+                record = {"command": name, **fields}
+                if trials is not None:
+                    record["monte_carlo"] = dataclasses.asdict(
+                        classical_monte_carlo(chain.p, start, target, trials, seed)
+                    )
+            _classical_emit(record, as_json, digits)
+
+        command.__doc__ = body.__doc__
+        command = _shared_flags(*_MONTE_CARLO_OPTIONS)(command)
+        for option in reversed((_MAP_FILE, *options)):
+            command = option(command)
+        return classical.command(name)(command)
+    return register
+
+
+_INITIAL = click.option("-i", "--initial", "i", type=int, required=True,
+                        help="Start state (1-based).")
+_TARGET = click.option("-j", "--target", "j", type=int, required=True,
+                       help="Target state (1-based).")
+
+
+@_classical_command("mhtf", _INITIAL, _TARGET)
+def _mhtf(chain, i, j):
     """Mean time of first visit to state j starting from state i."""
-    tolerance = _tolerance(tol)
-    chain = _load_chain(map_file, row_stochastic, tolerance)
-    try:
-        tau = classical_mhtf(chain, i - 1, j - 1)
-        record = {"command": "mhtf", "i": i, "j": j, "tau": tau}
-        _maybe_monte_carlo(record, chain, i - 1, [j - 1], trials, seed)
-    except (PreconditionError, ValidationError) as exc:
-        _abort(EXIT_QUERY, str(exc))
-    except NumericError as exc:
-        _abort(EXIT_NUMERIC, str(exc))
-    _classical_emit(record, as_json, digits)
+    return {"i": i, "j": j, "tau": classical_mhtf(chain, i - 1, j - 1)}, i - 1, [j - 1]
 
 
-@classical.command("kac")
-@click.argument("map_file", type=click.Path(dir_okay=False))
-@click.option("-j", "--state", "j", type=int, required=True, help="State (1-based).")
-@_classical_options
-def classical_kac_cmd(map_file, j, tol, as_json, digits, row_stochastic,
-                      trials, seed) -> None:
+@_classical_command(
+    "kac",
+    click.option("-j", "--state", "j", type=int, required=True, help="State (1-based)."),
+)
+def _kac(chain, j):
     """Mean return time of state j, the reciprocal stationary weight."""
-    tolerance = _tolerance(tol)
-    chain = _load_chain(map_file, row_stochastic, tolerance)
-    try:
-        tau = kac_return_time(chain, j - 1)
-        record = {"command": "kac", "j": j, "tau": tau}
-        _maybe_monte_carlo(record, chain, j - 1, [j - 1], trials, seed)
-    except (PreconditionError, ValidationError) as exc:
-        _abort(EXIT_QUERY, str(exc))
-    except NumericError as exc:
-        _abort(EXIT_NUMERIC, str(exc))
-    _classical_emit(record, as_json, digits)
+    return {"j": j, "tau": kac_return_time(chain, j - 1)}, j - 1, [j - 1]
 
 
-@classical.command("dist")
-@click.argument("map_file", type=click.Path(dir_okay=False))
-@click.option("-x", "--distribution", "x_spec", type=str, required=True,
-              help="Initial distribution, comma-separated (e.g. '0.5,0.5').")
-@click.option("-j", "--target", "j", type=int, required=True, help="Target state (1-based).")
-@_classical_options
-def classical_dist_cmd(map_file, x_spec, j, tol, as_json, digits, row_stochastic,
-                       trials, seed) -> None:
+@_classical_command(
+    "dist",
+    click.option("-x", "--distribution", "x_spec", type=str, required=True,
+                 help="Initial distribution, comma-separated (e.g. '0.5,0.5')."),
+    _TARGET,
+)
+def _dist(chain, x_spec, j):
     """Mean time to reach state j from an initial distribution."""
-    tolerance = _tolerance(tol)
-    chain = _load_chain(map_file, row_stochastic, tolerance)
     try:
         x = np.array([float(part) for part in x_spec.split(",")])
     except ValueError:
-        _abort(EXIT_PARSE, f"cannot parse distribution {x_spec!r}")
-    try:
-        tau = classical_mhtf_distribution(chain, x, j - 1)
-        record = {"command": "dist", "x": x.tolist(), "j": j, "tau": tau}
-        _maybe_monte_carlo(record, chain, x, [j - 1], trials, seed)
-    except (PreconditionError, ValidationError) as exc:
-        _abort(EXIT_QUERY, str(exc))
-    except NumericError as exc:
-        _abort(EXIT_NUMERIC, str(exc))
-    _classical_emit(record, as_json, digits)
+        raise ParseError(f"cannot parse distribution {x_spec!r}") from None
+    tau = classical_mhtf_distribution(chain, x, j - 1)
+    return {"x": x.tolist(), "j": j, "tau": tau}, x, [j - 1]
 
 
-@classical.command("subset")
-@click.argument("map_file", type=click.Path(dir_okay=False))
-@click.option("-i", "--initial", "i", type=int, required=True, help="Start state (1-based).")
-@click.option("-S", "--subset", "subset_spec", type=str, required=True,
-              help="Target subset, comma-separated 1-based states (e.g. '2,3').")
-@_classical_options
-def classical_subset_cmd(map_file, i, subset_spec, tol, as_json, digits,
-                         row_stochastic, trials, seed) -> None:
+@_classical_command(
+    "subset",
+    _INITIAL,
+    click.option("-S", "--subset", "subset_spec", type=str, required=True,
+                 help="Target subset, comma-separated 1-based states (e.g. '2,3')."),
+)
+def _subset(chain, i, subset_spec):
     """Mean time to reach a subset of states, with per-state return times."""
-    tolerance = _tolerance(tol)
-    chain = _load_chain(map_file, row_stochastic, tolerance)
     try:
         subset = [int(part) for part in subset_spec.split(",")]
     except ValueError:
-        _abort(EXIT_PARSE, f"cannot parse subset {subset_spec!r}")
-    try:
-        result = classical_mhtf_subset(chain, i - 1, [k - 1 for k in subset])
-        record = {
-            "command": "subset",
-            "i": i,
-            "subset": sorted(subset),
-            "tau": result.tau,
-            "return_times": {k + 1: v for k, v in result.return_times.items()},
-            "j_independence_residual": result.j_independence_residual,
-        }
-        _maybe_monte_carlo(
-            record, chain, i - 1, [k - 1 for k in subset], trials, seed
-        )
-    except (PreconditionError, ValidationError) as exc:
-        _abort(EXIT_QUERY, str(exc))
-    except NumericError as exc:
-        _abort(EXIT_NUMERIC, str(exc))
-    _classical_emit(record, as_json, digits)
+        raise ParseError(f"cannot parse subset {subset_spec!r}") from None
+    targets = [k - 1 for k in subset]
+    result = classical_mhtf_subset(chain, i - 1, targets)
+    fields = {
+        "i": i,
+        "subset": sorted(subset),
+        "tau": result.tau,
+        "return_times": {k + 1: v for k, v in result.return_times.items()},
+        "j_independence_residual": result.j_independence_residual,
+    }
+    return fields, i - 1, targets
 
 
 @main.command()
@@ -571,9 +521,7 @@ def selftest(seed: int, as_json: bool) -> None:
     """Run the embedded golden suite; exits 0 only if every check passes."""
     results = run_selftest(seed)
     if as_json:
-        _emit_json(
-            [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-        )
+        _emit_json([dataclasses.asdict(r) for r in results])
     else:
         for result in results:
             status = " ok " if result.ok else "FAIL"

@@ -3,7 +3,8 @@
 These small instances back the self-test and the golden regression tests:
 a unital qubit channel built from two triangular Kraus operators, a
 one-parameter channel on M_4 with a two-dimensional arrival subspace whose
-hitting times have closed forms, and a couple of elementary chains.
+hitting times have closed forms, and a couple of elementary chains.  The
+golden values of the two channels are defined here once, next to them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ __all__ = [
     "qudit_demo_channel",
     "qudit_demo_states",
     "qudit_demo_subspace",
+    "QUBIT_PHI",
+    "QUBIT_OMEGA",
+    "QUBIT_Z",
+    "QUBIT_PP",
+    "QUBIT_QQ",
+    "QUBIT_K",
+    "QUBIT_K12",
+    "qudit_tau_phi",
+    "qudit_tau_chi",
+    "qudit_psi_term",
+    "qudit_phi_term",
     "symmetric_two_state_chain",
     "cycle_chain",
 ]
@@ -56,6 +68,31 @@ def qubit_demo_states() -> dict[str, np.ndarray]:
 def qubit_demo_subspace() -> ArrivalSubspace:
     """One-dimensional arrival subspace spanned by psi."""
     return subspace_from_vectors([qubit_demo_states()["psi"]])
+
+
+# Exact golden matrices of the qubit demo with its subspace: the map
+# representation, Omega, the fundamental map Z, the lifted projectors PP and
+# QQ, the time map K and its off-diagonal block K12.
+QUBIT_PHI = np.array(
+    [[2, 1, 1, 1], [-1, 2, 0, 1], [-1, 0, 2, 1], [1, -1, -1, 2]], dtype=float
+) / 3.0
+QUBIT_OMEGA = np.array(
+    [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=float
+) / 2.0
+QUBIT_Z = np.array(
+    [[3, 2, 2, 1], [-2, 8, -4, 2], [-2, -4, 8, 2], [1, -2, -2, 3]], dtype=float
+) / 4.0
+QUBIT_PP = np.full((4, 4), 0.25)
+QUBIT_QQ = np.array(
+    [[1, -1, -1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, -1, -1, 1]], dtype=float
+) / 4.0
+QUBIT_K = np.array(
+    [[39, -12, -12, 9], [-72, 32, 28, -12], [-72, 28, 32, -12], [177, -72, -72, 39]],
+    dtype=float,
+) / 6.0
+QUBIT_K12 = np.array(
+    [[-3, 3, 3, -3], [1, -1, -1, 1], [1, -1, -1, 1], [5, -5, -5, 5]], dtype=float
+) * 1.5
 
 
 def qudit_demo_kraus(a: float) -> list[np.ndarray]:
@@ -104,6 +141,30 @@ def qudit_demo_states() -> dict[str, np.ndarray]:
 def qudit_demo_subspace() -> ArrivalSubspace:
     """Two-dimensional arrival subspace span{e_3, e_4}."""
     return subspace_from_indices(4, [2, 3])
+
+
+def qudit_tau_phi(a: float) -> float:
+    """Mean time from e_1 to span{e_3, e_4}: 1 + 1/b^2."""
+    b2 = 1.0 - a * a
+    return 1.0 + 1.0 / b2
+
+
+def qudit_tau_chi(a: float) -> float:
+    """Mean time from (e_1 + e_4)/sqrt(2): 2 (1 + a/(2b) + 1/(4b^2))."""
+    b = math.sqrt(1.0 - a * a)
+    return 2.0 * (1.0 + a / (2 * b) + 1.0 / (4 * b * b))
+
+
+def qudit_psi_term(a: float) -> float:
+    """Return-side summand of the hitting-time formula: (1 + 6b^2) / (4b^2)."""
+    b2 = 1.0 - a * a
+    return (1.0 + 6.0 * b2) / (4.0 * b2)
+
+
+def qudit_phi_term(a: float) -> float:
+    """Start-side summand of the hitting-time formula: (2b^2 - 3) / (4b^2)."""
+    b2 = 1.0 - a * a
+    return (2.0 * b2 - 3.0) / (4.0 * b2)
 
 
 def symmetric_two_state_chain(p: float) -> np.ndarray:

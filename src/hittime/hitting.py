@@ -128,7 +128,7 @@ class HittingSolution:
     - ``return_covector``       e K11 Z (I - QQ)   (return summand of the mhtf)
     - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
 
-    The dense maps ``h_rep``, ``k_rep`` and the blocks ``k11`` .. ``k22`` are
+    Dense ``h_rep``, ``k_rep`` and the blocks ``k11``, ``k12``, ``k22`` are
     computed by :func:`hitting_maps` on first access; no query touches them.
     """
 
@@ -165,10 +165,6 @@ class HittingSolution:
     @cached_property
     def k12(self) -> np.ndarray:
         return block(self.k_rep, self.projectors, 1, 2)
-
-    @cached_property
-    def k21(self) -> np.ndarray:
-        return block(self.k_rep, self.projectors, 2, 1)
 
     @cached_property
     def k22(self) -> np.ndarray:

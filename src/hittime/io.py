@@ -87,16 +87,20 @@ def _parse_complex(node, where: str) -> complex:
         raise _fail(where, "expected a number or [re, im] pair")
     try:
         if isinstance(node, (int, float)):
-            return complex(float(node), 0.0)
-        if (
+            z = complex(float(node), 0.0)
+        elif (
             isinstance(node, list)
             and len(node) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
         ):
-            return complex(float(node[0]), float(node[1]))
+            z = complex(float(node[0]), float(node[1]))
+        else:
+            raise _fail(where, f"expected a number or [re, im] pair, got {node!r}")
     except OverflowError:  # a JSON integer beyond the double range
         raise _fail(where, _OUT_OF_RANGE) from None
-    raise _fail(where, f"expected a number or [re, im] pair, got {node!r}")
+    if not np.isfinite(z):  # a JSON decimal beyond the double range reads as inf
+        raise _fail(where, _OUT_OF_RANGE)
+    return z
 
 
 def _parse_complex_vector(node, where: str) -> np.ndarray:
@@ -110,9 +114,9 @@ def _parse_complex_vector(node, where: str) -> np.ndarray:
 def _fast_matrix(node) -> np.ndarray | None:
     """One-call conversion of equal-length rows of bare numbers or of pairs.
 
-    Returns a float array of shape (rows, cols) or (rows, cols, 2), or None
-    for anything else, which the element-wise parser then handles (and
-    reports) as before.
+    Returns a finite float array of shape (rows, cols) or (rows, cols, 2),
+    or None for anything else, which the element-wise parser then handles
+    (and reports) as before.
     """
     if not isinstance(node, list) or not node or any(type(row) is not list for row in node):
         return None
@@ -126,7 +130,7 @@ def _fast_matrix(node) -> np.ndarray | None:
         m = np.array(node, dtype=float)  # ragged rows raise ValueError
     except (ValueError, OverflowError):
         return None
-    if m.size == 0 or m.shape[2:] not in ((), (2,)):
+    if m.size == 0 or m.shape[2:] not in ((), (2,)) or not np.isfinite(m).all():
         return None
     return m
 
@@ -156,9 +160,12 @@ def _parse_real_matrix(node, where: str) -> np.ndarray:
 
 
 def _load_json(path: str) -> dict:
+    def refuse(constant: str):
+        raise ParseError(f"{path}: non-finite number {constant} is not allowed")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=refuse)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read file ({exc})") from exc
     except json.JSONDecodeError as exc:

@@ -32,8 +32,6 @@ __all__ = [
     "DEFAULT_TOL",
     "vec",
     "unvec",
-    "kron",
-    "hs_inner",
     "hermitize",
     "frobenius",
     "fixed_space",
@@ -60,24 +58,19 @@ class Tolerance:
     rtol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.atol < 0 or self.rtol < 0:
+        if not (self.atol >= 0 and self.rtol >= 0):  # NaN fails too
             raise ValueError("tolerances must be non-negative")
 
 
 DEFAULT_TOL = Tolerance()
 
 
-def _as_matrix(a, name: str = "matrix", keep_real: bool = False) -> np.ndarray:
+def _as_square(a, name: str = "matrix", keep_real: bool = False) -> np.ndarray:
     m = np.asarray(a)
     if not (keep_real and np.isrealobj(m)):
         m = m.astype(complex, copy=False)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    return m
-
-
-def _as_square(a, name: str = "matrix", keep_real: bool = False) -> np.ndarray:
-    m = _as_matrix(a, name, keep_real)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -95,20 +88,6 @@ def unvec(v) -> np.ndarray:
     if n * n != w.size:
         raise DimensionError(f"unvec input length {w.size} is not a perfect square")
     return w.reshape(n, n)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, consistent with vec: vec(A X B^T) = kron(A, B) vec(X)."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
-
-
-def hs_inner(b, a) -> complex:
-    """Hilbert-Schmidt inner product Tr(B* A), conjugate-linear in ``b``."""
-    bm = _as_square(b, "b")
-    am = _as_square(a, "a")
-    if bm.shape != am.shape:
-        raise DimensionError(f"shape mismatch {bm.shape} vs {am.shape}")
-    return complex(np.vdot(bm, am))
 
 
 def hermitize(x) -> np.ndarray:

@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOL,
     PsdCheck,
     Tolerance,
+    _as_square,
     fixed_space,
     frobenius,
     hermitize,
@@ -42,7 +43,6 @@ __all__ = [
     "from_stochastic",
     "from_raw",
     "apply",
-    "adjoint",
     "choi_matrix",
     "check_trace_preserving",
     "check_complete_positivity",
@@ -133,11 +133,9 @@ class PositivitySample(NamedTuple):
     seed: int
 
 
-def _as_square(a, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+def _finite_square(a, name: str) -> np.ndarray:
+    m = _as_square(a, name)
+    if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -150,7 +148,7 @@ def density(matrix, tol: Tolerance | None = None) -> DensityMatrix:
     """
     if tol is None:
         tol = DEFAULT_TOL
-    m = _as_square(matrix, "density matrix")
+    m = _finite_square(matrix, "density matrix")
     herm_residual = frobenius(m - m.conj().T)
     if herm_residual > tol.atol + tol.rtol * frobenius(m):
         raise ValidationError(
@@ -195,7 +193,7 @@ def from_kraus(kraus_ops: Sequence, tol: Tolerance | None = None) -> SuperOperat
         tol = DEFAULT_TOL
     if len(kraus_ops) == 0:
         raise ValidationError("at least one Kraus operator is required")
-    ops = tuple(_as_square(v, "Kraus operator") for v in kraus_ops)
+    ops = tuple(_finite_square(v, "Kraus operator") for v in kraus_ops)
     n = ops[0].shape[0]
     for v in ops:
         if v.shape[0] != n:
@@ -261,7 +259,7 @@ def from_stochastic(p, tol: Tolerance | None = None) -> SuperOperator:
 
 def from_raw(rep) -> SuperOperator:
     """Wrap an n^2 x n^2 representation matrix verbatim; nothing is assumed."""
-    m = _as_square(rep, "superoperator representation")
+    m = _finite_square(rep, "superoperator representation")
     n = math.isqrt(m.shape[0])
     if n * n != m.shape[0]:
         raise DimensionError(
@@ -272,18 +270,10 @@ def from_raw(rep) -> SuperOperator:
 
 def apply(t: SuperOperator, x) -> np.ndarray:
     """Apply the map to a matrix: unvec(rep @ vec(X))."""
-    m = _as_square(x, "map argument")
+    m = _finite_square(x, "map argument")
     if m.shape[0] != t.dim:
         raise DimensionError(f"expected a {t.dim} x {t.dim} matrix, got {m.shape}")
     return unvec(t.rep @ vec(m))
-
-
-def adjoint(t: SuperOperator) -> SuperOperator:
-    """Adjoint map for the Hilbert-Schmidt inner product; rep is rep*."""
-    if t.provenance == "kraus" and t.kraus_ops is not None:
-        ops = tuple(v.conj().T for v in t.kraus_ops)
-        return SuperOperator(t.dim, t.rep.conj().T, "kraus", kraus_ops=ops)
-    return SuperOperator(t.dim, t.rep.conj().T, "raw")
 
 
 def choi_matrix(t: SuperOperator) -> np.ndarray:

@@ -165,7 +165,7 @@ def classical_monte_carlo(
         dist = np.asarray(start, dtype=float).reshape(-1)
         if dist.size != n:
             raise ValidationError("start distribution length does not match the chain")
-        if dist.min() < 0 or abs(dist.sum() - 1.0) > 1e-9:
+        if not (dist.min() >= 0 and abs(dist.sum() - 1.0) <= 1e-9):  # NaN, inf fail too
             raise ValidationError("start distribution must be non-negative and sum to 1")
         states = rng.choice(n, size=trials, p=dist / dist.sum()).astype(np.int64)
 

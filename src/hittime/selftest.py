@@ -7,7 +7,6 @@ seeded random route-equivalence and classical-embedding properties.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,33 +37,6 @@ __all__ = ["CheckResult", "run_selftest", "DEFAULT_SELFTEST_SEED"]
 
 DEFAULT_SELFTEST_SEED = 20240817
 
-_QUBIT_PHI = np.array(
-    [[2, 1, 1, 1], [-1, 2, 0, 1], [-1, 0, 2, 1], [1, -1, -1, 2]], dtype=float
-) / 3.0
-_QUBIT_OMEGA = np.array(
-    [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=float
-) / 2.0
-_QUBIT_Z = np.array(
-    [[3, 2, 2, 1], [-2, 8, -4, 2], [-2, -4, 8, 2], [1, -2, -2, 3]], dtype=float
-) / 4.0
-_QUBIT_PP = np.full((4, 4), 0.25)
-_QUBIT_QQ = np.array(
-    [[1, -1, -1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, -1, -1, 1]], dtype=float
-) / 4.0
-_QUBIT_K = np.array(
-    [
-        [39, -12, -12, 9],
-        [-72, 32, 28, -12],
-        [-72, 28, 32, -12],
-        [177, -72, -72, 39],
-    ],
-    dtype=float,
-) / 6.0
-_QUBIT_K12 = np.array(
-    [[-3, 3, 3, -3], [1, -1, -1, 1], [1, -1, -1, 1], [5, -5, -5, 5]], dtype=float
-) * 1.5
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -86,11 +58,6 @@ def _dev(actual, expected) -> float:
     return float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
 
 
-def _complement_basis(projector_q: np.ndarray) -> np.ndarray:
-    eigval, eigvec = np.linalg.eigh(projector_q)
-    return eigvec[:, eigval > 0.5]
-
-
 def _qubit_solution():
     channel = examples.qubit_demo_channel()
     subspace = examples.qubit_demo_subspace()
@@ -101,13 +68,13 @@ def check_qubit_golden_matrices() -> CheckResult:
     channel, _, hs = _qubit_solution()
     lim = 1e-12
     items = {
-        "map representation": (_dev(channel.rep, _QUBIT_PHI), lim),
-        "omega": (_dev(hs.fd.omega_rep, _QUBIT_OMEGA), lim),
-        "fundamental matrix": (_dev(hs.fd.z_rep, _QUBIT_Z), lim),
-        "subspace projector": (_dev(hs.projectors.pp_rep, _QUBIT_PP), lim),
-        "complement projector": (_dev(hs.projectors.qq_rep, _QUBIT_QQ), lim),
-        "time map": (_dev(hs.k_rep, _QUBIT_K), lim),
-        "time map off-diagonal block": (_dev(hs.k12, _QUBIT_K12), lim),
+        "map representation": (_dev(channel.rep, examples.QUBIT_PHI), lim),
+        "omega": (_dev(hs.fd.omega_rep, examples.QUBIT_OMEGA), lim),
+        "fundamental matrix": (_dev(hs.fd.z_rep, examples.QUBIT_Z), lim),
+        "subspace projector": (_dev(hs.projectors.pp_rep, examples.QUBIT_PP), lim),
+        "complement projector": (_dev(hs.projectors.qq_rep, examples.QUBIT_QQ), lim),
+        "time map": (_dev(hs.k_rep, examples.QUBIT_K), lim),
+        "time map off-diagonal block": (_dev(hs.k12, examples.QUBIT_K12), lim),
     }
     return _result("qubit golden matrices", items)
 
@@ -140,7 +107,6 @@ def check_qubit_hitting_times() -> CheckResult:
 
 
 def check_qudit_closed_forms(a: float) -> CheckResult:
-    b = math.sqrt(1.0 - a * a)
     channel = examples.qudit_demo_channel(a)
     hs = solve_hitting(channel, examples.qudit_demo_subspace())
     states = examples.qudit_demo_states()
@@ -152,13 +118,12 @@ def check_qudit_closed_forms(a: float) -> CheckResult:
     tau_chi = mean_hitting_time_direct(hs, rho_chi)
     general = mhtf_general(hs, rho_chi)
     series = tau_series(channel, hs.projectors, rho_phi)
-    c = 1.0 + a / (2.0 * b) + 1.0 / (4.0 * b * b)
     items = {
-        "direct vs closed form": (abs(tau_phi - (1.0 + 1.0 / b**2)), 1e-10),
+        "direct vs closed form": (abs(tau_phi - examples.qudit_tau_phi(a)), 1e-10),
         "formula vs direct": (abs(ortho.tau - tau_phi), 1e-9),
-        "return summand": (abs(ortho.psi_term - (1 + 6 * b * b) / (4 * b * b)), 1e-9),
-        "start summand": (abs(ortho.phi_term - (2 * b * b - 3) / (4 * b * b)), 1e-9),
-        "chi direct vs closed form": (abs(tau_chi - 2.0 * c), 1e-10),
+        "return summand": (abs(ortho.psi_term - examples.qudit_psi_term(a)), 1e-9),
+        "start summand": (abs(ortho.phi_term - examples.qudit_phi_term(a)), 1e-9),
+        "chi direct vs closed form": (abs(tau_chi - examples.qudit_tau_chi(a)), 1e-10),
         "chi general vs direct": (abs(general - tau_chi), 1e-9),
         "series vs direct": (abs(series - tau_phi), 1e-8),
     }
@@ -187,9 +152,7 @@ def check_route_equivalence(seed: int, instances: int = 12) -> CheckResult:
         rank = int(rng.integers(1, n))
         subspace = random_subspace(n, rank, rng=rng)
         hs = solve_hitting(channel, subspace, cert)
-        rho_phi = random_density_supported(
-            _complement_basis(subspace.projector_q), rng=rng
-        )
+        rho_phi = random_density_supported(subspace.complement_basis, rng=rng)
         rho_psi = random_density_supported(subspace.basis, rng=rng)
         direct = mean_hitting_time_direct(hs, rho_phi)
         ortho = mhtf_orthogonal(hs, rho_phi, rho_psi)

@@ -1,44 +1,28 @@
 """Frozen golden data for the demo channels.
 
-The qubit matrices are exact rationals; the M4 time-map quadrants are closed
-forms in the channel parameter.  Expected values were verified independently
-before being frozen here, and the tests compare the library output against
-these arrays rather than against anything the library computes.
+The qubit matrices are exact rationals; the M4 time-map quadrants and
+hitting times are closed forms in the channel parameter.  Expected values
+were verified independently before being frozen, and the tests compare the
+library output against them rather than against anything the library
+computes.  The values the embedded self-test also checks are defined once in
+``hittime.examples``; the rest are test-only and defined here.
 """
 
 import numpy as np
 
-QUBIT_PHI = np.array(
-    [[2, 1, 1, 1], [-1, 2, 0, 1], [-1, 0, 2, 1], [1, -1, -1, 2]], dtype=float
-) / 3.0
-
-QUBIT_OMEGA = np.array(
-    [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=float
-) / 2.0
-
-QUBIT_Z = np.array(
-    [[3, 2, 2, 1], [-2, 8, -4, 2], [-2, -4, 8, 2], [1, -2, -2, 3]], dtype=float
-) / 4.0
-
-QUBIT_PP = np.full((4, 4), 0.25)
-
-QUBIT_QQ = np.array(
-    [[1, -1, -1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, -1, -1, 1]], dtype=float
-) / 4.0
-
-QUBIT_K = np.array(
-    [
-        [39, -12, -12, 9],
-        [-72, 32, 28, -12],
-        [-72, 28, 32, -12],
-        [177, -72, -72, 39],
-    ],
-    dtype=float,
-) / 6.0
-
-QUBIT_K12 = np.array(
-    [[-3, 3, 3, -3], [1, -1, -1, 1], [1, -1, -1, 1], [5, -5, -5, 5]], dtype=float
-) * 1.5
+from hittime.examples import (  # noqa: F401  (re-exported golden values)
+    QUBIT_K,
+    QUBIT_K12,
+    QUBIT_OMEGA,
+    QUBIT_PHI,
+    QUBIT_PP,
+    QUBIT_QQ,
+    QUBIT_Z,
+    qudit_phi_term,
+    qudit_psi_term,
+    qudit_tau_chi,
+    qudit_tau_phi,
+)
 
 
 def qudit_k_expected(a: float) -> np.ndarray:
@@ -73,30 +57,6 @@ def qudit_k_expected(a: float) -> np.ndarray:
     a4[7, 4] = a / (2 * b)
     a4[7, 7] = 1.5
     return np.block([[a1, a2], [a3, a4]])
-
-
-def qudit_tau_phi(a: float) -> float:
-    """Mean time from e_1 to span{e_3, e_4}: 1 + 1/b^2."""
-    b2 = 1.0 - a * a
-    return 1.0 + 1.0 / b2
-
-
-def qudit_tau_chi(a: float) -> float:
-    """Mean time from (e_1 + e_4)/sqrt(2): 2 (1 + a/(2b) + 1/(4b^2))."""
-    b = np.sqrt(1.0 - a * a)
-    return 2.0 * (1.0 + a / (2 * b) + 1.0 / (4 * b * b))
-
-
-def qudit_psi_term(a: float) -> float:
-    """Return-side summand of the hitting-time formula: (1 + 6b^2) / (4b^2)."""
-    b2 = 1.0 - a * a
-    return (1.0 + 6.0 * b2) / (4.0 * b2)
-
-
-def qudit_phi_term(a: float) -> float:
-    """Start-side summand of the hitting-time formula: (2b^2 - 3) / (4b^2)."""
-    b2 = 1.0 - a * a
-    return (2.0 * b2 - 3.0) / (4.0 * b2)
 
 
 def two_state_z(p: float) -> np.ndarray:

@@ -24,7 +24,6 @@ from hittime import (
     hitting_probability,
     invariant_state,
     kac_return_time,
-    kron,
     mean_hitting_time_direct,
     mhtf_general,
     mhtf_orthogonal,
@@ -399,7 +398,7 @@ def test_criterion_8_convention_lock():
             rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             for _ in range(3)
         )
-        worst = max(worst, max_dev(vec(a @ x @ b.T), kron(a, b) @ vec(x)))
+        worst = max(worst, max_dev(vec(a @ x @ b.T), np.kron(a, b) @ vec(x)))
     report(
         8,
         "row-stacking convention lock",
