@@ -34,7 +34,6 @@ from .hitting import (
     FirstStep,
     HittingSolution,
     OrthogonalMhtf,
-    SuperProjectors,
     block,
     condition_first_step,
     dnl_maps,
@@ -46,7 +45,6 @@ from .hitting import (
     solve_hitting,
     subspace_from_indices,
     subspace_from_vectors,
-    super_projectors,
 )
 from .linalg import (
     DEFAULT_TOL,

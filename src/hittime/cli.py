@@ -281,7 +281,7 @@ def _evaluate_query(solutions, query, tolerance, method):
         else:
             routes["mhtf"] = mhtf_general(hs, rho)
     if method in ("series", "all"):
-        routes["series"] = tau_series(channel, hs.projectors, rho, query_tol)
+        routes["series"] = tau_series(channel, hs.subspace, rho, query_tol)
 
     record = {
         "method": method,
@@ -452,6 +452,13 @@ def _classical_command(name: str, *options):
     return register
 
 
+def _index(chain, label: str, state: int) -> int:
+    """The 0-based index of a 1-based state, refused with a 1-based message."""
+    if not 1 <= state <= chain.n:
+        raise ValidationError(f"{label} must lie in [1, {chain.n}], got {state}")
+    return state - 1
+
+
 _INITIAL = click.option("-i", "--initial", "i", type=int, required=True,
                         help="Start state (1-based).")
 _TARGET = click.option("-j", "--target", "j", type=int, required=True,
@@ -461,7 +468,8 @@ _TARGET = click.option("-j", "--target", "j", type=int, required=True,
 @_classical_command("mhtf", _INITIAL, _TARGET)
 def _mhtf(chain, i, j):
     """Mean time of first visit to state j starting from state i."""
-    return {"i": i, "j": j, "tau": classical_mhtf(chain, i - 1, j - 1)}, i - 1, [j - 1]
+    start, target = _index(chain, "initial state", i), _index(chain, "target state", j)
+    return {"i": i, "j": j, "tau": classical_mhtf(chain, start, target)}, start, [target]
 
 
 @_classical_command(
@@ -470,7 +478,8 @@ def _mhtf(chain, i, j):
 )
 def _kac(chain, j):
     """Mean return time of state j, the reciprocal stationary weight."""
-    return {"j": j, "tau": kac_return_time(chain, j - 1)}, j - 1, [j - 1]
+    state = _index(chain, "state", j)
+    return {"j": j, "tau": kac_return_time(chain, state)}, state, [state]
 
 
 @_classical_command(
@@ -485,8 +494,9 @@ def _dist(chain, x_spec, j):
         x = np.array([float(part) for part in x_spec.split(",")])
     except ValueError:
         raise ParseError(f"cannot parse distribution {x_spec!r}") from None
-    tau = classical_mhtf_distribution(chain, x, j - 1)
-    return {"x": x.tolist(), "j": j, "tau": tau}, x, [j - 1]
+    target = _index(chain, "target state", j)
+    tau = classical_mhtf_distribution(chain, x, target)
+    return {"x": x.tolist(), "j": j, "tau": tau}, x, [target]
 
 
 @_classical_command(
@@ -501,8 +511,9 @@ def _subset(chain, i, subset_spec):
         subset = [int(part) for part in subset_spec.split(",")]
     except ValueError:
         raise ParseError(f"cannot parse subset {subset_spec!r}") from None
-    targets = [k - 1 for k in subset]
-    result = classical_mhtf_subset(chain, i - 1, targets)
+    start = _index(chain, "initial state", i)
+    targets = [_index(chain, "subset state", k) for k in sorted(set(subset))]
+    result = classical_mhtf_subset(chain, start, targets)
     fields = {
         "i": i,
         "subset": sorted(subset),
@@ -510,7 +521,7 @@ def _subset(chain, i, subset_spec):
         "return_times": {k + 1: v for k, v in result.return_times.items()},
         "j_independence_residual": result.j_independence_residual,
     }
-    return fields, i - 1, targets
+    return fields, start, targets
 
 
 @main.command()

@@ -52,14 +52,12 @@ from .maps import (
 
 __all__ = [
     "ArrivalSubspace",
-    "SuperProjectors",
     "HittingSolution",
     "OrthogonalMhtf",
     "FirstStep",
     "ORTHOGONALITY_TOL",
     "subspace_from_vectors",
     "subspace_from_indices",
-    "super_projectors",
     "hitting_maps",
     "block",
     "solve_hitting",
@@ -82,7 +80,12 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 @dataclass(frozen=True, eq=False)
 class ArrivalSubspace:
-    """Orthogonal projector pair (P, Q = I - P) for a proper nonzero subspace."""
+    """Orthogonal projector pair (P, Q = I - P) for a proper nonzero subspace.
+
+    :meth:`compress` applies X -> QXQ, which is QQ = kron(Q, conj(Q)) on
+    row-stacked vecs, without forming that n^2 x n^2 matrix.  The dense lifts
+    ``pp_rep``, ``qq_rep`` and ``rr_rep`` serve the dense reference maps only.
+    """
 
     dim_ambient: int
     rank: int
@@ -91,19 +94,22 @@ class ArrivalSubspace:
     basis: np.ndarray  # n x rank, orthonormal columns spanning the subspace
     complement_basis: np.ndarray  # n x (n - rank), orthonormal columns spanning range(Q)
 
+    def compress(self, x: np.ndarray) -> np.ndarray:
+        """QQ x, for x a vec or a matrix of n^2 rows such as a rep.
 
-@dataclass(frozen=True, eq=False)
-class SuperProjectors:
-    """Projectors P.P, Q.Q and the traceless remainder on M_n.
+        Q acts on the two matrix indices of each column in turn: O(n^3) per
+        column instead of the O(n^4) of the dense QQ.
+        """
+        n, q = self.dim_ambient, self.projector_q
+        if x.shape[0] != n * n:
+            raise DimensionError(f"expected {n * n} rows, got shape {x.shape}")
+        y = (q @ x.reshape(n, -1)).reshape(n, n, -1)
+        return (q.conj() @ y).reshape(x.shape)
 
-    ``complement_basis`` is an orthonormal basis of range(Q), from which the
-    survival radius is computed.  No query reads ``pp_rep`` or ``rr_rep``,
-    so they are built on first access.
-    """
-
-    projector_p: np.ndarray
-    qq_rep: np.ndarray
-    complement_basis: np.ndarray
+    def compress_covector(self, covector: np.ndarray) -> np.ndarray:
+        """l QQ = vec(conj(Q) L conj(Q)) for the covector l = vec(L)."""
+        n, qc = self.dim_ambient, self.projector_q.conj()
+        return (qc @ covector.reshape(n, n) @ qc).reshape(-1)
 
     @cached_property
     def pp_rep(self) -> np.ndarray:
@@ -111,8 +117,13 @@ class SuperProjectors:
         return np.kron(p, p.conj())
 
     @cached_property
+    def qq_rep(self) -> np.ndarray:
+        q = self.projector_q
+        return np.kron(q, q.conj())
+
+    @cached_property
     def rr_rep(self) -> np.ndarray:
-        return np.eye(self.qq_rep.shape[0]) - self.pp_rep - self.qq_rep
+        return np.eye(self.dim_ambient**2) - self.pp_rep - self.qq_rep
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +145,7 @@ class HittingSolution:
 
     map: SuperOperator
     subspace: ArrivalSubspace
-    projectors: SuperProjectors
     fd: FundamentalData
-    survival_rep: np.ndarray  # QT
     probability_covector: np.ndarray
     time_covector: np.ndarray
     trace_covector: np.ndarray
@@ -148,7 +157,7 @@ class HittingSolution:
 
     @cached_property
     def _dense(self) -> HittingMapsResult:
-        return hitting_maps(self.map, self.projectors, self.tol)
+        return hitting_maps(self.map, self.subspace, self.tol)
 
     @property
     def h_rep(self) -> np.ndarray:
@@ -160,15 +169,15 @@ class HittingSolution:
 
     @cached_property
     def k11(self) -> np.ndarray:
-        return block(self.k_rep, self.projectors, 1, 1)
+        return block(self.k_rep, self.subspace, 1, 1)
 
     @cached_property
     def k12(self) -> np.ndarray:
-        return block(self.k_rep, self.projectors, 1, 2)
+        return block(self.k_rep, self.subspace, 1, 2)
 
     @cached_property
     def k22(self) -> np.ndarray:
-        return block(self.k_rep, self.projectors, 2, 2)
+        return block(self.k_rep, self.subspace, 2, 2)
 
 
 class HittingMapsResult(NamedTuple):
@@ -243,42 +252,33 @@ def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
     return ArrivalSubspace(n, len(idx), p, np.eye(n) - p, eye[:, idx], eye[:, rest])
 
 
-def super_projectors(subspace: ArrivalSubspace) -> SuperProjectors:
-    """Lift (P, Q) to M_n: PP = kron(P, conj(P)), QQ = kron(Q, conj(Q))."""
-    q = subspace.projector_q
-    return SuperProjectors(
-        subspace.projector_p, np.kron(q, q.conj()), subspace.complement_basis
-    )
-
-
 def _survival_resolvent(
-    t: SuperOperator, sp: SuperProjectors
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """QT and I - QT, with the spectral radius of QT and the condition of I - QT.
+    t: SuperOperator, subspace: ArrivalSubspace
+) -> tuple[np.ndarray, float, float]:
+    """I - QT, with the spectral radius of QT and the condition of I - QT.
 
     Raises :class:`NumericError` unless the monitored evolution contracts and
     the resolvent is well conditioned.
     """
-    radius = survival_radius(t.rep, sp.complement_basis)
+    radius = survival_radius(t.rep, subspace.complement_basis)
     if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NumericError(
             f"monitored evolution does not contract: spectral radius of the "
             f"survival map is {radius:.12g} (map reducible or subspace trivial)"
         )
-    qphi = sp.qq_rep @ t.rep
-    m = np.eye(qphi.shape[0]) - qphi
+    m = np.eye(t.rep.shape[0]) - subspace.compress(t.rep)
     cond = float(np.linalg.cond(hermitian_form(m)))
     if not np.isfinite(cond) or cond > COND_CEIL:
         raise NumericError(
             f"survival resolvent is singular to working precision "
             f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
         )
-    return qphi, m, radius, cond
+    return m, radius, cond
 
 
 def hitting_maps(
     t: SuperOperator,
-    sp: SuperProjectors,
+    subspace: ArrivalSubspace,
     tol: Tolerance | None = None,
 ) -> HittingMapsResult:
     """Representations of H = T (I - QT)^{-1} and K = T (I - QT)^{-2}.
@@ -287,19 +287,19 @@ def hitting_maps(
     Requires the monitored evolution QT to contract, which holds whenever the
     map is certified irreducible and the subspace is proper.
     """
-    _, m, radius, cond = _survival_resolvent(t, sp)
+    m, radius, cond = _survival_resolvent(t, subspace)
     h_rep = np.linalg.solve(m.T, t.rep.T).T
     k_rep = np.linalg.solve(m.T, h_rep.T).T
     return HittingMapsResult(h_rep, k_rep, radius, cond)
 
 
-def block(t_rep: np.ndarray, sp: SuperProjectors, i: int, j: int) -> np.ndarray:
+def block(t_rep: np.ndarray, subspace: ArrivalSubspace, i: int, j: int) -> np.ndarray:
     """Full-size block of the decomposition induced by I - QQ (index 1) and QQ (2)."""
     if i not in (1, 2) or j not in (1, 2):
         raise ValidationError("block indices must be 1 or 2")
     eye = np.eye(t_rep.shape[0])
-    left = eye - sp.qq_rep if i == 1 else sp.qq_rep
-    right = eye - sp.qq_rep if j == 1 else sp.qq_rep
+    left = eye - subspace.qq_rep if i == 1 else subspace.qq_rep
+    right = eye - subspace.qq_rep if j == 1 else subspace.qq_rep
     return left @ t_rep @ right
 
 
@@ -327,24 +327,23 @@ def solve_hitting(
         if cert is None:
             cert = invariant_state(t, tol)
         fd = fundamental_map(t, cert, tol)
-    sp = super_projectors(subspace)
-    qphi, m, radius, cond = _survival_resolvent(t, sp)
+    m, radius, cond = _survival_resolvent(t, subspace)
     # A covector l with l (I - QT) = r solves (I - QT)^T l = r.
     trace_row = vec(np.eye(t.dim))
-    first_row = trace_row - trace_row @ sp.qq_rep  # e (I - QQ)
+    # e (I - QQ) = vec(conj(P)): e QQ = vec(conj(Q)^2) = vec(conj(Q)) for e = vec(I).
+    first_row = vec(subspace.projector_p.conj())
     probability, trace = np.linalg.solve(
         m.T, np.column_stack([first_row @ t.rep, trace_row @ t.rep])
     ).T
     time = np.linalg.solve(m.T, probability)
-    k11_row = time - time @ sp.qq_rep  # e K11 = e (I - QQ) K (I - QQ)
+    # e K11 = e (I - QQ) K (I - QQ)
+    k11_row = time - subspace.compress_covector(time)
     kz = k11_row @ fd.z_rep
-    start = kz @ sp.qq_rep
+    start = subspace.compress_covector(kz)
     return HittingSolution(
         map=t,
         subspace=subspace,
-        projectors=sp,
         fd=fd,
-        survival_rep=qphi,
         probability_covector=probability,
         time_covector=time,
         trace_covector=trace,
@@ -397,8 +396,16 @@ def _require_supported(label: str, residual: float, ortho_tol: float) -> None:
         )
 
 
-def _uniform_state_on_subspace(hs: HittingSolution) -> DensityMatrix:
-    return DensityMatrix(hs.subspace.projector_p / hs.subspace.rank)
+def _reference_state(hs: HittingSolution, rho_psi, ortho_tol: float) -> DensityMatrix:
+    """rho_psi checked to be supported in V, or by default the normalized projector."""
+    p = hs.subspace.projector_p
+    if rho_psi is None:
+        return DensityMatrix(p / hs.subspace.rank)
+    state = as_density(rho_psi, hs.tol)
+    _require_supported(
+        "arrival-side state", frobenius(p @ state.matrix @ p - state.matrix), ortho_tol
+    )
+    return state
 
 
 def mhtf_orthogonal(
@@ -419,21 +426,11 @@ def mhtf_orthogonal(
     choice of rho_psi.
     """
     phi_state = as_density(rho_phi, hs.tol)
-    psi_state = (
-        _uniform_state_on_subspace(hs) if rho_psi is None else as_density(rho_psi, hs.tol)
-    )
     q = hs.subspace.projector_q
-    p = hs.subspace.projector_p
     _require_supported(
-        "initial state",
-        frobenius(q @ phi_state.matrix @ q - phi_state.matrix),
-        ortho_tol,
+        "initial state", frobenius(q @ phi_state.matrix @ q - phi_state.matrix), ortho_tol
     )
-    _require_supported(
-        "arrival-side state",
-        frobenius(p @ psi_state.matrix @ p - psi_state.matrix),
-        ortho_tol,
-    )
+    psi_state = _reference_state(hs, rho_psi, ortho_tol)
     # Tr((DZ)_11 x) and Tr((DZ)_12 x) are the return and start covectors:
     # e (I - QQ) D = e K11.
     psi_term = _pair(hs.return_covector, vec(psi_state.matrix))
@@ -451,7 +448,7 @@ def dnl_maps(hs: HittingSolution) -> DnlMaps:
 
 def condition_first_step(
     t: SuperOperator,
-    sp: SuperProjectors,
+    subspace: ArrivalSubspace,
     rho,
     tol: Tolerance | None = None,
 ) -> FirstStep:
@@ -465,7 +462,7 @@ def condition_first_step(
     if tol is None:
         tol = DEFAULT_TOL
     state = as_density(rho, tol)
-    sigma = unvec(sp.qq_rep @ (t.rep @ vec(state.matrix)))
+    sigma = unvec(subspace.compress(t.rep @ vec(state.matrix)))
     if frobenius(sigma) <= tol.atol:
         return FirstStep(True, 0.0, None)
     weight = float(np.trace(sigma).real)
@@ -490,16 +487,8 @@ def mhtf_general(
     step gives tau = 1 exactly.
     """
     state = as_density(rho, hs.tol)
-    psi_state = (
-        _uniform_state_on_subspace(hs) if rho_psi is None else as_density(rho_psi, hs.tol)
-    )
-    p = hs.subspace.projector_p
-    _require_supported(
-        "arrival-side state",
-        frobenius(p @ psi_state.matrix @ p - psi_state.matrix),
-        ortho_tol,
-    )
-    sigma_vec = hs.survival_rep @ vec(state.matrix)
+    psi_state = _reference_state(hs, rho_psi, ortho_tol)
+    sigma_vec = hs.subspace.compress(hs.map.rep @ vec(state.matrix))
     if float(np.linalg.norm(sigma_vec)) <= hs.tol.atol:
         return 1.0
     # e K11 Z11 and e K11 Z12 are the return and start covectors.

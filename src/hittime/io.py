@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionError, ParseError, ValidationError
 from .hitting import ArrivalSubspace, subspace_from_indices, subspace_from_vectors
 from .linalg import Tolerance, hermitize
 from .maps import DensityMatrix, SuperOperator, density, from_kraus, from_raw, from_stochastic, pure_density
@@ -264,16 +264,20 @@ def _parse_tol(node, where: str) -> Tolerance:
             raise _fail(where, _OUT_OF_RANGE) from None
         if value < 0:
             raise _fail(where, "tolerance must be non-negative")
-        return Tolerance(value, value)
-    if isinstance(node, dict):
+        tol = Tolerance(value, value)
+    elif isinstance(node, dict):
         extra = set(node) - {"atol", "rtol"}
         if extra:
             raise _fail(where, f"unknown tolerance fields {sorted(extra)}")
         try:
-            return Tolerance(float(node.get("atol", 1e-10)), float(node.get("rtol", 1e-10)))
+            tol = Tolerance(float(node.get("atol", 1e-10)), float(node.get("rtol", 1e-10)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise _fail(where, f"invalid tolerance: {exc}") from exc
-    raise _fail(where, "expected a number or an object with 'atol'/'rtol'")
+    else:
+        raise _fail(where, "expected a number or an object with 'atol'/'rtol'")
+    if not np.isfinite([tol.atol, tol.rtol]).all():  # a JSON decimal beyond the double range
+        raise _fail(where, _OUT_OF_RANGE)
+    return tol
 
 
 def _parse_query(node, where: str) -> QuerySpec:
@@ -365,6 +369,8 @@ def load_query_file(path: str) -> list[QuerySpec]:
 def realize_subspace(query: QuerySpec, n: int) -> ArrivalSubspace:
     """Build the arrival subspace of a query in ambient dimension n."""
     if query.subspace_indices is not None:
+        if max(query.subspace_indices) > n:  # the parser refuses indices below 1
+            raise ValidationError(f"basis indices must lie in [1, {n}]")
         return subspace_from_indices(n, [i - 1 for i in query.subspace_indices])
     return subspace_from_vectors(query.subspace_vectors)
 
@@ -377,14 +383,14 @@ def realize_initial(
     if kind == "index":
         index = int(query.initial_value)
         if index > n:
-            raise ParseError(f"initial index {index} exceeds dimension {n}")
+            raise DimensionError(f"initial index {index} exceeds dimension {n}")
         basis = np.zeros(n, dtype=complex)
         basis[index - 1] = 1.0
         return InitialState(pure_density(basis), 1.0, f"basis state {index}")
     if kind == "vector":
         v = np.asarray(query.initial_value, dtype=complex)
         if v.size != n:
-            raise ParseError(f"initial vector has length {v.size}, expected {n}")
+            raise DimensionError(f"initial vector has length {v.size}, expected {n}")
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ParseError("initial vector must be nonzero")
@@ -392,7 +398,7 @@ def realize_initial(
     if kind == "distribution":
         x = np.asarray(query.initial_value, dtype=float)
         if x.size != n:
-            raise ParseError(f"initial distribution has length {x.size}, expected {n}")
+            raise DimensionError(f"initial distribution has length {x.size}, expected {n}")
         if x.min() < 0:
             raise ParseError("initial distribution must be non-negative")
         total = float(x.sum())
@@ -405,7 +411,7 @@ def realize_initial(
         )
     m = np.asarray(query.initial_value, dtype=complex)
     if m.shape != (n, n):
-        raise ParseError(f"initial density has shape {m.shape}, expected ({n}, {n})")
+        raise DimensionError(f"initial density has shape {m.shape}, expected ({n}, {n})")
     herm = hermitize(m)
     trace = float(np.trace(herm).real)
     if trace <= 0:

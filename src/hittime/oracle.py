@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .hitting import SuperProjectors
+from .hitting import ArrivalSubspace
 from .linalg import DEFAULT_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius, vec
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
@@ -54,20 +54,21 @@ class MonteCarloEstimate:
     seed: int
 
 
-def _survival_data(t: SuperOperator, sp: SuperProjectors):
-    """QT, the arrival covector e PP T = vec(conj(P))^T T and the radius of QT."""
-    radius = survival_radius(t.rep, sp.complement_basis)
+def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance | None):
+    """vec(rho), QT, the arrival covector e PP T = vec(conj(P))^T T and the radius of QT."""
+    sigma = vec(as_density(rho, tol).matrix)
+    radius = survival_radius(t.rep, subspace.complement_basis)
     if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NonConvergenceError(
             f"monitored series does not converge: spectral radius of the "
             f"survival map is {radius:.12g} (map not irreducible)"
         )
-    return sp.qq_rep @ t.rep, vec(sp.projector_p.conj()) @ t.rep, radius
+    return sigma, subspace.compress(t.rep), vec(subspace.projector_p.conj()) @ t.rep, radius
 
 
 def first_visit_series(
     t: SuperOperator,
-    sp: SuperProjectors,
+    subspace: ArrivalSubspace,
     rho,
     r_max: int,
     tol: Tolerance | None = None,
@@ -77,13 +78,9 @@ def first_visit_series(
     The tail bound dominates the probability mass beyond r_max and decreases
     geometrically in r_max while the survival map contracts.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     if r_max < 1:
         raise ValidationError("r_max must be at least 1")
-    state = as_density(rho, tol)
-    qphi, arrival, radius = _survival_data(t, sp)
-    sigma = vec(state.matrix)
+    sigma, qphi, arrival, radius = _survival_data(t, subspace, rho, tol)
     probs = np.empty(r_max)
     for r in range(r_max):
         probs[r] = (arrival @ sigma).real
@@ -94,7 +91,7 @@ def first_visit_series(
 
 def tau_series(
     t: SuperOperator,
-    sp: SuperProjectors,
+    subspace: ArrivalSubspace,
     rho,
     tol: Tolerance | None = None,
     max_terms: int = _MAX_SERIES_TERMS,
@@ -107,9 +104,7 @@ def tau_series(
     """
     if tol is None:
         tol = DEFAULT_TOL
-    state = as_density(rho, tol)
-    qphi, arrival, radius = _survival_data(t, sp)
-    sigma = vec(state.matrix)
+    sigma, qphi, arrival, radius = _survival_data(t, subspace, rho, tol)
     gap = 1.0 - radius
     target = tol.atol / 10.0
     total = 0.0

@@ -71,8 +71,8 @@ def check_qubit_golden_matrices() -> CheckResult:
         "map representation": (_dev(channel.rep, examples.QUBIT_PHI), lim),
         "omega": (_dev(hs.fd.omega_rep, examples.QUBIT_OMEGA), lim),
         "fundamental matrix": (_dev(hs.fd.z_rep, examples.QUBIT_Z), lim),
-        "subspace projector": (_dev(hs.projectors.pp_rep, examples.QUBIT_PP), lim),
-        "complement projector": (_dev(hs.projectors.qq_rep, examples.QUBIT_QQ), lim),
+        "subspace projector": (_dev(hs.subspace.pp_rep, examples.QUBIT_PP), lim),
+        "complement projector": (_dev(hs.subspace.qq_rep, examples.QUBIT_QQ), lim),
         "time map": (_dev(hs.k_rep, examples.QUBIT_K), lim),
         "time map off-diagonal block": (_dev(hs.k12, examples.QUBIT_K12), lim),
     }
@@ -80,17 +80,16 @@ def check_qubit_golden_matrices() -> CheckResult:
 
 
 def check_qubit_hitting_times() -> CheckResult:
-    channel, _, hs = _qubit_solution()
+    channel, subspace, hs = _qubit_solution()
     states = examples.qubit_demo_states()
     rho_phi = pure_density(states["phi"])
     rho_psi = pure_density(states["psi"])
     rho_chi = pure_density(states["chi"])
-    sp = hs.projectors
 
     direct = mean_hitting_time_direct(hs, rho_phi)
     ortho = mhtf_orthogonal(hs, rho_phi, rho_psi)
-    series = tau_series(channel, sp, rho_phi)
-    first = condition_first_step(channel, sp, rho_chi)
+    series = tau_series(channel, subspace, rho_phi)
+    first = condition_first_step(channel, subspace, rho_chi)
     items = {
         "direct time": (abs(direct - 6.0), 1e-9),
         "formula time": (abs(ortho.tau - 6.0), 1e-9),
@@ -117,7 +116,7 @@ def check_qudit_closed_forms(a: float) -> CheckResult:
     ortho = mhtf_orthogonal(hs, rho_phi)  # uniform reference state on V
     tau_chi = mean_hitting_time_direct(hs, rho_chi)
     general = mhtf_general(hs, rho_chi)
-    series = tau_series(channel, hs.projectors, rho_phi)
+    series = tau_series(channel, hs.subspace, rho_phi)
     items = {
         "direct vs closed form": (abs(tau_phi - examples.qudit_tau_phi(a)), 1e-10),
         "formula vs direct": (abs(ortho.tau - tau_phi), 1e-9),
@@ -156,7 +155,7 @@ def check_route_equivalence(seed: int, instances: int = 12) -> CheckResult:
         rho_psi = random_density_supported(subspace.basis, rng=rng)
         direct = mean_hitting_time_direct(hs, rho_phi)
         ortho = mhtf_orthogonal(hs, rho_phi, rho_psi)
-        series = tau_series(channel, hs.projectors, rho_phi)
+        series = tau_series(channel, subspace, rho_phi)
         label = f"instance {count} (n={n})"
         items[f"{label} formula"] = (abs(direct - ortho.tau), 1e-9)
         items[f"{label} series"] = (abs(direct - series), 1e-8)
@@ -199,7 +198,7 @@ def check_classical_embedding(seed: int, instances: int = 5) -> CheckResult:
         items[f"{label} subset"] = (
             abs(
                 result.tau
-                - tau_series(embedded, hs_sub.projectors, pure_density(unit[:, i]))
+                - tau_series(embedded, hs_sub.subspace, pure_density(unit[:, i]))
             ),
             1e-8,
         )

@@ -81,8 +81,8 @@ def test_criterion_1_golden_matrices():
         max_dev(channel.rep, golden.QUBIT_PHI),
         max_dev(hs.fd.omega_rep, golden.QUBIT_OMEGA),
         max_dev(hs.fd.z_rep, golden.QUBIT_Z),
-        max_dev(hs.projectors.pp_rep, golden.QUBIT_PP),
-        max_dev(hs.projectors.qq_rep, golden.QUBIT_QQ),
+        max_dev(hs.subspace.pp_rep, golden.QUBIT_PP),
+        max_dev(hs.subspace.qq_rep, golden.QUBIT_QQ),
         max_dev(hs.k_rep, golden.QUBIT_K),
         max_dev(hs.k12, golden.QUBIT_K12),
     )
@@ -102,8 +102,8 @@ def test_criterion_2_golden_scalars():
 
     direct = mean_hitting_time_direct(hs, states["phi"])
     ortho = mhtf_orthogonal(hs, states["phi"], states["psi"])
-    series = tau_series(channel, hs.projectors, states["phi"])
-    step = condition_first_step(channel, hs.projectors, states["chi"])
+    series = tau_series(channel, hs.subspace, states["phi"])
+    step = condition_first_step(channel, hs.subspace, states["chi"])
     general = mhtf_general(hs, states["chi"], states["psi"])
 
     checks = {
@@ -161,7 +161,7 @@ def test_criterion_3_closed_forms():
 
 
 def _vector_identity_residual(hs, rho_phi, rho_psi) -> float:
-    sp = hs.projectors
+    sp = hs.subspace
     maps = dnl_maps(hs)
     z = hs.fd.z_rep
     dz, lz = maps.d_rep @ z, maps.l_rep @ z
@@ -187,7 +187,7 @@ def _vector_identity_residual(hs, rho_phi, rho_psi) -> float:
 def _first_row_residual(hs) -> float:
     maps = dnl_maps(hs)
     eye = np.eye(hs.k_rep.shape[0])
-    left = eye - hs.projectors.qq_rep
+    left = eye - hs.subspace.qq_rep
     return float(np.max(np.abs(left @ maps.l_rep - left @ hs.h_rep)))
 
 
@@ -261,7 +261,7 @@ def test_criterion_5_route_equivalence():
         hs = solve_hitting(channel, subspace, cert)
         direct = mean_hitting_time_direct(hs, rho_phi)
         formula = mhtf_orthogonal(hs, rho_phi, rho_psi).tau
-        series = tau_series(channel, hs.projectors, rho_phi)
+        series = tau_series(channel, hs.subspace, rho_phi)
         worst_formula = max(worst_formula, abs(direct - formula))
         worst_series = max(worst_series, abs(direct - series))
         worst_probability = max(

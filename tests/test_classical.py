@@ -108,7 +108,7 @@ def test_classical_mhtf_matches_quantum_embedding():
         classical = classical_mhtf(chain, i, 3)
         quantum = mean_hitting_time_direct(hs, pure_density(unit[:, i]))
         assert classical == pytest.approx(quantum, abs=1e-8)
-        series = tau_series(channel, hs.projectors, pure_density(unit[:, i]))
+        series = tau_series(channel, hs.subspace, pure_density(unit[:, i]))
         assert classical == pytest.approx(series, abs=1e-8)
 
 
@@ -227,7 +227,7 @@ def test_subset_matches_series_and_monte_carlo():
     subset = [1, 4]
     result = classical_mhtf_subset(chain, 0, subset)
     channel, hs = embedded_solution(chain, subset)
-    series = tau_series(channel, hs.projectors, pure_density(np.eye(6)[:, 0]))
+    series = tau_series(channel, hs.subspace, pure_density(np.eye(6)[:, 0]))
     assert result.tau == pytest.approx(series, abs=1e-8)
     estimate = classical_monte_carlo(chain.p, 0, subset, trials=100_000, seed=62)
     assert abs(estimate.mean - result.tau) <= 4.0 * estimate.std_error

@@ -41,6 +41,13 @@ FILES = {
                       "method": "mhtf-orthogonal"},
     "q_qubit.json": {"subspace": {"vectors": [[[R2, 0], [R2, 0]]]},
                      "initial": {"vector": [[R2, 0], [-R2, 0]]}},
+    # queries that do not fit a 2-state map
+    "q_index9.json": {"subspace": {"indices": [2]}, "initial": {"index": 9}},
+    "q_vector3.json": {"subspace": {"indices": [2]}, "initial": {"vector": [1, 0, 0]}},
+    "q_dist3.json": {"subspace": {"indices": [2]}, "initial": {"distribution": [1, 0, 0]}},
+    "q_density3.json": {"subspace": {"indices": [2]},
+                        "initial": {"density": np.eye(3).tolist()}},
+    "q_basis5.json": {"subspace": {"indices": [5]}, "initial": {"index": 1}},
 }
 NON_FINITE = {
     "q_nan_vectors.json": '{"subspace": {"vectors": [[NaN, 1]]}, "initial": {"index": 1}}',
@@ -56,6 +63,7 @@ NON_FINITE = {
     "q_big_vectors.json":
         '{"subspace": {"vectors": [[[1, 0], [1, -1e400]]]}, "initial": {"index": 1}}',
     "big_map.json": '{"dim": 2, "kraus": [[[1, 0], [0, 1e400]]]}',
+    "q_big_tol.json": '{"subspace": {"indices": [1]}, "initial": {"index": 2}, "tol": 1e400}',
 }
 
 
@@ -181,6 +189,25 @@ def _raise(error):
      "cannot parse subset '2,x'"),
     (("classical", "mhtf", "c3.json", "-i", "1", "-j", "2", "--trials", "5"),
      ("classical_monte_carlo", NonConvergenceError("step cap")), 5, "step cap"),
+    # a query that does not fit the map exits 3, and states count from 1
+    (("hit", "chain2.json", "q_index9.json"), None, 3, "initial index 9 exceeds dimension 2"),
+    (("hit", "chain2.json", "q_vector3.json"), None, 3,
+     "initial vector has length 3, expected 2"),
+    (("hit", "chain2.json", "q_dist3.json"), None, 3,
+     "initial distribution has length 3, expected 2"),
+    (("hit", "chain2.json", "q_density3.json"), None, 3,
+     "initial density has shape (3, 3), expected (2, 2)"),
+    (("hit", "chain2.json", "q_basis5.json"), None, 3, "basis indices must lie in [1, 2]"),
+    (("classical", "mhtf", "chain2.json", "-i", "1", "-j", "9"), None, 3,
+     "target state must lie in [1, 2], got 9"),
+    (("classical", "mhtf", "chain2.json", "-i", "0", "-j", "9"), None, 3,
+     "initial state must lie in [1, 2], got 0"),
+    (("classical", "kac", "chain2.json", "-j", "3"), None, 3,
+     "state must lie in [1, 2], got 3"),
+    (("classical", "dist", "chain2.json", "-x", "0.5,0.5", "-j", "0"), None, 3,
+     "target state must lie in [1, 2], got 0"),
+    (("classical", "subset", "chain2.json", "-i", "1", "-S", "0"), None, 3,
+     "subset state must lie in [1, 2], got 0"),
 ])
 def test_exit_policy(run, monkeypatch, argv, patch, code, stderr):
     if patch is not None:
@@ -242,6 +269,7 @@ def test_non_finite_map_constant_exits_1(run):
      "q_big_vectors.json: subspace.vectors[0][1]"),
     (("validate", "big_map.json"), "big_map.json: kraus[0][1][1]"),
     (("classical", "kac", "big_map.json", "-j", "1"), "big_map.json: kraus[0][1][1]"),
+    (("hit", "qubit.json", "q_big_tol.json"), "q_big_tol.json: tol"),
 ])
 def test_decimal_beyond_double_range_exits_1(run, argv, where):
     assert run(*argv) == (

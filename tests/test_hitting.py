@@ -15,6 +15,7 @@ from hittime import (
     block,
     condition_first_step,
     dnl_maps,
+    first_visit_series,
     from_kraus,
     from_stochastic,
     hitting_maps,
@@ -27,7 +28,6 @@ from hittime import (
     solve_hitting,
     subspace_from_indices,
     subspace_from_vectors,
-    super_projectors,
     tau_series,
     unvec,
     vec,
@@ -83,12 +83,12 @@ def test_subspace_rejects_full_space():
 # ------------------------------------------------------------ super projectors
 
 def test_super_projectors_demo_printed(qubit_solution):
-    assert_allclose(qubit_solution.projectors.pp_rep, golden.QUBIT_PP, atol=1e-14)
-    assert_allclose(qubit_solution.projectors.qq_rep, golden.QUBIT_QQ, atol=1e-14)
+    assert_allclose(qubit_solution.subspace.pp_rep, golden.QUBIT_PP, atol=1e-14)
+    assert_allclose(qubit_solution.subspace.qq_rep, golden.QUBIT_QQ, atol=1e-14)
 
 
 def test_super_projectors_resolution_of_identity():
-    sp = super_projectors(random_subspace(4, 2, rng=3))
+    sp = random_subspace(4, 2, rng=3)
     eye = np.eye(16)
     assert_allclose(sp.pp_rep + sp.qq_rep + sp.rr_rep, eye, atol=1e-14)
     for rep in (sp.pp_rep, sp.qq_rep, sp.rr_rep):
@@ -97,19 +97,71 @@ def test_super_projectors_resolution_of_identity():
 
 def test_remainder_projects_onto_traceless_matrices():
     sub = random_subspace(3, 1, rng=4)
-    sp = super_projectors(sub)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.trace(apply_rep(sp.rr_rep, x)) == pytest.approx(0.0, abs=1e-12)
+    assert np.trace(apply_rep(sub.rr_rep, x)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subspace_projector_action():
     sub = random_subspace(3, 2, rng=6)
-    sp = super_projectors(sub)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     p = sub.projector_p
-    assert_allclose(apply_rep(sp.pp_rep, x), p @ x @ p, atol=1e-12)
+    assert_allclose(apply_rep(sub.pp_rep, x), p @ x @ p, atol=1e-12)
+
+
+# ----------------------------------------------------------------- compression
+
+def _index_and_vector_subspaces(n, rank, rng):
+    indices = rng.choice(n, size=rank, replace=False)
+    return subspace_from_indices(n, indices), random_subspace(n, rank, rng=rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_compression_matches_dense_lift(n):
+    rng = np.random.default_rng(200 + n)
+    d = n * n
+    rep = random_cptp_map(n, int(rng.integers(1, n + 1)), rng).rep
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    covector = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    for rank in range(1, n):
+        for sub in _index_and_vector_subspaces(n, rank, rng):
+            q = sub.projector_q
+            qq = np.kron(q, q.conj())
+            assert_allclose(sub.compress(rep), qq @ rep, rtol=0, atol=1e-13)
+            assert_allclose(sub.compress(v), qq @ v, rtol=0, atol=1e-13)
+            assert_allclose(sub.compress_covector(covector), covector @ qq, rtol=0, atol=1e-13)
+            with pytest.raises(DimensionError):
+                sub.compress(np.ones(d + 1))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_first_row_is_conjugate_projector(n):
+    """e (I - QQ) = vec(conj(P)) for e = vec(I), the row solve_hitting starts from."""
+    rng = np.random.default_rng(300 + n)
+    e = vec(np.eye(n))
+    for rank in range(1, n):
+        for sub in _index_and_vector_subspaces(n, rank, rng):
+            q = sub.projector_q
+            first_row = e - e @ np.kron(q, q.conj())
+            assert_allclose(first_row, vec(sub.projector_p.conj()), rtol=0, atol=1e-15)
+
+
+def test_queries_and_series_never_build_dense_lift():
+    rng = np.random.default_rng(400)
+    channel, cert = random_irreducible_cptp(4, rng=rng)
+    sub = random_subspace(4, 2, rng=rng)
+    hs = solve_hitting(channel, sub, cert)
+    rho = random_density(4, rng=rng)
+    phi = random_density_supported(sub.complement_basis, rng=rng)
+    hitting_probability(hs, rho)
+    mean_hitting_time_direct(hs, rho)
+    mhtf_orthogonal(hs, phi)
+    mhtf_general(hs, rho)
+    tau_series(channel, sub, rho)
+    first_visit_series(channel, sub, rho, 10)
+    condition_first_step(channel, sub, rho)
+    assert not {"pp_rep", "qq_rep", "rr_rep"} & set(vars(sub))
 
 
 # ----------------------------------------------------------------- hitting maps
@@ -125,16 +177,15 @@ def test_hitting_maps_qudit_quadrants_match_closed_forms(qudit_solution_06):
 def test_time_map_is_probability_map_times_resolvent():
     channel, cert = random_irreducible_cptp(3, rng=8)
     sub = random_subspace(3, 1, rng=9)
-    sp = super_projectors(sub)
-    maps = hitting_maps(channel, sp)
-    resolvent = np.linalg.inv(np.eye(9) - sp.qq_rep @ channel.rep)
+    maps = hitting_maps(channel, sub)
+    resolvent = np.linalg.inv(np.eye(9) - sub.qq_rep @ channel.rep)
     assert_allclose(maps.k_rep, maps.h_rep @ resolvent, atol=1e-10)
 
 
 def test_hitting_maps_reject_reducible_survival():
     # identity channel never leaves any state, so monitoring never absorbs
     channel = from_kraus([np.eye(2)])
-    sp = super_projectors(subspace_from_indices(2, [0]))
+    sp = subspace_from_indices(2, [0])
     with pytest.raises(NumericError, match="spectral radius"):
         hitting_maps(channel, sp)
 
@@ -143,12 +194,12 @@ def test_hitting_maps_reject_reducible_survival():
 
 def test_block_demo_printed(qubit_solution):
     assert_allclose(qubit_solution.k12, golden.QUBIT_K12, atol=1e-12)
-    recomputed = block(qubit_solution.k_rep, qubit_solution.projectors, 1, 2)
+    recomputed = block(qubit_solution.k_rep, qubit_solution.subspace, 1, 2)
     assert_allclose(recomputed, golden.QUBIT_K12, atol=1e-12)
 
 
 def test_blocks_resolve_identity(qubit_solution):
-    sp = qubit_solution.projectors
+    sp = qubit_solution.subspace
     eye = np.eye(4)
     total = sum(block(eye, sp, i, j) for i in (1, 2) for j in (1, 2))
     assert_allclose(total, eye, atol=1e-14)
@@ -156,12 +207,12 @@ def test_blocks_resolve_identity(qubit_solution):
 
 def test_block_rejects_bad_indices(qubit_solution):
     with pytest.raises(ValidationError):
-        block(qubit_solution.k_rep, qubit_solution.projectors, 0, 1)
+        block(qubit_solution.k_rep, qubit_solution.subspace, 0, 1)
 
 
 def test_off_diagonal_part_has_zero_diagonal_blocks(qubit_solution):
     maps = dnl_maps(qubit_solution)
-    sp = qubit_solution.projectors
+    sp = qubit_solution.subspace
     assert np.max(np.abs(block(maps.n_rep, sp, 1, 1))) <= 1e-12
     assert np.max(np.abs(block(maps.n_rep, sp, 2, 2))) <= 1e-12
 
@@ -228,7 +279,7 @@ def test_formula_matches_series_oracle_on_random_instance():
     rho_phi = random_density_supported(complement_basis(sub.projector_q), rng=16)
     rho_psi = random_density_supported(sub.basis, rng=17)
     formula = mhtf_orthogonal(hs, rho_phi, rho_psi).tau
-    series = tau_series(channel, hs.projectors, rho_phi)
+    series = tau_series(channel, hs.subspace, rho_phi)
     assert formula == pytest.approx(series, abs=1e-8)
 
 
@@ -243,7 +294,7 @@ def test_formula_rejects_unsupported_start(qubit_solution, qubit_states):
 
 def test_first_block_row_of_l_equals_h(qubit_solution):
     maps = dnl_maps(qubit_solution)
-    sp = qubit_solution.projectors
+    sp = qubit_solution.subspace
     eye = np.eye(4)
     lhs = (eye - sp.qq_rep) @ maps.l_rep
     rhs = (eye - sp.qq_rep) @ qubit_solution.h_rep
@@ -255,13 +306,13 @@ def test_first_block_row_of_l_equals_h_random():
     hs = solve_hitting(channel, random_subspace(3, 1, rng=19), cert)
     maps = dnl_maps(hs)
     eye = np.eye(9)
-    lhs = (eye - hs.projectors.qq_rep) @ maps.l_rep
-    rhs = (eye - hs.projectors.qq_rep) @ hs.h_rep
+    lhs = (eye - hs.subspace.qq_rep) @ maps.l_rep
+    rhs = (eye - hs.subspace.qq_rep) @ hs.h_rep
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_vector_identities_on_demo_states(qubit_solution, qubit_states):
-    sp = qubit_solution.projectors
+    sp = qubit_solution.subspace
     maps = dnl_maps(qubit_solution)
     z = qubit_solution.fd.z_rep
     dz, lz = maps.d_rep @ z, maps.l_rep @ z
@@ -291,7 +342,7 @@ def test_vector_identities_on_demo_states(qubit_solution, qubit_states):
 
 def test_first_step_demo(qubit_channel, qubit_solution, qubit_states):
     step = condition_first_step(
-        qubit_channel, qubit_solution.projectors, qubit_states["chi"]
+        qubit_channel, qubit_solution.subspace, qubit_states["chi"]
     )
     assert not step.absorbed
     assert step.weight == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -301,7 +352,7 @@ def test_first_step_demo(qubit_channel, qubit_solution, qubit_states):
 def test_first_step_qudit(qudit_solution_06, qudit_states):
     a, b = 0.6, 0.8
     step = condition_first_step(
-        qudit_solution_06.map, qudit_solution_06.projectors, qudit_states["chi"]
+        qudit_solution_06.map, qudit_solution_06.subspace, qudit_states["chi"]
     )
     assert not step.absorbed
     assert step.weight == pytest.approx(1.0, abs=1e-12)
@@ -312,7 +363,7 @@ def test_first_step_qudit(qudit_solution_06, qudit_states):
 def test_first_step_absorbed():
     # two-state swap chain: the first step always lands in the target
     channel = from_stochastic(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    sp = super_projectors(subspace_from_indices(2, [1]))
+    sp = subspace_from_indices(2, [1])
     step = condition_first_step(channel, sp, pure_density([1.0, 0.0]))
     assert step.absorbed
     assert step.next_state is None
@@ -375,7 +426,7 @@ def test_route_equivalence_property(seed, n):
     rho_psi = random_density_supported(sub.basis, rng=rng)
     direct = mean_hitting_time_direct(hs, rho_phi)
     formula = mhtf_orthogonal(hs, rho_phi, rho_psi).tau
-    series = tau_series(channel, hs.projectors, rho_phi)
+    series = tau_series(channel, hs.subspace, rho_phi)
     assert abs(direct - formula) <= 1e-9
     assert abs(direct - series) <= 1e-8
     assert hitting_probability(hs, rho_phi) == pytest.approx(1.0, abs=1e-10)
@@ -409,7 +460,7 @@ def test_first_step_recursion():
     sub = random_subspace(3, 1, rng=39)
     hs = solve_hitting(channel, sub, cert)
     rho = random_density(3, rng=40)
-    step = condition_first_step(channel, hs.projectors, rho)
+    step = condition_first_step(channel, hs.subspace, rho)
     assert not step.absorbed
     tau = mean_hitting_time_direct(hs, rho)
     tau_next = mean_hitting_time_direct(hs, step.next_state)
@@ -427,7 +478,7 @@ def test_hitting_maps_are_positive(qubit_solution):
 
 def test_projector_substitution_leaves_traces_unchanged(qubit_solution, qubit_states):
     # replacing the subspace projector by I - Q only adds traceless terms
-    sp = qubit_solution.projectors
+    sp = qubit_solution.subspace
     eye = np.eye(4)
     rho = qubit_states["chi"].matrix
     for rep in (qubit_solution.h_rep, qubit_solution.k_rep):
@@ -489,30 +540,29 @@ def test_covector_queries_match_dense_formulas(n, kraus_rank, rank):
     ortho = mhtf_orthogonal(hs, starts["complement"], rho_psi)
     assert "_dense" not in vars(hs)  # the queries never build H or K
 
-    sp = super_projectors(sub)
-    maps = hitting_maps(channel, sp)
+    maps = hitting_maps(channel, sub)
     eye = np.eye(n * n)
-    k11 = block(maps.k_rep, sp, 1, 1)
-    dz = (k11 + block(maps.k_rep, sp, 2, 2)) @ hs.fd.z_rep
-    z11 = block(hs.fd.z_rep, sp, 1, 1)
-    z12 = block(hs.fd.z_rep, sp, 1, 2)
+    k11 = block(maps.k_rep, sub, 1, 1)
+    dz = (k11 + block(maps.k_rep, sub, 2, 2)) @ hs.fd.z_rep
+    z11 = block(hs.fd.z_rep, sub, 1, 1)
+    z12 = block(hs.fd.z_rep, sub, 1, 2)
 
     def tr(rep, rho):
         return np.trace(apply_rep(rep, rho.matrix)).real
 
     return_term = tr(k11 @ z11, rho_psi)
     for label, rho in starts.items():
-        sigma = unvec(sp.qq_rep @ channel.rep @ vec(rho.matrix))
+        sigma = unvec(sub.qq_rep @ channel.rep @ vec(rho.matrix))
         expected = (
-            tr(maps.h_rep - sp.qq_rep @ maps.h_rep, rho),
-            tr(maps.k_rep - sp.qq_rep @ maps.k_rep, rho),
+            tr(maps.h_rep - sub.qq_rep @ maps.h_rep, rho),
+            tr(maps.k_rep - sub.qq_rep @ maps.k_rep, rho),
             1.0 + return_term * np.trace(sigma).real
             - np.trace(apply_rep(k11 @ z12, sigma)).real,
         )
         assert answers[label] == pytest.approx(expected, rel=1e-10, abs=1e-10), label
-    assert ortho.psi_term == pytest.approx(tr(block(dz, sp, 1, 1), rho_psi), rel=1e-10, abs=1e-10)
+    assert ortho.psi_term == pytest.approx(tr(block(dz, sub, 1, 1), rho_psi), rel=1e-10, abs=1e-10)
     assert ortho.phi_term == pytest.approx(
-        tr(block(dz, sp, 1, 2), starts["complement"]), rel=1e-10, abs=1e-10
+        tr(block(dz, sub, 1, 2), starts["complement"]), rel=1e-10, abs=1e-10
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hittime.io
-from hittime import ParseError, Tolerance, apply
+from hittime import DimensionError, ParseError, Tolerance, apply
 from hittime.io import (
     build_superoperator,
     load_map_spec,
@@ -213,11 +213,11 @@ def test_query_file_errors(tmp_path, payload, needle):
 def test_realize_initial_dimension_checks(tmp_path):
     payload = {"subspace": {"indices": [2]}, "initial": {"vector": [1, 0, 0]}}
     query = load_query_file(write(tmp_path, "q.json", payload))[0]
-    with pytest.raises(ParseError, match="length"):
+    with pytest.raises(DimensionError, match="length"):
         realize_initial(query, 2)
     payload = {"subspace": {"indices": [2]}, "initial": {"index": 9}}
     query = load_query_file(write(tmp_path, "q.json", payload))[0]
-    with pytest.raises(ParseError, match="exceeds"):
+    with pytest.raises(DimensionError, match="exceeds"):
         realize_initial(query, 2)
 
 
@@ -316,9 +316,16 @@ def test_map_file_number_out_of_double_range(tmp_path, payload, needle):
         {"subspace": {"indices": [1]}, "initial": {"vector": [[HUGE, 0], [0, 1]]}},
         {"subspace": {"indices": [1]}, "initial": {"index": 1}, "tol": HUGE},
         {"subspace": {"indices": [1]}, "initial": {"index": 1}, "tol": {"atol": HUGE}},
+        # decimals beyond the double range, which json reads as inf
+        '{"subspace": {"indices": [1]}, "initial": {"index": 1}, "tol": 1e400}',
+        '{"subspace": {"indices": [1]}, "initial": {"index": 1}, "tol": {"atol": 1e400}}',
     ],
 )
 def test_query_number_out_of_double_range(tmp_path, payload):
-    path = write(tmp_path, "huge.json", payload)
+    if isinstance(payload, str):
+        (tmp_path / "huge.json").write_text(payload)
+        path = str(tmp_path / "huge.json")
+    else:
+        path = write(tmp_path, "huge.json", payload)
     with pytest.raises(ParseError):
         load_query_file(path)

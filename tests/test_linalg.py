@@ -153,7 +153,7 @@ def test_spectral_radius_nilpotent():
 
 def test_spectral_radius_survival_map_contracts(qubit_solution):
     radius = spectral_radius(
-        qubit_solution.projectors.qq_rep @ qubit_solution.map.rep
+        qubit_solution.subspace.qq_rep @ qubit_solution.map.rep
     )
     assert radius == pytest.approx(5.0 / 6.0, abs=1e-12)
     assert radius < 1.0

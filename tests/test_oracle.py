@@ -10,7 +10,6 @@ from hittime import (
     from_stochastic,
     pure_density,
     subspace_from_indices,
-    super_projectors,
     tau_series,
 )
 import hittime.oracle
@@ -20,7 +19,7 @@ from hittime.sampling import random_column_stochastic
 
 def chain_setup(p_matrix, target_indices):
     channel = from_stochastic(p_matrix)
-    sp = super_projectors(subspace_from_indices(p_matrix.shape[0], target_indices))
+    sp = subspace_from_indices(p_matrix.shape[0], target_indices)
     return channel, sp
 
 
@@ -28,7 +27,7 @@ def chain_setup(p_matrix, target_indices):
 
 def test_series_sums_to_one(qubit_channel, qubit_solution, qubit_states):
     dist = first_visit_series(
-        qubit_channel, qubit_solution.projectors, qubit_states["phi"], 200
+        qubit_channel, qubit_solution.subspace, qubit_states["phi"], 200
     )
     assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
     assert dist.r_max == 200
@@ -41,7 +40,7 @@ def test_series_sums_to_one(qubit_channel, qubit_solution, qubit_states):
 def test_series_tail_bound_decreases_geometrically(
     qubit_channel, qubit_solution, qubit_states
 ):
-    sp = qubit_solution.projectors
+    sp = qubit_solution.subspace
     short = first_visit_series(qubit_channel, sp, qubit_states["phi"], 30)
     long = first_visit_series(qubit_channel, sp, qubit_states["phi"], 60)
     assert long.tail_bound < short.tail_bound
@@ -66,7 +65,7 @@ def test_series_absorbed_in_one_step():
 def test_series_rejects_bad_r_max(qubit_channel, qubit_solution, qubit_states):
     with pytest.raises(ValidationError):
         first_visit_series(
-            qubit_channel, qubit_solution.projectors, qubit_states["phi"], 0
+            qubit_channel, qubit_solution.subspace, qubit_states["phi"], 0
         )
 
 
@@ -81,7 +80,7 @@ def test_series_detects_non_contracting_survival():
 # ----------------------------------------------------------------- mean times
 
 def test_tau_series_demo_values(qubit_channel, qubit_solution, qubit_states):
-    sp = qubit_solution.projectors
+    sp = qubit_solution.subspace
     assert tau_series(qubit_channel, sp, qubit_states["phi"]) == pytest.approx(
         6.0, abs=1e-8
     )

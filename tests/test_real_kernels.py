@@ -14,7 +14,6 @@ from hittime import (
     solve_hitting,
     subspace_from_indices,
     subspace_from_vectors,
-    super_projectors,
     tau_series,
 )
 from hittime.cli import main
@@ -62,7 +61,7 @@ def test_hermitian_form_keeps_singular_values_and_eigenvalues(n):
     rng = np.random.default_rng(10 + n)
     d = n * n
     rep = random_cptp_map(n, 3, rng).rep
-    q = super_projectors(_subspaces(n, 1, rng)[1]).qq_rep
+    q = _subspaces(n, 1, rng)[1].qq_rep
     general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     for a, real in ((rep, True), (np.eye(d) - q @ rep, True), (general, False)):
         form = hermitian_form(a)
@@ -112,10 +111,9 @@ def test_compressed_radius_matches_full_survival_spectrum(n, kraus_rank):
     t = random_cptp_map(n, kraus_rank, rng)
     for rank in range(1, n):
         for sub in _subspaces(n, rank, rng):
-            sp = super_projectors(sub)
-            assert sp.complement_basis.shape == (n, n - rank)
-            full = float(np.max(np.abs(np.linalg.eigvals(sp.qq_rep @ t.rep))))
-            assert survival_radius(t.rep, sp.complement_basis) == pytest.approx(
+            assert sub.complement_basis.shape == (n, n - rank)
+            full = float(np.max(np.abs(np.linalg.eigvals(sub.qq_rep @ t.rep))))
+            assert survival_radius(t.rep, sub.complement_basis) == pytest.approx(
                 full, abs=1e-12
             )
 
@@ -146,7 +144,7 @@ def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
     for sub in _subspaces(n, 2, rng) + _subspaces(n, 1, rng):
         del calls[:]
         hs = solve_hitting(t, sub, cert, fd=fd)
-        tau_series(t, hs.projectors, rho)
+        tau_series(t, hs.subspace, rho)
         m = n - sub.rank
         assert [shape for name, shape, _ in calls if name == "eigvals"] == [(m * m, m * m)] * 2
         assert not [c for c in calls if c[1] == (d, d) and c[2]]
