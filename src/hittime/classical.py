@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ValidationError
-from .linalg import DEFAULT_TOL, Tolerance, fixed_space
+from .linalg import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, Tolerance, fixed_space
 from .maps import validate_column_stochastic
 
 __all__ = [
@@ -131,7 +131,7 @@ def classical_mhtf_distribution(mc: MarkovChain, x, j: int) -> float:
             f"distribution has length {dist.size}, chain has {mc.n} states"
         )
     # Written so that NaN and inf entries fail too.
-    if not (dist.min() >= -DEFAULT_TOL.atol and abs(dist.sum() - 1.0) <= 1e-9):
+    if not (dist.min() >= -DEFAULT_TOL.atol and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):
         raise ValidationError("initial distribution must be non-negative and sum to 1")
     reached = mc.z @ (mc.p @ dist)
     return float(1.0 + (mc.z[j, j] - reached[j]) / mc.pi[j])
@@ -161,13 +161,12 @@ def classical_mhtf_subset(
     mc: MarkovChain,
     i: int,
     subset,
-    j_tol: float = _J_INDEPENDENCE_TOL,
 ) -> SubsetHitting:
     """Mean time to reach a subset of states from outside it.
 
     The per-state return times tau(k -> S) come from the first-step system on
     the complement of S.  The defining sum is evaluated for every anchor
-    state j in S; its independence of j is verified to ``j_tol`` relative to
+    state j in S; its independence of j is verified to ``_J_INDEPENDENCE_TOL`` relative to
     the largest summand |Z[k, j] tau(k -> S)|, since the sums grow with the
     return times, and the (absolute) spread of the sums is reported.
     """
@@ -183,11 +182,11 @@ def classical_mhtf_subset(
     return_times = _first_step_return_times(mc.p, states)
     sums = [sum(mc.z[k, j] * return_times[k] for k in states) for j in states]
     residual = float(max(sums) - min(sums))
-    bound = j_tol * max(abs(mc.z[k, j] * return_times[k]) for k in states for j in states)
+    bound = _J_INDEPENDENCE_TOL * max(abs(mc.z[k, j] * return_times[k]) for k in states for j in states)
     if not residual <= bound:  # a NaN residual fails too
         raise NumericError(
             f"anchor-state independence violated: sums over the subset spread "
-            f"by {residual:.3e} (tolerance {j_tol:.1e} relative to the largest "
+            f"by {residual:.3e} (tolerance {_J_INDEPENDENCE_TOL:.1e} relative to the largest "
             f"summand, {bound:.3e})"
         )
     j0 = states[0]

@@ -30,6 +30,7 @@ from .classical import (
     kac_return_time,
 )
 from .errors import HittimeError, NumericError, ParseError, ValidationError
+from .fundamental import fundamental_map
 from .hitting import (
     ORTHOGONALITY_TOL,
     hitting_probability,
@@ -238,35 +239,16 @@ def validate(map_file: str, tol: Tolerance | None, as_json: bool, digits: int,
         sys.exit(EXIT_MAP)
 
 
-class _Solutions:
-    """Lazily memoized solves of one map: one per (subspace, tolerance).
-
-    The fundamental map of the first solve at a tolerance is passed to every
-    later solve at that tolerance, so it is computed once per map.
-    """
-
-    def __init__(self, channel, cert):
-        self.channel, self.cert = channel, cert
-        self.fundamentals = {}
-        self.solutions = {}
-
-    def get(self, subspace, tol):
-        key = (subspace.projector_p.tobytes(), tol)
-        if key not in self.solutions:
-            hs = solve_hitting(
-                self.channel, subspace, self.cert, tol, self.fundamentals.get(tol)
-            )
-            self.fundamentals[tol] = hs.fd
-            self.solutions[key] = hs
-        return self.solutions[key]
-
-
-def _evaluate_query(solutions, query, tolerance, method):
-    channel = solutions.channel
+def _evaluate_query(channel, fd, solutions, query, tolerance, method):
+    """One query's record; ``solutions`` memoizes the solves of ``channel``
+    by (subspace, query tolerance)."""
     subspace = realize_subspace(query, channel.dim)
     initial = realize_initial(query, channel.dim, tolerance)
     query_tol = query.tol or tolerance
-    hs = solutions.get(subspace, query_tol)
+    key = (subspace.projector_p.tobytes(), query_tol)
+    if key not in solutions:
+        solutions[key] = solve_hitting(channel, subspace, tol=query_tol, fd=fd)
+    hs = solutions[key]
     rho = initial.state
 
     probability = hitting_probability(hs, rho)
@@ -355,19 +337,18 @@ def hit(map_file: str, query_file: str, method: str | None, tol: Tolerance | Non
     channel = _load_map(map_file, row_stochastic, tol)
     with _exits(EXIT_QUERY):
         queries = load_query_file(query_file)
+    # The map is judged once, under --tol: fundamental_map refuses a map that
+    # is not certified irreducible or not trace preserving.  A query's own
+    # tolerance governs only that query.
     with _exits(EXIT_MAP):
-        cert = invariant_state(channel, tol)
-        if cert.verdict != CERTIFIED_IRREDUCIBLE:
-            raise ValidationError(
-                f"map is not certified irreducible (verdict: {cert.verdict})"
-            )
+        fd = fundamental_map(channel, invariant_state(channel, tol), tol)
 
     # Queries are answered in input order, so the first failing one sets the
     # exit code; those sharing a subspace and tolerance share one solve.
-    solutions = _Solutions(channel, cert)
+    solutions = {}
     with _exits(EXIT_QUERY):
         records = [
-            _evaluate_query(solutions, query, tol, method or query.method)
+            _evaluate_query(channel, fd, solutions, query, tol, method or query.method)
             for query in queries
         ]
 

@@ -8,14 +8,17 @@ Its inverse Z is the fundamental map; it is trace preserving and satisfies
     Z (I - T) = (I - T) Z = I - Omega,
     Omega^2 = T Omega = Omega T = Omega.
 
-These identities are exposed as a diagnostic report rather than asserted in
-the constructor, so batch construction stays cheap while the identities remain
-first-class testable artifacts.
+Z is only ever applied: a covector l is carried through it by one transposed
+solve of A = I - T + Omega, and the dense Omega and Z are built on first
+access only, for the identity checks.  The identities are exposed as a
+diagnostic report rather than asserted in the constructor, so construction
+stays cheap while the identities remain first-class testable artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +43,33 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FundamentalData:
-    """Invariant state pi with the representations of Omega and Z."""
+    """Invariant state pi and the matrix A = I - T + Omega whose inverse is Z.
+
+    :meth:`z_covector` applies Z to a covector by one solve; the dense
+    ``omega_rep`` and ``z_rep`` are computed on first access.
+    """
 
     pi: DensityMatrix
-    omega_rep: np.ndarray
-    z_rep: np.ndarray
+    a_rep: np.ndarray
     condition_estimate: float
+
+    def z_covector(self, covector: np.ndarray) -> np.ndarray:
+        """l Z, from the transposed solve A^T x = l."""
+        try:
+            return np.linalg.solve(self.a_rep.T, covector)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"fundamental solve failed (condition estimate {self.condition_estimate:.3e})"
+            ) from exc
+
+    @cached_property
+    def omega_rep(self) -> np.ndarray:
+        return build_omega(self.pi)
+
+    @cached_property
+    def z_rep(self) -> np.ndarray:
+        # Column j of the solve against the identity is row j of Z.
+        return self.z_covector(np.eye(self.a_rep.shape[0])).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +93,11 @@ def fundamental_map(
     cert: IrreducibilityCertificate,
     tol: Tolerance | None = None,
 ) -> FundamentalData:
-    """Solve (I - rep + omega) Z = I for the fundamental map of ``t``.
+    """The fundamental map Z = (I - rep + omega)^{-1} of ``t``, as A = I - rep + omega.
 
     Requires a ``certified_irreducible`` certificate and trace preservation.
-    The condition number of the solve is estimated and surfaced; a solve that
-    is singular to working precision raises :class:`NumericError`.
+    The condition number of A is estimated and surfaced; an A that is
+    singular to working precision raises :class:`NumericError`.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -86,22 +110,18 @@ def fundamental_map(
         raise PreconditionError(
             f"map is not trace preserving (residual {tp.residual:.3e})"
         )
-    omega = build_omega(cert.invariant_state, tol)
-    d = t.rep.shape[0]
-    a = np.eye(d) - t.rep + omega
+    # omega = vec(pi) vec(I)^T is nonzero only in the n columns k(n + 1)
+    # where vec(I) is 1.
+    pi = cert.invariant_state
+    a = np.eye(t.rep.shape[0], dtype=np.result_type(t.rep, pi.matrix)) - t.rep
+    a[:, :: t.dim + 1] += vec(pi.matrix)[:, None]
     cond = float(np.linalg.cond(hermitian_form(a)))
     if not np.isfinite(cond) or cond > COND_CEIL:
         raise NumericError(
             f"fundamental solve is singular to working precision "
             f"(condition estimate {cond:.3e})"
         )
-    try:
-        z = np.linalg.solve(a, np.eye(d))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"fundamental solve failed (condition estimate {cond:.3e})"
-        ) from exc
-    return FundamentalData(cert.invariant_state, omega, z, cond)
+    return FundamentalData(pi, a, cond)
 
 
 def verify_fundamental_identities(

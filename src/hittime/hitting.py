@@ -338,7 +338,7 @@ def solve_hitting(
     time = np.linalg.solve(m.T, probability)
     # e K11 = e (I - QQ) K (I - QQ)
     k11_row = time - subspace.compress_covector(time)
-    kz = k11_row @ fd.z_rep
+    kz = fd.z_covector(k11_row)
     start = subspace.compress_covector(kz)
     return HittingSolution(
         map=t,
@@ -389,21 +389,21 @@ def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
     return tau
 
 
-def _require_supported(label: str, residual: float, ortho_tol: float) -> None:
-    if residual > ortho_tol:
+def _require_supported(label: str, residual: float) -> None:
+    if residual > ORTHOGONALITY_TOL:
         raise OrthogonalityError(
             f"{label} violates its support precondition (residual {residual:.3e})"
         )
 
 
-def _reference_state(hs: HittingSolution, rho_psi, ortho_tol: float) -> DensityMatrix:
+def _reference_state(hs: HittingSolution, rho_psi) -> DensityMatrix:
     """rho_psi checked to be supported in V, or by default the normalized projector."""
     p = hs.subspace.projector_p
     if rho_psi is None:
         return DensityMatrix(p / hs.subspace.rank)
     state = as_density(rho_psi, hs.tol)
     _require_supported(
-        "arrival-side state", frobenius(p @ state.matrix @ p - state.matrix), ortho_tol
+        "arrival-side state", frobenius(p @ state.matrix @ p - state.matrix)
     )
     return state
 
@@ -412,7 +412,6 @@ def mhtf_orthogonal(
     hs: HittingSolution,
     rho_phi,
     rho_psi=None,
-    ortho_tol: float = ORTHOGONALITY_TOL,
 ) -> OrthogonalMhtf:
     """Mean hitting time via the fundamental map, for starts orthogonal to V.
 
@@ -428,9 +427,9 @@ def mhtf_orthogonal(
     phi_state = as_density(rho_phi, hs.tol)
     q = hs.subspace.projector_q
     _require_supported(
-        "initial state", frobenius(q @ phi_state.matrix @ q - phi_state.matrix), ortho_tol
+        "initial state", frobenius(q @ phi_state.matrix @ q - phi_state.matrix)
     )
-    psi_state = _reference_state(hs, rho_psi, ortho_tol)
+    psi_state = _reference_state(hs, rho_psi)
     # Tr((DZ)_11 x) and Tr((DZ)_12 x) are the return and start covectors:
     # e (I - QQ) D = e K11.
     psi_term = _pair(hs.return_covector, vec(psi_state.matrix))
@@ -474,7 +473,6 @@ def mhtf_general(
     hs: HittingSolution,
     rho,
     rho_psi=None,
-    ortho_tol: float = ORTHOGONALITY_TOL,
 ) -> float:
     """Mean hitting time via the fundamental map for an arbitrary start.
 
@@ -487,7 +485,7 @@ def mhtf_general(
     step gives tau = 1 exactly.
     """
     state = as_density(rho, hs.tol)
-    psi_state = _reference_state(hs, rho_psi, ortho_tol)
+    psi_state = _reference_state(hs, rho_psi)
     sigma_vec = hs.subspace.compress(hs.map.rep @ vec(state.matrix))
     if float(np.linalg.norm(sigma_vec)) <= hs.tol.atol:
         return 1.0

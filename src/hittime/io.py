@@ -12,14 +12,14 @@ indices in files are 1-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError
 from .hitting import ArrivalSubspace, subspace_from_indices, subspace_from_vectors
-from .linalg import Tolerance, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, hermitize
 from .maps import DensityMatrix, SuperOperator, density, from_kraus, from_raw, from_stochastic, pure_density
 
 __all__ = [
@@ -63,7 +63,6 @@ class QuerySpec:
     initial_value: object = 1
     method: str = "all"
     tol: Tolerance | None = None
-    raw: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +268,12 @@ def _parse_tol(node, where: str) -> Tolerance:
         extra = set(node) - {"atol", "rtol"}
         if extra:
             raise _fail(where, f"unknown tolerance fields {sorted(extra)}")
+        for name, value in node.items():
+            if type(value) not in _NUMBER_TYPES:
+                raise _fail(f"{where}.{name}", f"expected a number, got {value!r}")
         try:
-            tol = Tolerance(float(node.get("atol", 1e-10)), float(node.get("rtol", 1e-10)))
-        except (TypeError, ValueError, OverflowError) as exc:
+            tol = replace(DEFAULT_TOL, **{name: float(value) for name, value in node.items()})
+        except (ValueError, OverflowError) as exc:
             raise _fail(where, f"invalid tolerance: {exc}") from exc
     else:
         raise _fail(where, "expected a number or an object with 'atol'/'rtol'")
@@ -347,7 +349,7 @@ def _parse_query(node, where: str) -> QuerySpec:
     extra = set(node) - known
     if extra:
         raise _fail(where, f"unknown query fields {sorted(extra)}")
-    return QuerySpec(vectors, indices, kind, value, method, tol, dict(node))
+    return QuerySpec(vectors, indices, kind, value, method, tol)
 
 
 def load_query_file(path: str) -> list[QuerySpec]:

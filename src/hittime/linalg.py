@@ -48,6 +48,8 @@ MIN_SPECTRAL_GAP = 1e-9
 # Solves whose 2-norm condition number exceeds this are singular to working
 # precision.
 COND_CEIL = 1e14
+# How far a start distribution's sum may stray from 1.
+DISTRIBUTION_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)

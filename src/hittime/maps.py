@@ -77,17 +77,11 @@ class SuperOperator:
         Representation matrix acting on row-stacked vectorizations.
     provenance : str
         One of ``"kraus"``, ``"stochastic"``, ``"raw"``.
-    kraus_ops : tuple of ndarray or None
-        The Kraus family, when constructed from one.
-    stochastic : ndarray or None
-        The column-stochastic matrix, when constructed from one.
     """
 
     dim: int
     rep: np.ndarray
     provenance: str
-    kraus_ops: tuple[np.ndarray, ...] | None = None
-    stochastic: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +203,7 @@ def from_kraus(kraus_ops: Sequence, tol: Tolerance | None = None) -> SuperOperat
             f"Kraus operators are not trace preserving (residual {residual:.3e})",
             stacklevel=2,
         )
-    return SuperOperator(n, rep, "kraus", kraus_ops=ops)
+    return SuperOperator(n, rep, "kraus")
 
 
 def validate_column_stochastic(p, tol: Tolerance | None = None) -> np.ndarray:
@@ -254,7 +248,7 @@ def from_stochastic(p, tol: Tolerance | None = None) -> SuperOperator:
     rep = np.zeros((n * n, n * n), dtype=complex)
     diag_idx = np.arange(n) * (n + 1)
     rep[np.ix_(diag_idx, diag_idx)] = arr
-    return SuperOperator(n, rep, "stochastic", stochastic=arr.copy())
+    return SuperOperator(n, rep, "stochastic")
 
 
 def from_raw(rep) -> SuperOperator:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .hitting import ArrivalSubspace
-from .linalg import DEFAULT_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius, vec
+from .linalg import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius, vec
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _MAX_SERIES_TERMS = 1_000_000
+_MC_STEP_CAP = 10_000_000
 # Gathered cumulative entries per Monte-Carlo block, so one step needs
 # O(trials) memory whatever the number of states.
 _MC_BLOCK_ENTRIES = 1 << 20
@@ -94,7 +95,6 @@ def tau_series(
     subspace: ArrivalSubspace,
     rho,
     tol: Tolerance | None = None,
-    max_terms: int = _MAX_SERIES_TERMS,
 ) -> float:
     """Mean hitting time by direct summation of r * pi_r.
 
@@ -111,9 +111,9 @@ def tau_series(
     r = 0
     while True:
         r += 1
-        if r > max_terms:
+        if r > _MAX_SERIES_TERMS:
             raise NonConvergenceError(
-                f"series did not reach the target accuracy in {max_terms} terms "
+                f"series did not reach the target accuracy in {_MAX_SERIES_TERMS} terms "
                 f"(spectral radius {radius:.12g})"
             )
         total += r * (arrival @ sigma).real
@@ -130,7 +130,6 @@ def classical_monte_carlo(
     target,
     trials: int,
     seed: int,
-    step_cap: int = 10_000_000,
     tol: Tolerance | None = None,
 ) -> MonteCarloEstimate:
     """Trajectory estimate of the mean first-visit time of a classical chain.
@@ -160,7 +159,7 @@ def classical_monte_carlo(
         dist = np.asarray(start, dtype=float).reshape(-1)
         if dist.size != n:
             raise ValidationError("start distribution length does not match the chain")
-        if not (dist.min() >= 0 and abs(dist.sum() - 1.0) <= 1e-9):  # NaN, inf fail too
+        if not (dist.min() >= 0 and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):  # NaN, inf fail too
             raise ValidationError("start distribution must be non-negative and sum to 1")
         states = rng.choice(n, size=trials, p=dist / dist.sum()).astype(np.int64)
 
@@ -178,9 +177,9 @@ def classical_monte_carlo(
     step = 0
     while alive.any():
         step += 1
-        if step > step_cap:
+        if step > _MC_STEP_CAP:
             raise NonConvergenceError(
-                f"{int(alive.sum())} trajectories exceeded the step cap {step_cap}"
+                f"{int(alive.sum())} trajectories exceeded the step cap {_MC_STEP_CAP}"
             )
         idx = np.flatnonzero(alive)
         cur = states[idx]

@@ -26,6 +26,8 @@ __all__ = [
     "random_column_stochastic",
 ]
 
+_MAX_TRIES = 20
+
 
 def as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
@@ -58,20 +60,19 @@ def random_irreducible_cptp(
     num_kraus: int | None = None,
     rng=None,
     tol: Tolerance | None = None,
-    max_tries: int = 20,
 ) -> tuple[SuperOperator, IrreducibilityCertificate]:
     """Random CPTP map together with its irreducibility certificate.
 
     Generic Gaussian instances are irreducible; re-draws are a safety net.
     """
     rng = as_rng(rng)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         t = random_cptp_map(n, num_kraus, rng)
         cert = invariant_state(t, tol)
         if cert.verdict == CERTIFIED_IRREDUCIBLE:
             return t, cert
     raise ValidationError(
-        f"could not sample a certified irreducible map in {max_tries} tries"
+        f"could not sample a certified irreducible map in {_MAX_TRIES} tries"
     )
 
 

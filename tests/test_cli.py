@@ -308,6 +308,55 @@ def test_hit_batch_solves_once_per_subspace(runner, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_hit_computes_the_fundamental_map_once(runner, tmp_path, monkeypatch):
+    """One fundamental map per invocation, even for one subspace at two query tolerances."""
+    calls = []
+    fundamental = hittime.cli.fundamental_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fundamental(*args, **kwargs)
+
+    monkeypatch.setattr(hittime.cli, "fundamental_map", counted)
+    queries = [dict(fanout_queries()[0], tol=tol) for tol in (1e-8, 1e-10)]
+    query = write(tmp_path, "q.json", {"queries": queries})
+    result = runner.invoke(main, ["hit", qudit_map_file(tmp_path), query, "--json"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_hit_judges_the_map_under_the_command_tolerance(runner, tmp_path):
+    """--tol judges the map (exit 2); a query's tol judges only its own query.
+
+    The demo Kraus operators scaled by 1 + 2e-12 miss trace preservation by
+    5.7e-12.  A query at tol 1e-15 is answered; its direct route then fails
+    its own cross-check (exit 5).
+    """
+    ops = [(1 + 2e-12) * op for op in examples.qubit_demo_kraus()]
+    map_path = write(tmp_path, "scaled.json", {
+        "dim": 2,
+        "kraus": [[[[z.real, z.imag] for z in row] for row in op] for op in ops],
+    })
+    r = 1 / math.sqrt(2)
+    query = {"subspace": {"vectors": [[[r, 0], [r, 0]]]},
+             "initial": {"vector": [[r, 0], [-r, 0]]}, "tol": 1e-15}
+    answered = runner.invoke(
+        main, ["hit", map_path, write(tmp_path, "q.json", dict(query, method="mhtf"))]
+    )
+    assert answered.exit_code == 0, answered.output
+    direct = runner.invoke(
+        main, ["hit", map_path, write(tmp_path, "qd.json", dict(query, method="direct"))]
+    )
+    assert direct.exit_code == 5
+    assert "cross-check failed" in direct.stderr
+    with pytest.warns(UserWarning, match="not trace preserving"):
+        refused = runner.invoke(
+            main, ["hit", map_path, str(tmp_path / "q.json"), "--tol", "1e-15"]
+        )
+    assert refused.exit_code == 2
+    assert refused.stderr == "error: map is not trace preserving (residual 5.657e-12)\n"
+
+
 def test_hit_batch_records_match_single_queries(runner, tmp_path):
     map_path = qudit_map_file(tmp_path)
     queries = fanout_queries()

@@ -48,6 +48,8 @@ FILES = {
     "q_density3.json": {"subspace": {"indices": [2]},
                         "initial": {"density": np.eye(3).tolist()}},
     "q_basis5.json": {"subspace": {"indices": [5]}, "initial": {"index": 1}},
+    "q_text_tol.json": {"subspace": {"indices": [2]}, "initial": {"index": 1},
+                        "tol": {"atol": "0.5", "rtol": True}},
 }
 NON_FINITE = {
     "q_nan_vectors.json": '{"subspace": {"vectors": [[NaN, 1]]}, "initial": {"index": 1}}',
@@ -208,6 +210,11 @@ def _raise(error):
      "target state must lie in [1, 2], got 0"),
     (("classical", "subset", "chain2.json", "-i", "1", "-S", "0"), None, 3,
      "subset state must lie in [1, 2], got 0"),
+    # the fundamental map is judged with the map, before any query is answered
+    (("hit", "chain2.json", "q_basis5.json"), ("fundamental_map", NumericError("numeric")), 5,
+     "numeric"),
+    (("hit", "chain2.json", "q_text_tol.json"), None, 1,
+     "q_text_tol.json: tol.atol: expected a number, got '0.5'"),
 ])
 def test_exit_policy(run, monkeypatch, argv, patch, code, stderr):
     if patch is not None:

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 import golden
 from hittime import (
+    FundamentalData,
+    NumericError,
     PreconditionError,
     apply,
     build_omega,
@@ -11,13 +13,24 @@ from hittime import (
     from_kraus,
     from_raw,
     fundamental_map,
+    hitting_probability,
     invariant_state,
+    mean_hitting_time_direct,
+    mhtf_general,
+    mhtf_orthogonal,
+    solve_hitting,
+    subspace_from_indices,
     unvec,
     vec,
     verify_fundamental_identities,
 )
 from hittime.examples import qudit_demo_channel
-from hittime.sampling import random_density, random_irreducible_cptp
+from hittime.sampling import (
+    random_density,
+    random_density_supported,
+    random_irreducible_cptp,
+    random_subspace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +124,52 @@ def test_fundamental_map_preserves_trace_on_random_inputs(qubit_fd):
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     out = unvec(qubit_fd.z_rep @ vec(x))
     assert np.trace(out) == pytest.approx(np.trace(x), abs=1e-12)
+
+
+def _relative(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_z_covector_applies_z(n):
+    rng = np.random.default_rng(40 + n)
+    t, cert = random_irreducible_cptp(n, 2, rng)
+    fd = fundamental_map(t, cert)
+    covector = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    assert _relative(fd.z_covector(covector), covector @ fd.z_rep) <= 1e-12
+
+
+def test_z_covector_refuses_a_singular_matrix():
+    fd = FundamentalData(density(np.eye(2) / 2), np.zeros((4, 4)), 1.0)
+    with pytest.raises(NumericError, match="fundamental solve failed"):
+        fd.z_covector(np.ones(4))
+
+
+def test_z_covector_matches_printed(qubit_fd):
+    for row, covector in zip(golden.QUBIT_Z, np.eye(4)):
+        assert _relative(qubit_fd.z_covector(covector), row) <= 1e-12
+
+
+def test_answer_path_builds_no_dense_omega_or_z(monkeypatch):
+    """The fundamental map, two solves and the four queries apply Z by vector solves."""
+    n = 4
+    rng = np.random.default_rng(12)
+    t, cert = random_irreducible_cptp(n, 2, rng)
+    rhs_columns = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        rhs_columns.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    fd = fundamental_map(t, cert)
+    rho = random_density(n, rng)
+    for sub in (subspace_from_indices(n, [1]), random_subspace(n, 2, rng)):
+        hs = solve_hitting(t, sub, cert, fd=fd)
+        hitting_probability(hs, rho)
+        mean_hitting_time_direct(hs, rho)
+        mhtf_general(hs, rho)
+        mhtf_orthogonal(hs, random_density_supported(sub.complement_basis, rng))
+    assert "z_rep" not in vars(fd) and "omega_rep" not in vars(fd)
+    assert rhs_columns and max(rhs_columns) < n * n

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hittime.io
-from hittime import DimensionError, ParseError, Tolerance, apply
+from hittime import DEFAULT_TOL, DimensionError, ParseError, Tolerance, apply
 from hittime.io import (
     build_superoperator,
     load_map_spec,
@@ -66,7 +66,9 @@ def test_row_stochastic_flag_overrides(tmp_path):
     p_row = [[0.9, 0.1], [0.2, 0.8]]  # rows sum to 1
     path = write(tmp_path, "map.json", {"dim": 2, "stochastic": p_row})
     channel = build_superoperator(load_map_spec(path), row_stochastic=True)
-    assert_allclose(channel.stochastic, np.array(p_row).T)
+    # The diagonal block of the embedding, rep[(i, i), (j, j)], is P[i, j].
+    diagonal = np.arange(2) * 3
+    assert_allclose(channel.rep[np.ix_(diagonal, diagonal)], np.array(p_row).T)
 
 
 def test_load_superoperator(tmp_path):
@@ -182,11 +184,21 @@ def test_query_tolerance_forms(tmp_path):
                 "initial": {"index": 1},
                 "tol": {"atol": 1e-9, "rtol": 1e-7},
             },
+            {"subspace": {"indices": [2]}, "initial": {"index": 1}, "tol": {"rtol": 1e-7}},
         ]
     }
     queries = load_query_file(write(tmp_path, "q.json", payload))
     assert queries[0].tol == Tolerance(1e-8, 1e-8)
     assert queries[1].tol == Tolerance(1e-9, 1e-7)
+    assert queries[2].tol == Tolerance(DEFAULT_TOL.atol, 1e-7)
+
+
+@pytest.mark.parametrize("field", ["atol", "rtol"])
+@pytest.mark.parametrize("value", [True, "0.5", None, [1e-9]])
+def test_query_tolerance_fields_must_be_numbers(tmp_path, field, value):
+    payload = {"subspace": {"indices": [2]}, "initial": {"index": 1}, "tol": {field: value}}
+    with pytest.raises(ParseError, match=rf"tol\.{field}: expected a number, got "):
+        load_query_file(write(tmp_path, "q.json", payload))
 
 
 @pytest.mark.parametrize(

@@ -139,9 +139,10 @@ def test_monte_carlo_distribution_start():
     assert abs(estimate.mean - 2.0) <= 4.0 * estimate.std_error
 
 
-def test_monte_carlo_step_cap():
-    with pytest.raises(NonConvergenceError, match="step cap"):
-        classical_monte_carlo(np.eye(2), 0, [1], trials=10, seed=0, step_cap=100)
+def test_monte_carlo_step_cap(monkeypatch):
+    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", 100)
+    with pytest.raises(NonConvergenceError, match="step cap 100"):
+        classical_monte_carlo(np.eye(2), 0, [1], trials=10, seed=0)
 
 
 def test_monte_carlo_validations():
