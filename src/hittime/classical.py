@@ -31,7 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ValidationError
-from .linalg import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, Tolerance, fixed_space
+from .linalg import (
+    DEFAULT_TOL,
+    DISTRIBUTION_SUM_TOL,
+    Tolerance,
+    bordered,
+    bordered_solve,
+    fixed_space,
+    isolates_fixed_vector,
+)
 from .maps import validate_column_stochastic
 
 __all__ = [
@@ -70,7 +78,11 @@ def build_chain(p, tol: Tolerance | None = None) -> MarkovChain:
     """Validate a column-stochastic matrix and build its fundamental matrix.
 
     The chain must be irreducible: the eigenvalue-1 eigenspace of P must be
-    one-dimensional with a strictly positive stationary vector.
+    one-dimensional with a strictly positive stationary vector.  pi comes
+    from one bordered solve (:func:`~hittime.linalg.bordered_solve`), and the
+    values-only SVD of A = I - P + pi 1^T certifies the dimension
+    (:func:`~hittime.linalg.isolates_fixed_vector`); otherwise
+    :func:`~hittime.linalg.fixed_space` decides.  Z is the inverse of A.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -78,22 +90,30 @@ def build_chain(p, tol: Tolerance | None = None) -> MarkovChain:
     # row-oriented file) gives bit for bit the products a column file gives.
     arr = validate_column_stochastic(p, tol).copy()
     n = arr.shape[0]
-    basis = fixed_space(arr, tol)
-    if len(basis) != 1:
-        raise ValidationError(
-            f"chain is not irreducible: stationary space has dimension {len(basis)}"
-        )
-    v = basis[0]
-    pivot = v[int(np.argmax(np.abs(v)))]
-    v = (v * np.conj(pivot) / abs(pivot)).real
-    pi = v / v.sum()
+    every = slice(None)
+    try:
+        pi = bordered_solve(arr, every)
+        a = bordered(arr, pi, every)
+        certified = isolates_fixed_vector(np.linalg.svd(a, compute_uv=False), arr, tol)
+    except np.linalg.LinAlgError:
+        certified = False
+    if not certified:
+        basis = fixed_space(arr, tol)
+        if len(basis) != 1:
+            raise ValidationError(
+                f"chain is not irreducible: stationary space has dimension {len(basis)}"
+            )
+        v = basis[0]
+        pivot = v[int(np.argmax(np.abs(v)))]
+        v = (v * np.conj(pivot) / abs(pivot)).real
+        pi = v / v.sum()
+        a = bordered(arr, pi, every)
     if pi.min() <= tol.atol:
         raise ValidationError(
             f"chain is not irreducible: stationary distribution has a "
             f"non-positive entry ({pi.min():.3e})"
         )
-    omega = np.outer(pi, np.ones(n))
-    z = np.linalg.solve(np.eye(n) - arr + omega, np.eye(n))
+    z = np.linalg.solve(a, np.eye(n))
     return MarkovChain(n, arr, pi, z)
 
 

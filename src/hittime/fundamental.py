@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .linalg import COND_CEIL, DEFAULT_TOL, Tolerance, frobenius, hermitian_form, vec
+from .linalg import COND_CEIL, DEFAULT_TOL, Tolerance, bordered, frobenius, vec
 from .maps import (
     CERTIFIED_IRREDUCIBLE,
     DensityMatrix,
@@ -96,8 +96,9 @@ def fundamental_map(
     """The fundamental map Z = (I - rep + omega)^{-1} of ``t``, as A = I - rep + omega.
 
     Requires a ``certified_irreducible`` certificate and trace preservation.
-    The condition number of A is estimated and surfaced; an A that is
-    singular to working precision raises :class:`NumericError`.
+    The condition number of A is the one the certificate carries (from the
+    values-only SVD :func:`~hittime.maps.invariant_state` certifies with);
+    an A that is singular to working precision raises :class:`NumericError`.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -110,17 +111,16 @@ def fundamental_map(
         raise PreconditionError(
             f"map is not trace preserving (residual {tp.residual:.3e})"
         )
-    # omega = vec(pi) vec(I)^T is nonzero only in the n columns k(n + 1)
-    # where vec(I) is 1.
-    pi = cert.invariant_state
-    a = np.eye(t.rep.shape[0], dtype=np.result_type(t.rep, pi.matrix)) - t.rep
-    a[:, :: t.dim + 1] += vec(pi.matrix)[:, None]
-    cond = float(np.linalg.cond(hermitian_form(a)))
+    cond = cert.condition_estimate
     if not np.isfinite(cond) or cond > COND_CEIL:
         raise NumericError(
             f"fundamental solve is singular to working precision "
             f"(condition estimate {cond:.3e})"
         )
+    # omega = vec(pi) vec(I)^T is nonzero only in the n columns k(n + 1)
+    # where vec(I) is 1.
+    pi = cert.invariant_state
+    a = bordered(t.rep, vec(pi.matrix), slice(None, None, t.dim + 1))
     return FundamentalData(pi, a, cond)
 
 

@@ -239,7 +239,7 @@ def build_superoperator(
     A stochastic spec is oriented by :func:`stochastic_matrix` first.
     """
     if spec.kind == "kraus":
-        return from_kraus(spec.kraus, tol)
+        return from_kraus(spec.kraus)
     if spec.kind == "stochastic":
         return from_stochastic(stochastic_matrix(spec, row_stochastic), tol)
     return from_raw(spec.superoperator)

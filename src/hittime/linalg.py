@@ -13,8 +13,8 @@ which is pinned by the test suite.
 A map that preserves Hermiticity (every positive map does) has a real
 representation in the Hilbert-Schmidt-orthonormal Hermitian basis;
 :func:`hermitian_form` changes to that basis, so the spectral kernels of such
-maps (fixed space, condition numbers, the survival radius) run in real
-arithmetic.
+maps (the bordered solve for the invariant state, the fixed space, condition
+numbers, the survival radius) run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ __all__ = [
     "hermitize",
     "frobenius",
     "fixed_space",
+    "bordered",
+    "bordered_solve",
+    "isolates_fixed_vector",
     "is_psd",
     "PsdCheck",
     "spectral_radius",
@@ -50,6 +53,7 @@ MIN_SPECTRAL_GAP = 1e-9
 COND_CEIL = 1e14
 # How far a start distribution's sum may stray from 1.
 DISTRIBUTION_SUM_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def hermitian_form(a) -> np.ndarray:
         y *= phase * r
     scale = max(w.real.max(), -w.real.min(), 0.0)
     imag = max(w.imag.max(), -w.imag.min(), 0.0)
-    if imag <= d * np.finfo(float).eps * scale:
+    if imag <= d * _EPS * scale:
         return w.real.copy()
     return w
 
@@ -158,6 +162,14 @@ def _from_hermitian_coords(c: np.ndarray) -> np.ndarray:
     return x
 
 
+def _to_hermitian_coords(h) -> np.ndarray:
+    """Real coordinates U* vec(H) of a Hermitian H in the basis of :func:`hermitian_form`."""
+    m = np.asarray(h)
+    i, j = np.triu_indices(m.shape[0], 1)
+    upper = m[i, j] * math.sqrt(2)
+    return np.concatenate([m.diagonal().real, upper.real, upper.imag])
+
+
 def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
     """Orthonormal basis of the numerical eigenvalue-1 eigenspace of ``m``.
 
@@ -166,6 +178,8 @@ def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
     empty when 1 is not an eigenvalue.  A real ``m`` is decomposed in real
     arithmetic; a complex n^2 x n^2 ``m`` (a map on M_n) in its
     :func:`hermitian_form`, with the vectors mapped back to vec coordinates.
+    It takes two SVDs, so the certifying callers run it only when the
+    :func:`bordered_solve` certificate fails, to report the dimension.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -178,6 +192,46 @@ def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
     _, sing, vh = np.linalg.svd(h)
     basis = [vh[i].conj() for i in range(d) if sing[i] <= threshold]
     return [_from_hermitian_coords(v) for v in basis] if lifted else basis
+
+
+def bordered(m, x, cols) -> np.ndarray:
+    """I - m + x e^T, where e is 1 on the coordinates ``cols`` and 0 elsewhere.
+
+    For e^T m = e^T (e = vec(I) for a trace-preserving map, all ones for a
+    column-stochastic matrix) and x the fixed point, its inverse is the
+    fundamental map.  It is singular exactly when a fixed vector has e^T v = 0,
+    that is, when the fixed space has dimension 2 or more.
+    """
+    a = np.eye(m.shape[0], dtype=np.result_type(m, x)) - m
+    a[:, cols] += x[:, None]
+    return a
+
+
+def bordered_solve(m, cols) -> np.ndarray:
+    """The fixed vector x of ``m`` with e^T x = 1, from one solve.
+
+    With r = e / e^T e and e^T m = e^T, (I - m + r e^T) x = r forces
+    e^T x = 1 and (I - m) x = 0.  An exactly singular system raises
+    ``numpy.linalg.LinAlgError``; a nearly singular one gives an inaccurate
+    x, which :func:`isolates_fixed_vector` detects.
+    """
+    r = np.zeros(m.shape[0])
+    r[cols] = 1.0
+    r /= r.sum()
+    return np.linalg.solve(bordered(m, r, cols), r)
+
+
+def isolates_fixed_vector(sing: np.ndarray, m, tol: Tolerance) -> bool:
+    """Whether the singular values of ``bordered(m, x, cols)`` leave m one fixed vector.
+
+    Rank-one interlacing gives sigma_min <= sigma_{d-1}(I - m), so
+    sigma_min > atol + rtol * ||m||_F (at least the threshold of
+    :func:`fixed_space`, as ||m||_F >= ||m||_2) leaves it one vector at
+    most.  Below d * eps * sigma_max (numpy's ``matrix_rank`` cut) sigma_min
+    is rounding, and x need not be a fixed point at all.
+    """
+    threshold = tol.atol + tol.rtol * frobenius(m)
+    return bool(sing[-1] > max(threshold, sing.size * _EPS * sing[0]))
 
 
 class PsdCheck(NamedTuple):

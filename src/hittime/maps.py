@@ -10,7 +10,6 @@ column-stochastic matrices, and for raw representation matrices.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,10 +21,16 @@ from .linalg import (
     PsdCheck,
     Tolerance,
     _as_square,
+    _from_hermitian_coords,
+    _to_hermitian_coords,
+    bordered,
+    bordered_solve,
     fixed_space,
     frobenius,
+    hermitian_form,
     hermitize,
     is_psd,
+    isolates_fixed_vector,
     unvec,
     vec,
 )
@@ -100,13 +105,16 @@ class IrreducibilityCertificate:
     """Operational irreducibility verdict for a trace-preserving map.
 
     ``certified_irreducible`` requires a one-dimensional fixed space whose
-    normalized fixed point is a strictly positive state.
+    normalized fixed point is a strictly positive state.  A certified
+    certificate carries the 2-norm condition number of
+    A = I - T + vec(pi) vec(I)^T, whose inverse is the fundamental map.
     """
 
     invariant_state: DensityMatrix | None
     fixed_space_dim: int
     min_eigenvalue_of_pi: float
     verdict: str
+    condition_estimate: float = math.nan
 
 
 class TraceCheck(NamedTuple):
@@ -177,14 +185,13 @@ def as_density(rho, tol: Tolerance | None = None) -> DensityMatrix:
     return density(rho, tol)
 
 
-def from_kraus(kraus_ops: Sequence, tol: Tolerance | None = None) -> SuperOperator:
+def from_kraus(kraus_ops: Sequence) -> SuperOperator:
     """Superoperator of the map X -> sum_i V_i X V_i*.
 
-    Trace preservation (sum V_i* V_i = I) is checked and reported as a
-    warning, never enforced.
+    Trace preservation (sum V_i* V_i = I) is not checked here:
+    :func:`check_trace_preserving` reports it, and the routes that need it
+    (:func:`invariant_state`, the fundamental map) enforce it.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     if len(kraus_ops) == 0:
         raise ValidationError("at least one Kraus operator is required")
     ops = tuple(_finite_square(v, "Kraus operator") for v in kraus_ops)
@@ -197,12 +204,6 @@ def from_kraus(kraus_ops: Sequence, tol: Tolerance | None = None) -> SuperOperat
     rep = np.zeros((n * n, n * n), dtype=complex)
     for v in ops:
         rep += np.kron(v, v.conj())
-    residual = frobenius(sum(v.conj().T @ v for v in ops) - np.eye(n))
-    if residual > tol.atol + tol.rtol * math.sqrt(n):
-        warnings.warn(
-            f"Kraus operators are not trace preserving (residual {residual:.3e})",
-            stacklevel=2,
-        )
     return SuperOperator(n, rep, "kraus")
 
 
@@ -326,11 +327,19 @@ def positivity_sample(
 def invariant_state(
     t: SuperOperator, tol: Tolerance | None = None
 ) -> IrreducibilityCertificate:
-    """Compute the fixed space of the map and certify irreducibility.
+    """Compute the invariant state of the map and certify irreducibility.
 
-    The map must be trace preserving.  A one-dimensional fixed space whose
-    Hermitized, trace-normalized fixed point is a strictly positive state
-    yields the verdict ``certified_irreducible``; a larger fixed space yields
+    The map must be trace preserving.  In the Hermitian basis of
+    :func:`hermitian_form` (real when the map preserves Hermiticity), with
+    e = vec(I), the candidate pi comes from one bordered solve
+    (:func:`bordered_solve`), and the values-only SVD of
+    A = I - T + vec(pi) e^T certifies a one-dimensional fixed space
+    (:func:`isolates_fixed_vector`).  The same SVD gives the condition
+    number of A that :func:`~hittime.fundamental.fundamental_map` gates on.
+    When the certificate fails, :func:`fixed_space` decides and reports the
+    dimension.  A one-dimensional fixed space whose Hermitized,
+    trace-normalized fixed point is a strictly positive state yields the
+    verdict ``certified_irreducible``; a larger fixed space yields
     ``not_irreducible``; degenerate numerical outcomes are ``inconclusive``.
     """
     if tol is None:
@@ -340,14 +349,31 @@ def invariant_state(
         raise PreconditionError(
             f"map is not trace preserving (residual {tp.residual:.3e})"
         )
-    basis = fixed_space(t.rep, tol)
-    dim = len(basis)
-    if dim == 0:
-        return IrreducibilityCertificate(None, 0, float("nan"), INCONCLUSIVE)
-    if dim > 1:
-        return IrreducibilityCertificate(None, dim, float("nan"), NOT_IRREDUCIBLE)
-    candidate = hermitize(unvec(basis[0]))
-    tr = float(np.trace(candidate).real)
+    h = hermitian_form(t.rep)
+    head = slice(0, t.dim)  # vec(I) in the Hermitian basis
+
+    def fundamental_singular_values(pi: np.ndarray) -> np.ndarray:
+        a = bordered(h, _to_hermitian_coords(pi), head)
+        return np.linalg.svd(a, compute_uv=False)
+
+    sing = None
+    try:
+        candidate = hermitize(unvec(_from_hermitian_coords(bordered_solve(h, head))))
+        tr = float(np.trace(candidate).real)
+        if abs(tr) >= _TRACE_FLOOR:
+            sing = fundamental_singular_values(candidate / tr)
+    except np.linalg.LinAlgError:
+        pass
+    if sing is None or not isolates_fixed_vector(sing, h, tol):
+        sing = None
+        basis = fixed_space(t.rep, tol)
+        dim = len(basis)
+        if dim == 0:
+            return IrreducibilityCertificate(None, 0, float("nan"), INCONCLUSIVE)
+        if dim > 1:
+            return IrreducibilityCertificate(None, dim, float("nan"), NOT_IRREDUCIBLE)
+        candidate = hermitize(unvec(basis[0]))
+        tr = float(np.trace(candidate).real)
     if abs(tr) < _TRACE_FLOOR:
         return IrreducibilityCertificate(None, 1, float("nan"), INCONCLUSIVE)
     pi = candidate / tr
@@ -355,9 +381,13 @@ def invariant_state(
     fixed_residual = frobenius(apply(t, pi) - pi)
     if not check.ok or fixed_residual > _FIXED_RESIDUAL_CEIL:
         return IrreducibilityCertificate(None, 1, check.min_eigenvalue, INCONCLUSIVE)
-    verdict = (
-        CERTIFIED_IRREDUCIBLE if check.min_eigenvalue > tol.atol else NOT_IRREDUCIBLE
-    )
+    if check.min_eigenvalue <= tol.atol:
+        return IrreducibilityCertificate(
+            DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE
+        )
+    if sing is None:
+        sing = fundamental_singular_values(pi)
+    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
     return IrreducibilityCertificate(
-        DensityMatrix(pi), 1, check.min_eigenvalue, verdict
+        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond
     )

@@ -1,0 +1,150 @@
+"""The bordered certificate: pi from one solve, the dimension from one values-only SVD."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+import hittime
+import hittime.maps
+from hittime import (
+    CERTIFIED_IRREDUCIBLE,
+    SuperOperator,
+    build_chain,
+    from_kraus,
+    fundamental_map,
+    hermitize,
+    invariant_state,
+    unvec,
+)
+from hittime.linalg import bordered, bordered_solve, fixed_space
+from hittime.sampling import random_column_stochastic
+
+EPSILONS = [1e-1, 1e-3, 1e-6, 1e-9, 1e-11, 1e-13, 0.0]
+
+
+def kraus_family(rng, n, rank):
+    """Gaussian Kraus family whitened to sum V_i* V_i = I."""
+    g = rng.standard_normal((rank, n, n)) + 1j * rng.standard_normal((rank, n, n))
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", g.conj(), g))
+    return list(g @ ((v * w**-0.5) @ v.conj().T))
+
+
+def block_map(rng, n, eps):
+    """A channel that keeps the two halves of C^n apart, mixed with a random one at eps."""
+    half = n // 2
+    ops = np.zeros((2, n, n), dtype=complex)
+    ops[:, :half, :half] = kraus_family(rng, half, 2)
+    ops[:, half:, half:] = kraus_family(rng, n - half, 2)
+    mixer = from_kraus(kraus_family(rng, n, 2))
+    return SuperOperator(n, (1 - eps) * from_kraus(list(ops)).rep + eps * mixer.rep, "raw")
+
+
+def random_maps():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 5, 8, 12, 16):
+        for rank in (1, 2, 3):
+            yield f"kraus-{n}-{rank}", from_kraus(kraus_family(rng, n, rank))
+    for n in (4, 6, 8):
+        for eps in EPSILONS:
+            yield f"block-{n}-{eps:g}", block_map(rng, n, eps)
+
+
+@pytest.mark.parametrize("label,t", list(random_maps()), ids=lambda v: v if isinstance(v, str) else "")
+def test_bordered_verdict_matches_the_svd_rule(label, t):
+    basis = fixed_space(t.rep)
+    cert = invariant_state(t)
+    assert cert.fixed_space_dim == len(basis)
+    if len(basis) != 1:
+        return
+    assert cert.verdict == CERTIFIED_IRREDUCIBLE
+    candidate = hermitize(unvec(basis[0]))
+    reference = candidate / np.trace(candidate).real
+    if cert.condition_estimate < 1e6:
+        assert_allclose(cert.invariant_state.matrix, reference, rtol=0, atol=1e-12)
+
+
+def test_bordered_solve_gives_the_fixed_point_of_unit_sum():
+    p = random_column_stochastic(7, np.random.default_rng(1))
+    every = slice(None)
+    pi = bordered_solve(p, every)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-15)
+    assert_allclose(p @ pi, pi, atol=1e-15)
+    a = bordered(p, pi, every)
+    assert_allclose(a, np.eye(7) - p + np.outer(pi, np.ones(7)), atol=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        bordered_solve(np.eye(3), every)
+
+
+def _record_decompositions(monkeypatch):
+    """Record (name, shape, compute_uv) of every SVD-backed numpy.linalg call."""
+    calls = []
+    originals = {name: getattr(np.linalg, name) for name in ("svd", "cond", "norm")}
+
+    def recording(name):
+        def recorder(a, *args, **kwargs):
+            arr = np.asarray(a)
+            order = kwargs.get("ord", args[0] if args else None)
+            if name != "norm" or (arr.ndim == 2 and order in (2, -2, "nuc")):
+                calls.append((name, arr.shape, kwargs.get("compute_uv", True)))
+            return originals[name](a, *args, **kwargs)
+        return recorder
+
+    for name in originals:
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    return calls
+
+
+@pytest.fixture()
+def fixed_space_calls(monkeypatch):
+    """Arguments of every fixed_space call that invariant_state makes."""
+    calls = []
+    monkeypatch.setattr(
+        hittime.maps, "fixed_space",
+        lambda *args, **kwargs: calls.append(args) or fixed_space(*args, **kwargs),
+    )
+    return calls
+
+
+def test_certified_map_takes_one_values_only_svd(monkeypatch, fixed_space_calls):
+    n = 5
+    t = from_kraus(kraus_family(np.random.default_rng(2), n, 2))
+    calls = _record_decompositions(monkeypatch)
+    cert = invariant_state(t)
+    fd = fundamental_map(t, cert)
+    assert cert.verdict == CERTIFIED_IRREDUCIBLE
+    assert calls == [("svd", (n * n, n * n), False)]
+    assert not fixed_space_calls
+    assert fd.condition_estimate == cert.condition_estimate
+    assert cert.condition_estimate == pytest.approx(
+        np.linalg.cond(fd.a_rep), rel=1e-10
+    )
+
+
+def test_reducible_map_still_reports_its_fixed_space_dimension(fixed_space_calls):
+    cert = invariant_state(from_kraus([np.eye(3)]))
+    assert cert.fixed_space_dim == 9
+    assert len(fixed_space_calls) == 1
+
+
+def test_build_chain_takes_one_values_only_svd(monkeypatch):
+    p = random_column_stochastic(9, np.random.default_rng(4))
+    calls = _record_decompositions(monkeypatch)
+    mc = build_chain(p)
+    assert calls == [("svd", (9, 9), False)]
+    assert_allclose(p @ mc.pi, mc.pi, atol=1e-15)
+    assert_allclose(mc.z @ (np.eye(9) - p + np.outer(mc.pi, np.ones(9))), np.eye(9), atol=1e-12)
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    src = str(Path(hittime.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hittime.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

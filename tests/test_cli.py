@@ -3,7 +3,11 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,12 +353,60 @@ def test_hit_judges_the_map_under_the_command_tolerance(runner, tmp_path):
     )
     assert direct.exit_code == 5
     assert "cross-check failed" in direct.stderr
-    with pytest.warns(UserWarning, match="not trace preserving"):
-        refused = runner.invoke(
-            main, ["hit", map_path, str(tmp_path / "q.json"), "--tol", "1e-15"]
-        )
+    refused = runner.invoke(
+        main, ["hit", map_path, str(tmp_path / "q.json"), "--tol", "1e-15"]
+    )
     assert refused.exit_code == 2
     assert refused.stderr == "error: map is not trace preserving (residual 5.657e-12)\n"
+
+
+def test_trace_preservation_refusal_is_one_error_line_under_warnings_as_errors(tmp_path):
+    """The scaled demo map of the test above, run as ``python -W error -m hittime``."""
+    ops = [(1 + 2e-12) * op for op in examples.qubit_demo_kraus()]
+    map_path = write(tmp_path, "scaled.json", {
+        "dim": 2,
+        "kraus": [[[[z.real, z.imag] for z in row] for row in op] for op in ops],
+    })
+    query_path = qubit_query_file(tmp_path, method="mhtf")
+    env = dict(os.environ, PYTHONPATH=str(Path(hittime.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hittime", *argv, "--tol", "1e-15"],
+            env=env, capture_output=True, text=True,
+        )
+
+    validated = run("validate", map_path)
+    assert validated.returncode == 2
+    assert validated.stderr == ""
+    assert "trace preserving     no (residual 5.65704312864e-12)" in validated.stdout
+    refused = run("hit", map_path, query_path)
+    assert refused.returncode == 2
+    assert refused.stderr == "error: map is not trace preserving (residual 5.657e-12)\n"
+
+
+@pytest.mark.parametrize(
+    "chain,min_eigenvalue",
+    [
+        ([[0.5, 0.5], [0.5, 0.5]], 0.5),
+        ([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], 1 / 3),
+    ],
+)
+def test_validate_at_zero_tolerance_certifies_an_exactly_stochastic_chain(
+    runner, tmp_path, chain, min_eigenvalue
+):
+    """A trace-preserving map always has a fixed point; at --tol 0 the bordered
+    certificate finds it where an SVD threshold of 0 found none."""
+    path = write(tmp_path, "chain.json", {"dim": len(chain), "stochastic": chain})
+    result = runner.invoke(main, ["validate", path, "--tol", "0", "--json"])
+    assert result.exit_code == 0, result.output
+    verdict = json.loads(result.output)["irreducibility"]
+    assert verdict["verdict"] == "certified_irreducible"
+    assert verdict["fixed_space_dim"] == 1
+    assert verdict["min_eigenvalue_of_pi"] == pytest.approx(min_eigenvalue, abs=1e-15)
+    kac = runner.invoke(main, ["classical", "kac", path, "-j", "1", "--tol", "0", "--json"])
+    assert kac.exit_code == 0, kac.output
+    assert json.loads(kac.output)["tau"] == pytest.approx(len(chain), rel=1e-14)
 
 
 def test_hit_batch_records_match_single_queries(runner, tmp_path):
@@ -713,8 +765,7 @@ def test_selftest_detects_perturbation(runner, monkeypatch):
         return left, right
 
     monkeypatch.setattr(examples, "qubit_demo_kraus", perturbed)
-    with pytest.warns(UserWarning):
-        result = runner.invoke(main, ["selftest"], catch_exceptions=False)
+    result = runner.invoke(main, ["selftest"], catch_exceptions=False)
     assert result.exit_code == 4
     assert "FAIL" in result.output
 

@@ -1,4 +1,4 @@
-import warnings
+import math
 
 import numpy as np
 import pytest
@@ -68,9 +68,10 @@ def test_from_kraus_rejects_empty_list():
         from_kraus([])
 
 
-def test_from_kraus_warns_when_not_trace_preserving():
-    with pytest.warns(UserWarning, match="not trace preserving"):
-        from_kraus([0.5 * np.eye(2)])
+def test_from_kraus_leaves_trace_preservation_to_its_check():
+    check = check_trace_preserving(from_kraus([0.5 * np.eye(2)]))
+    assert not check.ok
+    assert check.residual == pytest.approx(0.75 * math.sqrt(2))
 
 
 # ----------------------------------------------------------- from_stochastic
@@ -184,9 +185,7 @@ def test_adjoint_pairing_identity():
     rng = np.random.default_rng(6)
     seeds = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
              for _ in range(2)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        channel = from_kraus(seeds)
+    channel = from_kraus(seeds)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     lhs = np.vdot(unvec(channel.rep.conj().T @ vec(y)), x)
