@@ -170,6 +170,14 @@ def _to_hermitian_coords(h) -> np.ndarray:
     return np.concatenate([m.diagonal().real, upper.real, upper.imag])
 
 
+def _covector_to_hermitian_coords(a) -> np.ndarray:
+    """a U: a covector on row-stacked vecs, carried into the basis of :func:`hermitian_form`."""
+    n = math.isqrt(a.size)
+    diag, upper, lower = _hermitian_basis(n)
+    x, y = a[upper], a[lower]
+    return np.concatenate([a[diag], (x + y) * math.sqrt(0.5), (x - y) * (1j * math.sqrt(0.5))])
+
+
 def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
     """Orthonormal basis of the numerical eigenvalue-1 eigenspace of ``m``.
 
@@ -225,12 +233,14 @@ def isolates_fixed_vector(sing: np.ndarray, m, tol: Tolerance) -> bool:
     """Whether the singular values of ``bordered(m, x, cols)`` leave m one fixed vector.
 
     Rank-one interlacing gives sigma_min <= sigma_{d-1}(I - m), so
-    sigma_min > atol + rtol * ||m||_F (at least the threshold of
-    :func:`fixed_space`, as ||m||_F >= ||m||_2) leaves it one vector at
-    most.  Below d * eps * sigma_max (numpy's ``matrix_rank`` cut) sigma_min
-    is rounding, and x need not be a fixed point at all.
+    sigma_min > atol + rtol * min(||m||_F, sqrt(||m||_1 ||m||_inf)) leaves it
+    one vector at most: both bound ||m||_2, so this is at least the threshold
+    of :func:`fixed_space` (the Hoelder bound is the tighter for maps on M_n).
+    Below d * eps * sigma_max (numpy's ``matrix_rank`` cut) sigma_min is
+    rounding, and x need not be a fixed point at all.
     """
-    threshold = tol.atol + tol.rtol * frobenius(m)
+    a = np.abs(m)
+    threshold = tol.atol + tol.rtol * min(frobenius(m), math.sqrt(a.sum(0).max() * a.sum(1).max()))
     return bool(sing[-1] > max(threshold, sing.size * _EPS * sing[0]))
 
 

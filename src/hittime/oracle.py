@@ -6,12 +6,14 @@ from their definition,
     pi_r = Tr(P T (Q T)^{r-1} rho),    tau = sum_r r pi_r,
 
 by iterating the survival map, without touching the resolvent solves used by
-the hitting module.  A Monte-Carlo trajectory estimator provides a second,
-statistical oracle for classical chains.
+the hitting module, in the Hermitian basis where QT of a positive map is
+real and b terms per step.  A Monte-Carlo trajectory estimator provides a
+second, statistical oracle for classical chains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import NonConvergenceError, ValidationError
 from .hitting import ArrivalSubspace
 from .linalg import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius, vec
+from .linalg import _EPS, _covector_to_hermitian_coords, _to_hermitian_coords, hermitian_form
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
 __all__ = [
@@ -56,15 +59,59 @@ class MonteCarloEstimate:
 
 
 def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance | None):
-    """vec(rho), QT, the arrival covector e PP T = vec(conj(P))^T T and the radius of QT."""
-    sigma = vec(as_density(rho, tol).matrix)
+    """Hermitian-basis coordinates of rho, QT and e PP T = vec(conj(P))^T T; the radius of QT."""
+    sigma = _to_hermitian_coords(as_density(rho, tol).matrix)
     radius = survival_radius(t.rep, subspace.complement_basis)
     if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NonConvergenceError(
             f"monitored series does not converge: spectral radius of the "
             f"survival map is {radius:.12g} (map not irreducible)"
         )
-    return sigma, subspace.compress(t.rep), vec(subspace.projector_p.conj()) @ t.rep, radius
+    step = hermitian_form(subspace.compress(t.rep))
+    arrival = _covector_to_hermitian_coords(vec(subspace.projector_p.conj()) @ t.rep)
+    if np.isrealobj(step):  # then every state stays real, so only Re(arrival) counts
+        arrival = arrival.real
+    return sigma, step, arrival, radius
+
+
+def _block_size(d: int, terms: float) -> int:
+    """The power of two b = 2^k that minimizes a cost model of ``terms`` terms.
+
+    In matvec multiply-adds, a matmul doing four per one of a matvec and each
+    Python step paying an overhead worth a 160 x 160 matvec: the k squarings
+    and the row doubling cost (k d + b) d^2 / 4 plus k overheads, and each of
+    the terms / b + 1 steps d^2 + b d plus one overhead.
+    """
+    o = 160**2
+    return 2 ** min(range(16), key=lambda k: (k * d + 2**k) * d * d / 4 + k * o
+                    + (terms / 2**k + 1) * (d * d + 2**k * d + o))
+
+
+def _blocks(sigma, step, arrival, b: int, terms: int):
+    """Yield (r, p, bound) per block of at most b terms, up to ``terms`` terms.
+
+    p holds the block's probabilities from the rows a M^k, k < b, r the terms
+    taken so far and bound an upper bound on ||vec (QT)^r rho||_1.  A full
+    block advances by M^b, a partial last one by single steps.
+    """
+    power, rows = step, arrival[None, :]
+    while rows.shape[0] < b:
+        rows = np.concatenate([rows, rows @ power])
+        power = power @ power
+    # In the Hermitian basis (diagonal first) x_ij, x_ji = (s +- i a) / sqrt(2),
+    # so |x_ij| + |x_ji| <= sqrt(2) (|s| + |a|), complex s, a too: |c| @ weights
+    # bounds ||vec X||_1, on real coordinates by at most sqrt(2) times it.
+    weights = np.full(sigma.size, math.sqrt(2))
+    weights[: math.isqrt(sigma.size)] = 1.0
+    for r in range(0, terms, b):
+        k = min(b, terms - r)
+        p = (rows[:k] @ sigma).real
+        if k == b:
+            sigma = power @ sigma
+        else:
+            for _ in range(k):
+                sigma = step @ sigma
+        yield r + k, p, np.abs(sigma) @ weights
 
 
 def first_visit_series(
@@ -81,13 +128,10 @@ def first_visit_series(
     """
     if r_max < 1:
         raise ValidationError("r_max must be at least 1")
-    sigma, qphi, arrival, radius = _survival_data(t, subspace, rho, tol)
-    probs = np.empty(r_max)
-    for r in range(r_max):
-        probs[r] = (arrival @ sigma).real
-        sigma = qphi @ sigma
-    tail = float(np.linalg.norm(sigma, 1)) / (1.0 - radius)
-    return FirstVisitDistribution(probs, tail, r_max)
+    sigma, step, arrival, radius = _survival_data(t, subspace, rho, tol)
+    blocks = list(_blocks(sigma, step, arrival, _block_size(sigma.size, r_max), r_max))
+    probs = np.concatenate([p for _, p, _ in blocks])
+    return FirstVisitDistribution(probs, blocks[-1][2] / (1.0 - radius), r_max)
 
 
 def tau_series(
@@ -98,30 +142,28 @@ def tau_series(
 ) -> float:
     """Mean hitting time by direct summation of r * pi_r.
 
-    Truncates once the geometric tail estimate of the remaining sum drops
-    below atol / 10, so the series error is dominated by any comparison
-    tolerance down to atol.
+    Truncates at the first block end where the geometric tail estimate of the
+    remaining sum drops below atol / 10, so the series error is dominated by
+    any comparison tolerance down to atol.  The target is floored at
+    4 eps times the running total, its rounding level, so atol = 0 ends too.
     """
     if tol is None:
         tol = DEFAULT_TOL
-    sigma, qphi, arrival, radius = _survival_data(t, subspace, rho, tol)
+    sigma, step, arrival, radius = _survival_data(t, subspace, rho, tol)
     gap = 1.0 - radius
     target = tol.atol / 10.0
+    terms = math.log(max(target, _EPS)) / math.log(radius) if radius > 0 else 1.0
+    b = _block_size(sigma.size, min(terms, _MAX_SERIES_TERMS))
     total = 0.0
-    r = 0
-    while True:
-        r += 1
-        if r > _MAX_SERIES_TERMS:
-            raise NonConvergenceError(
-                f"series did not reach the target accuracy in {_MAX_SERIES_TERMS} terms "
-                f"(spectral radius {radius:.12g})"
-            )
-        total += r * (arrival @ sigma).real
-        sigma = qphi @ sigma
-        # np.abs(sigma).sum() is the 1-norm of sigma, without norm's dispatch.
-        tail = np.abs(sigma).sum() * ((r + 1) * gap + radius) / (gap * gap)
-        if tail < target:
+    for r, p, norm in _blocks(sigma, step, arrival, b, _MAX_SERIES_TERMS):
+        total += np.arange(r - p.size + 1.0, r + 1.0) @ p
+        tail = norm * ((r + 1) * gap + radius) / (gap * gap)
+        if tail < max(target, 4 * _EPS * abs(total)):
             return float(total)
+    raise NonConvergenceError(
+        f"series did not reach the target accuracy in {_MAX_SERIES_TERMS} terms "
+        f"(spectral radius {radius:.12g})"
+    )
 
 
 def classical_monte_carlo(

@@ -148,3 +148,27 @@ def test_importing_the_cli_does_not_import_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_hoelder_bound_certifies_where_the_frobenius_bound_gave_up(monkeypatch, fixed_space_calls):
+    """n = 12 block map mixed at 1e-9: sigma_min(A) lies between the two thresholds.
+
+    With the Frobenius bound the certificate failed and fixed_space ran, for
+    four SVDs; the Hoelder bound sqrt(||T||_1 ||T||_inf) certifies with one.
+    """
+    t = block_map(np.random.default_rng(0), 12, 1e-9)
+    basis = fixed_space(t.rep)
+    calls = _record_decompositions(monkeypatch)
+    cert = invariant_state(t)
+    assert calls == [("svd", (144, 144), False)]
+    assert not fixed_space_calls
+    assert cert.verdict == CERTIFIED_IRREDUCIBLE
+    assert cert.fixed_space_dim == len(basis) == 1
+    candidate = hermitize(unvec(basis[0]))
+    reference = candidate / np.trace(candidate).real
+    # cond(A) is about 2.4e9, so the two routes agree to cond * eps, not to 1e-12.
+    assert cert.condition_estimate > 1e9
+    assert_allclose(
+        cert.invariant_state.matrix, reference, rtol=0,
+        atol=cert.condition_estimate * np.finfo(float).eps,
+    )

@@ -409,6 +409,20 @@ def test_validate_at_zero_tolerance_certifies_an_exactly_stochastic_chain(
     assert json.loads(kac.output)["tau"] == pytest.approx(len(chain), rel=1e-14)
 
 
+def test_hit_at_zero_tolerance_sums_the_series_to_rounding(runner, tmp_path):
+    """At --tol 0 the series stops at the rounding level of its running total."""
+    path = chain_file(tmp_path, p=0.3)
+    query = write(tmp_path, "q.json", {"queries": [
+        {"subspace": {"indices": [2]}, "initial": {"index": 1}, "method": "all"},
+    ]})
+    result = runner.invoke(main, ["hit", path, query, "--tol", "0", "--json"])
+    assert result.exit_code == 0, result.output
+    routes = json.loads(result.output)["routes"]
+    assert set(routes) == {"direct", "mhtf", "series"}
+    for value in routes.values():
+        assert value == pytest.approx(10 / 3, abs=1e-12)
+
+
 def test_hit_batch_records_match_single_queries(runner, tmp_path):
     map_path = qudit_map_file(tmp_path)
     queries = fanout_queries()

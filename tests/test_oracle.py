@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from hittime import (
     NonConvergenceError,
+    SuperOperator,
+    Tolerance,
     ValidationError,
     classical_monte_carlo,
     first_visit_series,
@@ -14,7 +16,9 @@ from hittime import (
 )
 import hittime.oracle
 from hittime.examples import cycle_chain, symmetric_two_state_chain
-from hittime.sampling import random_column_stochastic
+from hittime.sampling import random_column_stochastic, random_cptp_map, random_density, random_subspace
+from test_bordered import block_map
+from test_real_kernels import non_hermiticity_preserving_rep
 
 
 def chain_setup(p_matrix, target_indices):
@@ -94,6 +98,107 @@ def test_tau_series_geometric_mean():
     assert tau_series(channel, sp, pure_density([1.0, 0.0])) == pytest.approx(
         2.0, abs=1e-8
     )
+
+
+def test_tau_series_at_zero_tolerance_stops_at_rounding():
+    """atol = 0 floors the target at the rounding level of the running total."""
+    channel, sp = chain_setup(symmetric_two_state_chain(0.3), [1])
+    tau = tau_series(channel, sp, pure_density([1.0, 0.0]), Tolerance(0.0, 0.0))
+    assert tau == pytest.approx(10 / 3, abs=1e-12)
+
+
+# ------------------------------------------------------- block kernel vs loop
+
+def per_term_series(t, sp, rho, r_max):
+    """pi_1 .. pi_r_max and ||vec((QT)^r_max rho)||_1, one complex matvec per term."""
+    sigma = rho.matrix.reshape(-1).astype(complex)
+    qt = sp.qq_rep @ t.rep
+    arrival = sp.projector_p.conj().reshape(-1) @ t.rep
+    probs = np.empty(r_max)
+    for r in range(r_max):
+        probs[r] = (arrival @ sigma).real
+        sigma = qt @ sigma
+    return probs, np.abs(sigma).sum()
+
+
+def per_term_tau(t, sp, rho):
+    """sum r pi_r, one term at a time, until the tail bound is below rounding."""
+    sigma = rho.matrix.reshape(-1).astype(complex)
+    qt = sp.qq_rep @ t.rep
+    arrival = sp.projector_p.conj().reshape(-1) @ t.rep
+    radius = np.abs(np.linalg.eigvals(qt)).max()
+    gap = 1.0 - radius
+    total, r = 0.0, 0
+    while True:
+        r += 1
+        total += r * (arrival @ sigma).real
+        sigma = qt @ sigma
+        if np.abs(sigma).sum() * ((r + 1) * gap + radius) / gap**2 < 1e-17 * total:
+            return total, radius
+
+
+def _start(kind, n, rng):
+    if kind == "index":
+        return pure_density(np.eye(n)[n - 1])
+    if kind == "vector":
+        return pure_density(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return random_density(n, rng)
+
+
+def _series_cases():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5, 8):
+        t = random_cptp_map(n, 2, rng)
+        for kind in ("index", "vector", "density"):
+            yield f"kraus-{n}-{kind}", t, subspace_from_indices(n, [0]), _start(kind, n, rng)
+        yield f"kraus-{n}-subspace", t, random_subspace(n, 1, rng), _start("density", n, rng)
+    gap = block_map(rng, 8, 1e-2)
+    for kind in ("index", "vector", "density"):
+        yield f"gap-{kind}", gap, subspace_from_indices(8, [0]), _start(kind, 8, rng)
+    raw = SuperOperator(4, non_hermiticity_preserving_rep(), "raw")
+    yield "raw-index", raw, subspace_from_indices(4, [0]), _start("index", 4, rng)
+    yield "raw-subspace", raw, random_subspace(4, 2, rng), _start("vector", 4, rng)
+
+
+SERIES_CASES = list(_series_cases())
+_ids = [case[0] for case in SERIES_CASES]
+
+
+@pytest.mark.parametrize("label,t,sp,rho", SERIES_CASES, ids=_ids)
+def test_block_tau_series_matches_the_per_term_loop(label, t, sp, rho):
+    reference, _ = per_term_tau(t, sp, rho)
+    assert tau_series(t, sp, rho, Tolerance(0.0, 0.0)) == pytest.approx(reference, rel=1e-12)
+    # The default target bounds the truncation: atol / 10 = 1e-11.
+    assert tau_series(t, sp, rho) == pytest.approx(reference, rel=1e-12, abs=1e-11)
+
+
+FIRST_VISIT_LABELS = ("kraus-5-vector", "gap-index", "gap-density", "raw-index", "raw-subspace")
+FIRST_VISIT_CASES = [case for case in SERIES_CASES if case[0] in FIRST_VISIT_LABELS]
+
+
+@pytest.mark.parametrize("b", [1, 8, 64])
+@pytest.mark.parametrize("label,t,sp,rho", FIRST_VISIT_CASES, ids=[case[0] for case in FIRST_VISIT_CASES])
+def test_block_first_visit_series_keeps_r_max_exact(monkeypatch, label, t, sp, rho, b):
+    monkeypatch.setattr(hittime.oracle, "_block_size", lambda d, terms: b)
+    _, radius = per_term_tau(t, sp, rho)
+    for r_max in sorted({1, max(b - 1, 1), b, b + 1, 3 * b + 5}):
+        dist = first_visit_series(t, sp, rho, r_max)
+        probs, norm = per_term_series(t, sp, rho, r_max)
+        assert dist.r_max == r_max
+        assert_allclose(dist.probabilities, probs, rtol=1e-12, atol=1e-15)
+        # The coordinate bound on ||vec sigma||_1 exceeds it by at most sqrt(2).
+        exact = norm / (1.0 - radius)
+        assert exact * (1 - 1e-12) <= dist.tail_bound <= np.sqrt(2) * exact * (1 + 1e-12)
+
+
+def test_block_size_is_a_power_of_two_that_grows_with_the_term_count():
+    block_size = hittime.oracle._block_size
+    assert block_size(400, 1) == 1 and block_size(64, 1) == 1
+    sizes = [block_size(64, terms) for terms in (10, 100, 1_000, 10_000)]
+    assert sizes == sorted(sizes) and sizes[-1] > 1
+    assert all(b & (b - 1) == 0 for b in sizes)
+    # A step at d = 400 is arithmetic, so a few hundred terms use small blocks.
+    assert block_size(400, 200) <= 2
 
 
 # ---------------------------------------------------------------- monte carlo
