@@ -260,7 +260,7 @@ def _survival_resolvent(
     Raises :class:`NumericError` unless the monitored evolution contracts and
     the resolvent is well conditioned.
     """
-    radius = survival_radius(t.rep, subspace.complement_basis)
+    radius = survival_radius(t.rep, subspace.complement_basis, t.provenance == "kraus")
     if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NumericError(
             f"monitored evolution does not contract: spectral radius of the "

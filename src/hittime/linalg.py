@@ -19,6 +19,7 @@ numbers, the survival radius) run in real arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,6 +55,15 @@ COND_CEIL = 1e14
 # How far a start distribution's sum may stray from 1.
 DISTRIBUTION_SUM_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+# The Perron route of survival_radius: the smallest compression size m^2
+# that takes it, its power steps, and its budget of Collatz-Wielandt
+# brackets, one inverse-iteration solve between two.  Against a full eigvals
+# (one BLAS thread, 2-vCPU Xeon, random rank-2 Kraus maps) it costs 0.66
+# against 1.3 ms at m^2 = 64, 1.0 against 4.0 ms at 100 and 6.6 against
+# 56 ms at 324; below 81 the saving is under a millisecond, so eigvals stays.
+_PERRON_MIN_DIM = 81
+_PERRON_POWER_STEPS = 16
+_PERRON_BRACKETS = 10
 
 
 @dataclass(frozen=True)
@@ -107,10 +117,14 @@ def frobenius(x) -> float:
     return float(np.linalg.norm(np.asarray(x)))
 
 
+@functools.lru_cache(maxsize=32)
 def _hermitian_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vec indices of the diagonal entries, of (i, j) and of (j, i) for i < j."""
+    """Vec indices of the diagonal entries, of (i, j) and of (j, i), i < j; cached, read-only."""
     i, j = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), i * n + j, j * n + i
+    indices = np.arange(n) * (n + 1), i * n + j, j * n + i
+    for a in indices:
+        a.flags.writeable = False
+    return indices
 
 
 def hermitian_form(a) -> np.ndarray:
@@ -164,10 +178,10 @@ def _from_hermitian_coords(c: np.ndarray) -> np.ndarray:
 
 def _to_hermitian_coords(h) -> np.ndarray:
     """Real coordinates U* vec(H) of a Hermitian H in the basis of :func:`hermitian_form`."""
-    m = np.asarray(h)
-    i, j = np.triu_indices(m.shape[0], 1)
-    upper = m[i, j] * math.sqrt(2)
-    return np.concatenate([m.diagonal().real, upper.real, upper.imag])
+    flat = np.asarray(h).reshape(-1)
+    diag, upper, _ = _hermitian_basis(math.isqrt(flat.size))
+    off = flat[upper] * math.sqrt(2)
+    return np.concatenate([flat[diag].real, off.real, off.imag])
 
 
 def _covector_to_hermitian_coords(a) -> np.ndarray:
@@ -274,13 +288,73 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mm))))
 
 
-def survival_radius(rep, basis) -> float:
+def _rescaled(x: np.ndarray) -> np.ndarray:
+    """x over its largest entry modulus; a zero or non-finite x is a failed iteration."""
+    scale = float(np.abs(x).max())
+    if not 0.0 < scale < math.inf:
+        raise np.linalg.LinAlgError("zero or non-finite iterate")
+    return x / scale
+
+
+def _collatz_wielandt(h: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """[alpha, beta] with alpha X <= Phi(X) <= beta X, X the matrix of coordinates x.
+
+    Phi is the map whose real Hermitian form is h.  With L the Cholesky
+    factor of X (``LinAlgError`` unless X is positive definite), alpha and
+    beta are the extreme eigenvalues of L^-1 Phi(X) L^-*.
+    """
+    m = math.isqrt(x.size)
+    w = np.linalg.inv(np.linalg.cholesky(_from_hermitian_coords(x).reshape(m, m)))
+    y = _from_hermitian_coords(h @ x).reshape(m, m)
+    eig = np.linalg.eigvalsh(w @ y @ w.conj().T)
+    return float(eig[0]), float(eig[-1])
+
+
+def _perron_radius(h: np.ndarray) -> float | None:
+    """Spectral radius of a positive map from its real Hermitian form h, or None.
+
+    Every positive definite iterate X brackets the radius (Collatz-Wielandt):
+    Phi(X) <= beta X gives r <= beta and Phi(X) >= alpha X gives r >= alpha.
+    Power steps from I precede shifted inverse iteration with
+    sigma = beta + (beta - alpha) > r.  Then (sigma - Phi)^-1 =
+    sum_k Phi^k / sigma^(k+1) is positive, so the iterates stay positive
+    definite, and |sigma - mu| >= sigma - r for every eigenvalue mu, so the
+    Perron eigenvector wins even against a peripheral spectrum.  Returns the
+    midpoint once beta - alpha <= m^2 eps beta; None when an iterate is not
+    positive definite (a singular Perron vector), a solve is singular, or
+    the budget runs out.
+    """
+    d = h.shape[0]
+    x = _to_hermitian_coords(np.eye(math.isqrt(d)))
+    try:
+        for _ in range(_PERRON_POWER_STEPS):
+            x = _rescaled(h @ x)
+        for _ in range(_PERRON_BRACKETS):
+            lo, hi = _collatz_wielandt(h, x)
+            if hi - lo <= d * _EPS * hi:
+                return (lo + hi) / 2
+            shifted = -h
+            shifted.flat[:: d + 1] += 2 * hi - lo
+            x = _rescaled(np.linalg.solve(shifted, x))
+    except np.linalg.LinAlgError:
+        pass
+    return None
+
+
+def survival_radius(rep, basis, positive: bool = False) -> float:
     """Spectral radius of QQ rep for QQ = kron(Q, conj(Q)), Q = B B*.
 
     ``basis`` B is an n x m orthonormal basis of range(Q).  With
     K = kron(B, conj(B)), QQ = K K*, so QQ rep has the nonzero spectrum of
     the m^2 x m^2 compression K* rep K, the map X -> B* T(B X B*) B on M_m.
     That compression is decomposed in its :func:`hermitian_form`.
+
+    ``positive`` asserts that rep is a positive map (a Kraus map is), and
+    so is the compression.  A real form with m^2 >= ``_PERRON_MIN_DIM`` then
+    takes the midpoint of a Collatz-Wielandt bracket alpha <= r <= beta
+    closed to m^2 eps beta (:func:`_perron_radius`).  When the bracket
+    cannot close, and for every other map, it is the form's
+    :func:`spectral_radius`.
     """
     b = np.asarray(basis)
     n, m = b.shape
@@ -291,4 +365,9 @@ def survival_radius(rep, basis) -> float:
     x = b.T @ (np.asarray(rep).reshape(d, n, n) @ bc)
     # Left factor: rows (a, b) contracted with conj(B)[a, g] B[b, h].
     x = b.T @ (bc.T @ x.reshape(n, n * m * m)).reshape(m, n, m * m)
-    return spectral_radius(hermitian_form(x.reshape(m * m, m * m)))
+    h = hermitian_form(x.reshape(m * m, m * m))
+    if positive and m * m >= _PERRON_MIN_DIM and np.isrealobj(h):
+        radius = _perron_radius(h)
+        if radius is not None:
+            return radius
+    return spectral_radius(h)

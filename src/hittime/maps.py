@@ -81,7 +81,8 @@ class SuperOperator:
     rep : ndarray, shape (n^2, n^2)
         Representation matrix acting on row-stacked vectorizations.
     provenance : str
-        One of ``"kraus"``, ``"stochastic"``, ``"raw"``.
+        One of ``"kraus"``, ``"stochastic"``, ``"raw"``.  ``"kraus"`` asserts
+        complete positivity, which the survival radius relies on.
     """
 
     dim: int

@@ -61,7 +61,7 @@ class MonteCarloEstimate:
 def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance | None):
     """Hermitian-basis coordinates of rho, QT and e PP T = vec(conj(P))^T T; the radius of QT."""
     sigma = _to_hermitian_coords(as_density(rho, tol).matrix)
-    radius = survival_radius(t.rep, subspace.complement_basis)
+    radius = survival_radius(t.rep, subspace.complement_basis, t.provenance == "kraus")
     if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NonConvergenceError(
             f"monitored series does not converge: spectral radius of the "

@@ -9,17 +9,32 @@ from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 from hittime import (
+    NonConvergenceError,
+    NumericError,
+    SuperOperator,
+    from_kraus,
     fundamental_map,
+    hitting_maps,
     invariant_state,
     solve_hitting,
     subspace_from_indices,
     subspace_from_vectors,
     tau_series,
+    unvec,
+    vec,
 )
+from hittime import linalg
 from hittime.cli import main
 from hittime.examples import qudit_demo_channel
-from hittime.linalg import fixed_space, hermitian_form, spectral_radius, survival_radius
+from hittime.linalg import (
+    MIN_SPECTRAL_GAP,
+    fixed_space,
+    hermitian_form,
+    spectral_radius,
+    survival_radius,
+)
 from hittime.sampling import random_cptp_map, random_density
+from test_bordered import kraus_family
 
 
 def hermitian_basis_matrix(n: int) -> np.ndarray:
@@ -233,3 +248,157 @@ def test_non_hermiticity_preserving_raw_map_keeps_complex_results(tmp_path):
     for got, (routes, diagnostics) in zip(json.loads(result.output), REFERENCE_HIT):
         _close(got["routes"], routes)
         _close(got["diagnostics"], diagnostics)
+
+
+# The Perron route of survival_radius: a Kraus map's compression with
+# m^2 >= 81 gets its radius from a Collatz-Wielandt bracket closed by
+# inverse iteration, and falls back to eigvals when the bracket cannot close.
+def gap_map(rng, n, eps):
+    """A Kraus map that keeps the two halves of C^n apart, mixed with a random one at eps."""
+    half = n // 2
+    ops = np.zeros((2, n, n), dtype=complex)
+    ops[:, :half, :half] = kraus_family(rng, half, 2)
+    ops[:, half:, half:] = kraus_family(rng, n - half, 2)
+    mixer = kraus_family(rng, n, 2)
+    return from_kraus([math.sqrt(1 - eps) * v for v in ops] + [math.sqrt(eps) * v for v in mixer])
+
+
+def full_survival_radius(t, sub):
+    return float(np.max(np.abs(np.linalg.eigvals(sub.qq_rep @ t.rep))))
+
+
+@pytest.fixture
+def perron_results(monkeypatch):
+    """What each call of linalg._perron_radius returned, None for a fallback."""
+    results = []
+    original = linalg._perron_radius
+
+    def recorder(h):
+        results.append(original(h))
+        return results[-1]
+
+    monkeypatch.setattr(linalg, "_perron_radius", recorder)
+    return results
+
+
+@pytest.mark.parametrize("n", [10, 12, 14, 16])
+@pytest.mark.parametrize("kraus_rank", [2, 3])
+def test_perron_radius_matches_full_survival_spectrum(n, kraus_rank, perron_results):
+    rng = np.random.default_rng(1000 + 10 * n + kraus_rank)
+    t = from_kraus(kraus_family(rng, n, kraus_rank))
+    for rank in (1, 2, 3):
+        for sub in _subspaces(n, rank, rng):
+            del perron_results[:]
+            radius = survival_radius(t.rep, sub.complement_basis, positive=True)
+            # Compressions up to m^2 = 64 keep eigvals.
+            assert perron_results == ([radius] if (n - rank) ** 2 > 64 else [])
+            assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_perron_radius_matches_on_nearly_reducible_maps(eps, perron_results):
+    rng = np.random.default_rng(3)
+    t = gap_map(rng, 12, eps)
+    subspaces = [subspace_from_indices(12, [0]), subspace_from_indices(12, [0, 7])]
+    subspaces += _subspaces(12, 2, rng)
+    for sub in subspaces:
+        radius = survival_radius(t.rep, sub.complement_basis, positive=True)
+        assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-13, abs=0)
+    assert len(perron_results) == len(subspaces)
+
+
+@pytest.mark.parametrize("label", ["kraus-rank-1", "reducible"])
+def test_perron_route_falls_back_to_eigvals_exactly(label, perron_results):
+    """A singular Perron vector leaves the bracket open: the radius is eigvals' own.
+
+    A unitary's is rank one; the reducible map's lives on one half of C^12,
+    which index targets keep apart (a generic subspace would couple them).
+    """
+    rng = np.random.default_rng(4)
+    if label == "kraus-rank-1":
+        t = from_kraus(kraus_family(rng, 12, 1))
+        subspaces = _subspaces(12, 2, rng)
+    else:
+        t = gap_map(rng, 12, 0.0)
+        subspaces = [subspace_from_indices(12, [0, 1]), subspace_from_indices(12, [0, 6])]
+    for sub in subspaces:
+        del perron_results[:]
+        radius = survival_radius(t.rep, sub.complement_basis, positive=True)
+        assert perron_results == [None]
+        assert radius == survival_radius(t.rep, sub.complement_basis)
+
+
+def _recording_eigvals(monkeypatch):
+    shapes = []
+    original = np.linalg.eigvals
+
+    def recorder(a):
+        shapes.append(np.asarray(a).shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorder)
+    return shapes
+
+
+def test_raw_map_that_is_not_positive_takes_eigvals(monkeypatch, perron_results):
+    n = 12
+    rng = np.random.default_rng(6)
+    # Half a channel and half of X -> Tr(X) I / n - X: trace preserving and
+    # Hermiticity preserving, so its form is real, but not positive.
+    psi = np.outer(vec(np.eye(n)) / n, vec(np.eye(n))) - np.eye(n * n)
+    t = SuperOperator(n, 0.5 * random_cptp_map(n, 2, rng).rep + 0.5 * psi, "raw")
+    e00 = np.zeros((n, n))
+    e00[0, 0] = 1.0
+    assert np.linalg.eigvalsh(unvec(t.rep @ vec(e00)))[0] < 0
+    assert np.isrealobj(hermitian_form(t.rep))
+    shapes = _recording_eigvals(monkeypatch)
+    sub = subspace_from_indices(n, [0, 1])
+    radius = hitting_maps(t, sub).spectral_radius_qphi
+    tau_series(t, sub, np.eye(n) / n)
+    assert perron_results == []
+    assert shapes == [(100, 100)] * 2
+    assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-12)
+
+
+def test_kraus_solve_and_series_take_no_eigvals(monkeypatch, perron_results):
+    n = 12
+    rng = np.random.default_rng(7)
+    t = from_kraus(kraus_family(rng, n, 2))
+    cert = invariant_state(t)
+    fd = fundamental_map(t, cert)
+    shapes = _recording_eigvals(monkeypatch)
+    for sub in _subspaces(n, 2, rng):
+        del perron_results[:]
+        hs = solve_hitting(t, sub, cert, fd=fd)
+        tau_series(t, hs.subspace, random_density(n, rng))
+        assert len(perron_results) == 2 and None not in perron_results
+        assert perron_results[0] == hs.spectral_radius_qphi
+    assert shapes == []
+
+
+def test_perron_route_keeps_the_refusal_messages(perron_results):
+    t = gap_map(np.random.default_rng(0), 12, 1e-12)
+    sub = subspace_from_indices(12, [0])
+    radius = survival_radius(t.rep, sub.complement_basis)  # the eigvals route
+    assert radius >= 1.0 - MIN_SPECTRAL_GAP
+    with pytest.raises(NumericError) as refused:
+        hitting_maps(t, sub)
+    assert str(refused.value) == (
+        f"monitored evolution does not contract: spectral radius of the "
+        f"survival map is {radius:.12g} (map reducible or subspace trivial)"
+    )
+    with pytest.raises(NonConvergenceError) as refused:
+        tau_series(t, sub, np.eye(12) / 12)
+    assert str(refused.value) == (
+        f"monitored series does not converge: spectral radius of the "
+        f"survival map is {radius:.12g} (map not irreducible)"
+    )
+    assert len(perron_results) == 2
+
+
+def test_hermitian_basis_is_cached_and_read_only():
+    first = linalg._hermitian_basis(5)
+    assert linalg._hermitian_basis(5) is first
+    for indices in first:
+        with pytest.raises(ValueError):
+            indices[0] = 0
