@@ -23,10 +23,7 @@ from .errors import (
 )
 from .fundamental import (
     FundamentalData,
-    FundamentalReport,
-    build_omega,
     fundamental_map,
-    verify_fundamental_identities,
 )
 from .hitting import (
     ORTHOGONALITY_TOL,
@@ -34,10 +31,7 @@ from .hitting import (
     FirstStep,
     HittingSolution,
     OrthogonalMhtf,
-    block,
     condition_first_step,
-    dnl_maps,
-    hitting_maps,
     hitting_probability,
     mean_hitting_time_direct,
     mhtf_general,

@@ -9,44 +9,36 @@ Its inverse Z is the fundamental map; it is trace preserving and satisfies
     Omega^2 = T Omega = Omega T = Omega.
 
 Z is only ever applied: a covector l is carried through it by one transposed
-solve of A = I - T + Omega, and the dense Omega and Z are built on first
-access only, for the identity checks.  The identities are exposed as a
-diagnostic report rather than asserted in the constructor, so construction
-stays cheap while the identities remain first-class testable artifacts.
+solve of A = I - T + Omega.  The dense Omega and Z, and the residuals of the
+identities above, live in :mod:`hittime.blocks`, the reference route of the
+identity checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .linalg import COND_CEIL, DEFAULT_TOL, Tolerance, bordered, frobenius, vec
+from .linalg import COND_CEIL, DEFAULT_TOL, Tolerance, bordered, vec
 from .maps import (
     CERTIFIED_IRREDUCIBLE,
     DensityMatrix,
     IrreducibilityCertificate,
     SuperOperator,
-    as_density,
     check_trace_preserving,
 )
 
-__all__ = [
-    "FundamentalData",
-    "FundamentalReport",
-    "build_omega",
-    "fundamental_map",
-    "verify_fundamental_identities",
-]
+__all__ = ["FundamentalData", "fundamental_map"]
+
 
 @dataclass(frozen=True, eq=False)
 class FundamentalData:
     """Invariant state pi and the matrix A = I - T + Omega whose inverse is Z.
 
-    :meth:`z_covector` applies Z to a covector by one solve; the dense
-    ``omega_rep`` and ``z_rep`` are computed on first access.
+    :meth:`z_covector` applies Z to a covector by one solve; no dense Omega
+    or Z is kept (:mod:`hittime.blocks` builds them for the reference checks).
     """
 
     pi: DensityMatrix
@@ -61,31 +53,6 @@ class FundamentalData:
             raise NumericError(
                 f"fundamental solve failed (condition estimate {self.condition_estimate:.3e})"
             ) from exc
-
-    @cached_property
-    def omega_rep(self) -> np.ndarray:
-        return build_omega(self.pi)
-
-    @cached_property
-    def z_rep(self) -> np.ndarray:
-        # Column j of the solve against the identity is row j of Z.
-        return self.z_covector(np.eye(self.a_rep.shape[0])).T
-
-
-@dataclass(frozen=True, eq=False)
-class FundamentalReport:
-    """Frobenius residuals of the fundamental-map identities."""
-
-    residuals: dict[str, float]
-    max_residual: float
-    ok: bool
-
-
-def build_omega(pi, tol: Tolerance | None = None) -> np.ndarray:
-    """Rank-one representation vec(pi) vec(I)^T of the map rho -> Tr(rho) pi."""
-    state = as_density(pi, tol)
-    n = state.dim
-    return np.outer(vec(state.matrix), vec(np.eye(n)))
 
 
 def fundamental_map(
@@ -123,31 +90,3 @@ def fundamental_map(
     a = bordered(t.rep, vec(pi.matrix), slice(None, None, t.dim + 1))
     return FundamentalData(pi, a, cond)
 
-
-def verify_fundamental_identities(
-    fd: FundamentalData,
-    t: SuperOperator,
-    tol: Tolerance | None = None,
-) -> FundamentalReport:
-    """Report Frobenius residuals of the algebraic identities of Z and Omega."""
-    if tol is None:
-        tol = DEFAULT_TOL
-    omega, z, rep = fd.omega_rep, fd.z_rep, t.rep
-    d = rep.shape[0]
-    eye = np.eye(d)
-    n = fd.pi.dim
-    vec_eye = vec(np.eye(n))
-    residuals = {
-        "omega_idempotent": frobenius(omega @ omega - omega),
-        "phi_omega": frobenius(rep @ omega - omega),
-        "omega_phi": frobenius(omega @ rep - omega),
-        "z_omega": frobenius(z @ omega - omega),
-        "omega_z": frobenius(omega @ z - omega),
-        "z_one_minus_phi": frobenius(z @ (eye - rep) - (eye - omega)),
-        "one_minus_phi_z": frobenius((eye - rep) @ z - (eye - omega)),
-        "z_inverse": frobenius(z @ (eye - rep + omega) - eye),
-        "z_trace_preserving": frobenius(z.conj().T @ vec_eye - vec_eye),
-        "omega_trace_preserving": frobenius(omega.conj().T @ vec_eye - vec_eye),
-    }
-    worst = max(residuals.values())
-    return FundamentalReport(residuals, worst, worst <= tol.atol)

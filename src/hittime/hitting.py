@@ -15,14 +15,14 @@ and :func:`mhtf_general`.
 
 Every answer is a linear functional of the start state, <l, vec(rho)> for a
 fixed covector l, so :func:`solve_hitting` keeps only the covectors, found by
-transposed vector solves against I - QT.  The dense H, K and blocks of K are
-left to :func:`hitting_maps`, for the identity and golden checks.
+transposed vector solves against I - QT.  The dense H, K, their blocks and
+D, N, L live in :mod:`hittime.blocks`, the reference route of the identity
+and golden checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,13 +58,10 @@ __all__ = [
     "ORTHOGONALITY_TOL",
     "subspace_from_vectors",
     "subspace_from_indices",
-    "hitting_maps",
-    "block",
     "solve_hitting",
     "hitting_probability",
     "mean_hitting_time_direct",
     "mhtf_orthogonal",
-    "dnl_maps",
     "condition_first_step",
     "mhtf_general",
 ]
@@ -82,9 +79,9 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 class ArrivalSubspace:
     """Orthogonal projector pair (P, Q = I - P) for a proper nonzero subspace.
 
-    :meth:`compress` applies X -> QXQ, which is QQ = kron(Q, conj(Q)) on
-    row-stacked vecs, without forming that n^2 x n^2 matrix.  The dense lifts
-    ``pp_rep``, ``qq_rep`` and ``rr_rep`` serve the dense reference maps only.
+    :meth:`compress` applies X -> QXQ, which is QQ = Q (x) conj(Q) on
+    row-stacked vecs, without forming that n^2 x n^2 matrix;
+    :func:`hittime.blocks.lift` builds the dense lifts for the reference checks.
     """
 
     dim_ambient: int
@@ -111,20 +108,6 @@ class ArrivalSubspace:
         n, qc = self.dim_ambient, self.projector_q.conj()
         return (qc @ covector.reshape(n, n) @ qc).reshape(-1)
 
-    @cached_property
-    def pp_rep(self) -> np.ndarray:
-        p = self.projector_p
-        return np.kron(p, p.conj())
-
-    @cached_property
-    def qq_rep(self) -> np.ndarray:
-        q = self.projector_q
-        return np.kron(q, q.conj())
-
-    @cached_property
-    def rr_rep(self) -> np.ndarray:
-        return np.eye(self.dim_ambient**2) - self.pp_rep - self.qq_rep
-
 
 @dataclass(frozen=True, eq=False)
 class HittingSolution:
@@ -139,8 +122,8 @@ class HittingSolution:
     - ``return_covector``       e K11 Z (I - QQ)   (return summand of the mhtf)
     - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
 
-    Dense ``h_rep``, ``k_rep`` and the blocks ``k11``, ``k12``, ``k22`` are
-    computed by :func:`hitting_maps` on first access; no query touches them.
+    It holds no dense map: :func:`hittime.blocks.hitting_maps` builds H and K
+    for the reference checks.
     """
 
     map: SuperOperator
@@ -155,37 +138,6 @@ class HittingSolution:
     condition_estimate: float
     tol: Tolerance
 
-    @cached_property
-    def _dense(self) -> HittingMapsResult:
-        return hitting_maps(self.map, self.subspace, self.tol)
-
-    @property
-    def h_rep(self) -> np.ndarray:
-        return self._dense.h_rep
-
-    @property
-    def k_rep(self) -> np.ndarray:
-        return self._dense.k_rep
-
-    @cached_property
-    def k11(self) -> np.ndarray:
-        return block(self.k_rep, self.subspace, 1, 1)
-
-    @cached_property
-    def k12(self) -> np.ndarray:
-        return block(self.k_rep, self.subspace, 1, 2)
-
-    @cached_property
-    def k22(self) -> np.ndarray:
-        return block(self.k_rep, self.subspace, 2, 2)
-
-
-class HittingMapsResult(NamedTuple):
-    h_rep: np.ndarray
-    k_rep: np.ndarray
-    spectral_radius_qphi: float
-    condition_estimate: float
-
 
 class OrthogonalMhtf(NamedTuple):
     tau: float
@@ -197,12 +149,6 @@ class FirstStep(NamedTuple):
     absorbed: bool
     weight: float
     next_state: DensityMatrix | None
-
-
-class DnlMaps(NamedTuple):
-    d_rep: np.ndarray
-    n_rep: np.ndarray
-    l_rep: np.ndarray
 
 
 def subspace_from_vectors(vectors, tol: Tolerance | None = None) -> ArrivalSubspace:
@@ -274,33 +220,6 @@ def _survival_resolvent(
             f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
         )
     return m, radius, cond
-
-
-def hitting_maps(
-    t: SuperOperator,
-    subspace: ArrivalSubspace,
-    tol: Tolerance | None = None,
-) -> HittingMapsResult:
-    """Representations of H = T (I - QT)^{-1} and K = T (I - QT)^{-2}.
-
-    Computed by two successive linear solves (never by squaring an inverse).
-    Requires the monitored evolution QT to contract, which holds whenever the
-    map is certified irreducible and the subspace is proper.
-    """
-    m, radius, cond = _survival_resolvent(t, subspace)
-    h_rep = np.linalg.solve(m.T, t.rep.T).T
-    k_rep = np.linalg.solve(m.T, h_rep.T).T
-    return HittingMapsResult(h_rep, k_rep, radius, cond)
-
-
-def block(t_rep: np.ndarray, subspace: ArrivalSubspace, i: int, j: int) -> np.ndarray:
-    """Full-size block of the decomposition induced by I - QQ (index 1) and QQ (2)."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValidationError("block indices must be 1 or 2")
-    eye = np.eye(t_rep.shape[0])
-    left = eye - subspace.qq_rep if i == 1 else subspace.qq_rep
-    right = eye - subspace.qq_rep if j == 1 else subspace.qq_rep
-    return left @ t_rep @ right
 
 
 def solve_hitting(
@@ -435,14 +354,6 @@ def mhtf_orthogonal(
     psi_term = _pair(hs.return_covector, vec(psi_state.matrix))
     phi_term = _pair(hs.start_covector, vec(phi_state.matrix))
     return OrthogonalMhtf(psi_term - phi_term, psi_term, phi_term)
-
-
-def dnl_maps(hs: HittingSolution) -> DnlMaps:
-    """Diagonal part D of K, off-diagonal part N = K - D, and L = K - N T."""
-    d_rep = hs.k11 + hs.k22
-    n_rep = hs.k_rep - d_rep
-    l_rep = hs.k_rep - n_rep @ hs.map.rep
-    return DnlMaps(d_rep, n_rep, l_rep)
 
 
 def condition_first_step(

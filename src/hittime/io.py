@@ -12,6 +12,7 @@ indices in files are 1-based.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError
 from .hitting import ArrivalSubspace, subspace_from_indices, subspace_from_vectors
-from .linalg import DEFAULT_TOL, Tolerance, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, hermitize, scaled_norm
 from .maps import DensityMatrix, SuperOperator, density, from_kraus, from_raw, from_stochastic, pure_density
 
 __all__ = [
@@ -393,9 +394,11 @@ def realize_initial(
         v = np.asarray(query.initial_value, dtype=complex)
         if v.size != n:
             raise DimensionError(f"initial vector has length {v.size}, expected {n}")
-        norm = float(np.linalg.norm(v))
+        norm = scaled_norm(v)
         if norm == 0.0:
             raise ParseError("initial vector must be nonzero")
+        if norm == math.inf:
+            raise _fail("initial vector norm", _OUT_OF_RANGE)
         return InitialState(pure_density(v), norm, "pure state")
     if kind == "distribution":
         x = np.asarray(query.initial_value, dtype=float)
@@ -403,9 +406,12 @@ def realize_initial(
             raise DimensionError(f"initial distribution has length {x.size}, expected {n}")
         if x.min() < 0:
             raise ParseError("initial distribution must be non-negative")
-        total = float(x.sum())
+        with np.errstate(over="ignore"):
+            total = float(x.sum())
         if total <= 0:
             raise ParseError("initial distribution must have positive mass")
+        if total == math.inf:
+            raise _fail("initial distribution mass", _OUT_OF_RANGE)
         return InitialState(
             DensityMatrix(np.diag(x / total).astype(complex)),
             total,

@@ -35,6 +35,7 @@ __all__ = [
     "unvec",
     "hermitize",
     "frobenius",
+    "scaled_norm",
     "fixed_space",
     "bordered",
     "bordered_solve",
@@ -115,6 +116,25 @@ def hermitize(x) -> np.ndarray:
 def frobenius(x) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(x)))
+
+
+def scaled_norm(v) -> float:
+    """2-norm of v whose squares may under- or overflow.
+
+    Only when the plain norm is 0 or not finite is v first divided by its
+    largest real or imaginary part, so ordinary inputs keep every bit.  The
+    result is inf only when the norm itself exceeds the double range, and 0
+    only for v = 0.
+    """
+    v = np.asarray(v)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if 0.0 < norm < math.inf:
+        return norm
+    scale = float(np.maximum(np.abs(v.real), np.abs(v.imag)).max(initial=0.0))
+    if not 0.0 < scale < math.inf:  # v = 0, or non-finite entries
+        return norm
+    return scale * float(np.linalg.norm(v / scale))
 
 
 @functools.lru_cache(maxsize=32)

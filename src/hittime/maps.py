@@ -31,6 +31,7 @@ from .linalg import (
     hermitize,
     is_psd,
     isolates_fixed_vector,
+    scaled_norm,
     unvec,
     vec,
 )
@@ -172,9 +173,11 @@ def density(matrix, tol: Tolerance | None = None) -> DensityMatrix:
 def pure_density(state) -> DensityMatrix:
     """Density matrix |phi><phi| of a pure state, normalizing the vector."""
     v = np.asarray(state, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(v))
+    nrm = scaled_norm(v)
     if nrm == 0.0:
         raise ValidationError("pure state vector must be nonzero")
+    if not math.isfinite(nrm):
+        raise ValidationError(f"pure state vector has norm {nrm}")
     v = v / nrm
     return DensityMatrix(np.outer(v, v.conj()))
 

@@ -2,7 +2,9 @@
 
 Runs the golden regression checks (demo channels with exactly known
 matrices and hitting times), the fundamental-map identity residuals, and
-seeded random route-equivalence and classical-embedding properties.
+seeded random route-equivalence and classical-embedding properties.  The
+golden matrices and the identities come from the dense reference route of
+:mod:`hittime.blocks`.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import examples
+from .blocks import block, fundamental, fundamental_identities, hitting_maps, lift, omega
 from .classical import build_chain, classical_mhtf, classical_mhtf_subset, kac_return_time
-from .fundamental import fundamental_map, verify_fundamental_identities
+from .fundamental import fundamental_map
 from .hitting import (
     condition_first_step,
     hitting_probability,
@@ -65,16 +68,17 @@ def _qubit_solution():
 
 
 def check_qubit_golden_matrices() -> CheckResult:
-    channel, _, hs = _qubit_solution()
+    channel, subspace, hs = _qubit_solution()
+    _, k = hitting_maps(channel, subspace)
     lim = 1e-12
     items = {
         "map representation": (_dev(channel.rep, examples.QUBIT_PHI), lim),
-        "omega": (_dev(hs.fd.omega_rep, examples.QUBIT_OMEGA), lim),
-        "fundamental matrix": (_dev(hs.fd.z_rep, examples.QUBIT_Z), lim),
-        "subspace projector": (_dev(hs.subspace.pp_rep, examples.QUBIT_PP), lim),
-        "complement projector": (_dev(hs.subspace.qq_rep, examples.QUBIT_QQ), lim),
-        "time map": (_dev(hs.k_rep, examples.QUBIT_K), lim),
-        "time map off-diagonal block": (_dev(hs.k12, examples.QUBIT_K12), lim),
+        "omega": (_dev(omega(hs.fd.pi), examples.QUBIT_OMEGA), lim),
+        "fundamental matrix": (_dev(fundamental(hs.fd), examples.QUBIT_Z), lim),
+        "subspace projector": (_dev(lift(subspace.projector_p), examples.QUBIT_PP), lim),
+        "complement projector": (_dev(lift(subspace.projector_q), examples.QUBIT_QQ), lim),
+        "time map": (_dev(k, examples.QUBIT_K), lim),
+        "time map off-diagonal block": (_dev(block(k, subspace, 1, 2), examples.QUBIT_K12), lim),
     }
     return _result("qubit golden matrices", items)
 
@@ -137,8 +141,7 @@ def check_fundamental_identities() -> CheckResult:
     ):
         cert = invariant_state(channel)
         fd = fundamental_map(channel, cert)
-        report = verify_fundamental_identities(fd, channel)
-        items[label] = (report.max_residual, 1e-10)
+        items[label] = (max(fundamental_identities(fd, channel).values()), 1e-10)
     return _result("fundamental map identities", items)
 
 

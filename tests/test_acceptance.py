@@ -11,14 +11,12 @@ import numpy as np
 import golden
 from conftest import complement_basis
 from hittime import (
-    block,
     build_chain,
     classical_mhtf,
     classical_mhtf_distribution,
     classical_mhtf_subset,
     classical_monte_carlo,
     condition_first_step,
-    dnl_maps,
     from_stochastic,
     fundamental_map,
     hitting_probability,
@@ -33,7 +31,15 @@ from hittime import (
     tau_series,
     unvec,
     vec,
-    verify_fundamental_identities,
+)
+from hittime.blocks import (
+    block,
+    dnl,
+    fundamental,
+    fundamental_identities,
+    hitting_maps,
+    lift,
+    omega,
 )
 from hittime.examples import (
     qubit_demo_channel,
@@ -77,14 +83,15 @@ def test_criterion_1_golden_matrices():
     start = time.perf_counter()
     channel = qubit_demo_channel()
     hs = solve_hitting(channel, qubit_demo_subspace())
+    _, k = hitting_maps(channel, hs.subspace)
     worst = max(
         max_dev(channel.rep, golden.QUBIT_PHI),
-        max_dev(hs.fd.omega_rep, golden.QUBIT_OMEGA),
-        max_dev(hs.fd.z_rep, golden.QUBIT_Z),
-        max_dev(hs.subspace.pp_rep, golden.QUBIT_PP),
-        max_dev(hs.subspace.qq_rep, golden.QUBIT_QQ),
-        max_dev(hs.k_rep, golden.QUBIT_K),
-        max_dev(hs.k12, golden.QUBIT_K12),
+        max_dev(omega(hs.fd.pi), golden.QUBIT_OMEGA),
+        max_dev(fundamental(hs.fd), golden.QUBIT_Z),
+        max_dev(lift(hs.subspace.projector_p), golden.QUBIT_PP),
+        max_dev(lift(hs.subspace.projector_q), golden.QUBIT_QQ),
+        max_dev(k, golden.QUBIT_K),
+        max_dev(block(k, hs.subspace, 1, 2), golden.QUBIT_K12),
     )
     elapsed = time.perf_counter() - start
     report(
@@ -162,20 +169,20 @@ def test_criterion_3_closed_forms():
 
 def _vector_identity_residual(hs, rho_phi, rho_psi) -> float:
     sp = hs.subspace
-    maps = dnl_maps(hs)
-    z = hs.fd.z_rep
-    dz, lz = maps.d_rep @ z, maps.l_rep @ z
+    d_rep, n_rep, l_rep = dnl(hitting_maps(hs.map, sp)[1], hs.map, sp)
+    z = fundamental(hs.fd)
+    dz, lz = d_rep @ z, l_rep @ z
 
     def act(rep, rho):
         return unvec(rep @ vec(rho))
 
-    first = act(block(maps.n_rep, sp, 1, 2), rho_phi.matrix) - (
+    first = act(block(n_rep, sp, 1, 2), rho_phi.matrix) - (
         act(block(dz, sp, 1, 1), rho_psi.matrix)
         - act(block(dz, sp, 1, 2), rho_phi.matrix)
         + act(block(lz, sp, 1, 2), rho_phi.matrix)
         - act(block(lz, sp, 1, 1), rho_psi.matrix)
     )
-    second = act(block(maps.n_rep, sp, 2, 1), rho_psi.matrix) - (
+    second = act(block(n_rep, sp, 2, 1), rho_psi.matrix) - (
         act(block(dz, sp, 2, 2), rho_phi.matrix)
         - act(block(dz, sp, 2, 1), rho_psi.matrix)
         + act(block(lz, sp, 2, 1), rho_psi.matrix)
@@ -185,10 +192,10 @@ def _vector_identity_residual(hs, rho_phi, rho_psi) -> float:
 
 
 def _first_row_residual(hs) -> float:
-    maps = dnl_maps(hs)
-    eye = np.eye(hs.k_rep.shape[0])
-    left = eye - hs.subspace.qq_rep
-    return float(np.max(np.abs(left @ maps.l_rep - left @ hs.h_rep)))
+    h, k = hitting_maps(hs.map, hs.subspace)
+    _, _, l_rep = dnl(k, hs.map, hs.subspace)
+    left = np.eye(k.shape[0]) - lift(hs.subspace.projector_q)
+    return float(np.max(np.abs(left @ l_rep - left @ h)))
 
 
 def test_criterion_4_identity_suite():
@@ -217,7 +224,7 @@ def test_criterion_4_identity_suite():
         fd = fundamental_map(channel, cert)
         worst_fundamental = max(
             worst_fundamental,
-            verify_fundamental_identities(fd, channel).max_residual,
+            max(fundamental_identities(fd, channel).values()),
         )
         hs = solve_hitting(channel, subspace, cert)
         psi = rho_psi if rho_psi is not None else pure_density(
@@ -231,7 +238,7 @@ def test_criterion_4_identity_suite():
         fd = fundamental_map(channel, cert)
         worst_fundamental = max(
             worst_fundamental,
-            verify_fundamental_identities(fd, channel).max_residual,
+            max(fundamental_identities(fd, channel).values()),
         )
         hs = solve_hitting(channel, subspace, cert)
         worst_vector = max(worst_vector, _vector_identity_residual(hs, rho_phi, rho_psi))

@@ -8,8 +8,9 @@ from hittime import (
     NumericError,
     PreconditionError,
     apply,
-    build_omega,
+    condition_first_step,
     density,
+    first_visit_series,
     from_kraus,
     from_raw,
     fundamental_map,
@@ -20,10 +21,11 @@ from hittime import (
     mhtf_orthogonal,
     solve_hitting,
     subspace_from_indices,
+    tau_series,
     unvec,
     vec,
-    verify_fundamental_identities,
 )
+from hittime.blocks import fundamental, fundamental_identities, omega
 from hittime.examples import qudit_demo_channel
 from hittime.sampling import (
     random_density,
@@ -40,47 +42,47 @@ def qubit_fd(qubit_channel):
 
 
 def test_build_omega_matches_printed():
-    omega = build_omega(density(np.eye(2) / 2))
-    assert_allclose(omega, golden.QUBIT_OMEGA, atol=1e-15)
+    om = omega(density(np.eye(2) / 2))
+    assert_allclose(om, golden.QUBIT_OMEGA, atol=1e-15)
 
 
 def test_omega_sends_every_density_to_pi():
     pi = density(np.eye(2) / 2)
-    omega_map = from_raw(build_omega(pi))
+    omega_map = from_raw(omega(pi))
     rho = random_density(2, rng=0)
     assert_allclose(apply(omega_map, rho.matrix), pi.matrix, atol=1e-14)
 
 
 def test_omega_is_idempotent():
-    omega = build_omega(density(np.eye(2) / 2))
-    assert_allclose(omega @ omega, omega, atol=1e-15)
+    om = omega(density(np.eye(2) / 2))
+    assert_allclose(om @ om, om, atol=1e-15)
 
 
 def test_omega_has_rank_one_with_unit_eigenvalue():
-    omega = build_omega(density(np.eye(3) / 3))
-    assert np.linalg.matrix_rank(omega) == 1
-    eigenvalues = np.sort(np.abs(np.linalg.eigvals(omega)))
+    om = omega(density(np.eye(3) / 3))
+    assert np.linalg.matrix_rank(om) == 1
+    eigenvalues = np.sort(np.abs(np.linalg.eigvals(om)))
     assert eigenvalues[-1] == pytest.approx(1.0, abs=1e-12)
     assert_allclose(eigenvalues[:-1], 0.0, atol=1e-12)
 
 
 def test_fundamental_map_matches_printed(qubit_fd):
-    assert_allclose(qubit_fd.z_rep, golden.QUBIT_Z, atol=1e-13)
+    assert_allclose(fundamental(qubit_fd), golden.QUBIT_Z, atol=1e-13)
 
 
 def test_fundamental_map_of_projection_map_is_identity():
     # a map that already projects onto pi: I - Omega + Omega = I
     pi = density(np.eye(2) / 2)
-    omega_map = from_raw(build_omega(pi))
+    omega_map = from_raw(omega(pi))
     cert = invariant_state(omega_map)
     fd = fundamental_map(omega_map, cert)
-    assert_allclose(fd.z_rep, np.eye(4), atol=1e-13)
+    assert_allclose(fundamental(fd), np.eye(4), atol=1e-13)
 
 
 def test_fundamental_solve_residual_on_random_map():
     channel, cert = random_irreducible_cptp(3, rng=13)
     fd = fundamental_map(channel, cert)
-    lhs = (np.eye(9) - channel.rep + fd.omega_rep) @ fd.z_rep
+    lhs = (np.eye(9) - channel.rep + omega(fd.pi)) @ fundamental(fd)
     assert np.max(np.abs(lhs - np.eye(9))) <= 1e-10
     assert fd.condition_estimate >= 1.0
 
@@ -94,16 +96,15 @@ def test_fundamental_map_rejects_reducible_map():
 
 
 def test_identities_demo_channel(qubit_channel, qubit_fd):
-    report = verify_fundamental_identities(qubit_fd, qubit_channel)
-    assert report.ok
-    assert report.max_residual <= 1e-12
+    residuals = fundamental_identities(qubit_fd, qubit_channel)
+    assert max(residuals.values()) <= 1e-12
 
 
 def test_identities_qudit_demo():
     channel = qudit_demo_channel(0.6)
     fd = fundamental_map(channel, invariant_state(channel))
-    report = verify_fundamental_identities(fd, channel)
-    assert report.max_residual <= 1e-10
+    residuals = fundamental_identities(fd, channel)
+    assert max(residuals.values()) <= 1e-10
     expected = {
         "omega_idempotent",
         "phi_omega",
@@ -116,13 +117,13 @@ def test_identities_qudit_demo():
         "z_trace_preserving",
         "omega_trace_preserving",
     }
-    assert set(report.residuals) == expected
+    assert set(residuals) == expected
 
 
 def test_fundamental_map_preserves_trace_on_random_inputs(qubit_fd):
     rng = np.random.default_rng(21)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    out = unvec(qubit_fd.z_rep @ vec(x))
+    out = unvec(fundamental(qubit_fd) @ vec(x))
     assert np.trace(out) == pytest.approx(np.trace(x), abs=1e-12)
 
 
@@ -136,7 +137,7 @@ def test_z_covector_applies_z(n):
     t, cert = random_irreducible_cptp(n, 2, rng)
     fd = fundamental_map(t, cert)
     covector = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-    assert _relative(fd.z_covector(covector), covector @ fd.z_rep) <= 1e-12
+    assert _relative(fd.z_covector(covector), covector @ fundamental(fd)) <= 1e-12
 
 
 def test_z_covector_refuses_a_singular_matrix():
@@ -151,11 +152,13 @@ def test_z_covector_matches_printed(qubit_fd):
 
 
 def test_answer_path_builds_no_dense_omega_or_z(monkeypatch):
-    """The fundamental map, two solves and the four queries apply Z by vector solves."""
+    """The fundamental map, the solves, the queries and the series build no lift
+    and apply Z by vector solves, never against a d x d identity."""
     n = 4
     rng = np.random.default_rng(12)
     t, cert = random_irreducible_cptp(n, 2, rng)
     rhs_columns = []
+    kron_calls = []
     solve = np.linalg.solve
 
     def recording(a, b):
@@ -163,6 +166,7 @@ def test_answer_path_builds_no_dense_omega_or_z(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args))
     fd = fundamental_map(t, cert)
     rho = random_density(n, rng)
     for sub in (subspace_from_indices(n, [1]), random_subspace(n, 2, rng)):
@@ -171,5 +175,8 @@ def test_answer_path_builds_no_dense_omega_or_z(monkeypatch):
         mean_hitting_time_direct(hs, rho)
         mhtf_general(hs, rho)
         mhtf_orthogonal(hs, random_density_supported(sub.complement_basis, rng))
-    assert "z_rep" not in vars(fd) and "omega_rep" not in vars(fd)
+        tau_series(t, sub, rho)
+        first_visit_series(t, sub, rho, 10)
+        condition_first_step(t, sub, rho)
+    assert kron_calls == []
     assert rhs_columns and max(rhs_columns) < n * n

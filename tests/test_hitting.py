@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import golden
+import hittime
 from conftest import complement_basis
 from hittime import (
     DimensionError,
@@ -12,13 +17,10 @@ from hittime import (
     OrthogonalityError,
     PreconditionError,
     ValidationError,
-    block,
     condition_first_step,
-    dnl_maps,
     first_visit_series,
     from_kraus,
     from_stochastic,
-    hitting_maps,
     hitting_probability,
     is_psd,
     mean_hitting_time_direct,
@@ -32,6 +34,7 @@ from hittime import (
     unvec,
     vec,
 )
+from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
 from hittime.examples import symmetric_two_state_chain
 from hittime.sampling import (
     random_cptp_map,
@@ -44,6 +47,11 @@ from hittime.sampling import (
 
 def apply_rep(rep, matrix):
     return unvec(rep @ vec(matrix))
+
+
+def dense_maps(hs):
+    """H and K of a solution's (map, subspace), from the dense reference route."""
+    return hitting_maps(hs.map, hs.subspace)
 
 
 # ------------------------------------------------------------------ subspaces
@@ -83,15 +91,17 @@ def test_subspace_rejects_full_space():
 # ------------------------------------------------------------ super projectors
 
 def test_super_projectors_demo_printed(qubit_solution):
-    assert_allclose(qubit_solution.subspace.pp_rep, golden.QUBIT_PP, atol=1e-14)
-    assert_allclose(qubit_solution.subspace.qq_rep, golden.QUBIT_QQ, atol=1e-14)
+    assert_allclose(lift(qubit_solution.subspace.projector_p), golden.QUBIT_PP, atol=1e-14)
+    assert_allclose(lift(qubit_solution.subspace.projector_q), golden.QUBIT_QQ, atol=1e-14)
 
 
 def test_super_projectors_resolution_of_identity():
     sp = random_subspace(4, 2, rng=3)
     eye = np.eye(16)
-    assert_allclose(sp.pp_rep + sp.qq_rep + sp.rr_rep, eye, atol=1e-14)
-    for rep in (sp.pp_rep, sp.qq_rep, sp.rr_rep):
+    pp, qq = lift(sp.projector_p), lift(sp.projector_q)
+    rr = eye - pp - qq
+    assert_allclose(pp + qq + rr, eye, atol=1e-14)
+    for rep in (pp, qq, rr):
         assert_allclose(rep @ rep, rep, atol=1e-12)
 
 
@@ -99,7 +109,8 @@ def test_remainder_projects_onto_traceless_matrices():
     sub = random_subspace(3, 1, rng=4)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.trace(apply_rep(sub.rr_rep, x)) == pytest.approx(0.0, abs=1e-12)
+    rr = np.eye(9) - lift(sub.projector_p) - lift(sub.projector_q)
+    assert np.trace(apply_rep(rr, x)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subspace_projector_action():
@@ -107,7 +118,7 @@ def test_subspace_projector_action():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     p = sub.projector_p
-    assert_allclose(apply_rep(sub.pp_rep, x), p @ x @ p, atol=1e-12)
+    assert_allclose(apply_rep(lift(p), x), p @ x @ p, atol=1e-12)
 
 
 # ----------------------------------------------------------------- compression
@@ -147,10 +158,12 @@ def test_first_row_is_conjugate_projector(n):
             assert_allclose(first_row, vec(sub.projector_p.conj()), rtol=0, atol=1e-15)
 
 
-def test_queries_and_series_never_build_dense_lift():
+def test_queries_and_series_never_build_dense_lift(monkeypatch):
     rng = np.random.default_rng(400)
     channel, cert = random_irreducible_cptp(4, rng=rng)
     sub = random_subspace(4, 2, rng=rng)
+    kron_calls = []
+    monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args))
     hs = solve_hitting(channel, sub, cert)
     rho = random_density(4, rng=rng)
     phi = random_density_supported(sub.complement_basis, rng=rng)
@@ -161,25 +174,38 @@ def test_queries_and_series_never_build_dense_lift():
     tau_series(channel, sub, rho)
     first_visit_series(channel, sub, rho, 10)
     condition_first_step(channel, sub, rho)
-    assert not {"pp_rep", "qq_rep", "rr_rep"} & set(vars(sub))
+    assert kron_calls == []
+
+
+def test_importing_the_library_leaves_out_the_dense_reference_route():
+    src = str(Path(hittime.__file__).resolve().parents[1])
+    probe = "import sys, hittime; print('hittime.blocks' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------- hitting maps
 
 def test_hitting_maps_demo_printed(qubit_solution):
-    assert_allclose(qubit_solution.k_rep, golden.QUBIT_K, atol=1e-12)
+    assert_allclose(dense_maps(qubit_solution)[1], golden.QUBIT_K, atol=1e-12)
 
 
 def test_hitting_maps_qudit_quadrants_match_closed_forms(qudit_solution_06):
-    assert_allclose(qudit_solution_06.k_rep, golden.qudit_k_expected(0.6), atol=1e-12)
+    assert_allclose(dense_maps(qudit_solution_06)[1], golden.qudit_k_expected(0.6), atol=1e-12)
 
 
 def test_time_map_is_probability_map_times_resolvent():
     channel, cert = random_irreducible_cptp(3, rng=8)
     sub = random_subspace(3, 1, rng=9)
-    maps = hitting_maps(channel, sub)
-    resolvent = np.linalg.inv(np.eye(9) - sub.qq_rep @ channel.rep)
-    assert_allclose(maps.k_rep, maps.h_rep @ resolvent, atol=1e-10)
+    h, k = hitting_maps(channel, sub)
+    resolvent = np.linalg.inv(np.eye(9) - lift(sub.projector_q) @ channel.rep)
+    assert_allclose(k, h @ resolvent, atol=1e-10)
 
 
 def test_hitting_maps_reject_reducible_survival():
@@ -193,8 +219,7 @@ def test_hitting_maps_reject_reducible_survival():
 # ---------------------------------------------------------------------- blocks
 
 def test_block_demo_printed(qubit_solution):
-    assert_allclose(qubit_solution.k12, golden.QUBIT_K12, atol=1e-12)
-    recomputed = block(qubit_solution.k_rep, qubit_solution.subspace, 1, 2)
+    recomputed = block(dense_maps(qubit_solution)[1], qubit_solution.subspace, 1, 2)
     assert_allclose(recomputed, golden.QUBIT_K12, atol=1e-12)
 
 
@@ -207,14 +232,14 @@ def test_blocks_resolve_identity(qubit_solution):
 
 def test_block_rejects_bad_indices(qubit_solution):
     with pytest.raises(ValidationError):
-        block(qubit_solution.k_rep, qubit_solution.subspace, 0, 1)
+        block(dense_maps(qubit_solution)[1], qubit_solution.subspace, 0, 1)
 
 
 def test_off_diagonal_part_has_zero_diagonal_blocks(qubit_solution):
-    maps = dnl_maps(qubit_solution)
     sp = qubit_solution.subspace
-    assert np.max(np.abs(block(maps.n_rep, sp, 1, 1))) <= 1e-12
-    assert np.max(np.abs(block(maps.n_rep, sp, 2, 2))) <= 1e-12
+    _, n_rep, _ = dnl(dense_maps(qubit_solution)[1], qubit_solution.map, sp)
+    assert np.max(np.abs(block(n_rep, sp, 1, 1))) <= 1e-12
+    assert np.max(np.abs(block(n_rep, sp, 2, 2))) <= 1e-12
 
 
 # ------------------------------------------------------------- probabilities
@@ -293,33 +318,35 @@ def test_formula_rejects_unsupported_start(qubit_solution, qubit_states):
 # ------------------------------------------------------------------ D / N / L
 
 def test_first_block_row_of_l_equals_h(qubit_solution):
-    maps = dnl_maps(qubit_solution)
     sp = qubit_solution.subspace
+    h, k = dense_maps(qubit_solution)
+    _, _, l_rep = dnl(k, qubit_solution.map, sp)
     eye = np.eye(4)
-    lhs = (eye - sp.qq_rep) @ maps.l_rep
-    rhs = (eye - sp.qq_rep) @ qubit_solution.h_rep
+    lhs = (eye - lift(sp.projector_q)) @ l_rep
+    rhs = (eye - lift(sp.projector_q)) @ h
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_first_block_row_of_l_equals_h_random():
     channel, cert = random_irreducible_cptp(3, rng=18)
     hs = solve_hitting(channel, random_subspace(3, 1, rng=19), cert)
-    maps = dnl_maps(hs)
+    h, k = dense_maps(hs)
+    _, _, l_rep = dnl(k, channel, hs.subspace)
     eye = np.eye(9)
-    lhs = (eye - hs.subspace.qq_rep) @ maps.l_rep
-    rhs = (eye - hs.subspace.qq_rep) @ hs.h_rep
+    lhs = (eye - lift(hs.subspace.projector_q)) @ l_rep
+    rhs = (eye - lift(hs.subspace.projector_q)) @ h
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_vector_identities_on_demo_states(qubit_solution, qubit_states):
     sp = qubit_solution.subspace
-    maps = dnl_maps(qubit_solution)
-    z = qubit_solution.fd.z_rep
-    dz, lz = maps.d_rep @ z, maps.l_rep @ z
+    d_rep, n_rep, l_rep = dnl(dense_maps(qubit_solution)[1], qubit_solution.map, sp)
+    z = fundamental(qubit_solution.fd)
+    dz, lz = d_rep @ z, l_rep @ z
     rho_phi = qubit_states["phi"].matrix
     rho_psi = qubit_states["psi"].matrix
 
-    lhs = apply_rep(block(maps.n_rep, sp, 1, 2), rho_phi)
+    lhs = apply_rep(block(n_rep, sp, 1, 2), rho_phi)
     rhs = (
         apply_rep(block(dz, sp, 1, 1), rho_psi)
         - apply_rep(block(dz, sp, 1, 2), rho_phi)
@@ -328,7 +355,7 @@ def test_vector_identities_on_demo_states(qubit_solution, qubit_states):
     )
     assert_allclose(lhs, rhs, atol=1e-10)
 
-    lhs2 = apply_rep(block(maps.n_rep, sp, 2, 1), rho_psi)
+    lhs2 = apply_rep(block(n_rep, sp, 2, 1), rho_psi)
     rhs2 = (
         apply_rep(block(dz, sp, 2, 2), rho_phi)
         - apply_rep(block(dz, sp, 2, 1), rho_psi)
@@ -447,11 +474,12 @@ def test_return_summand_is_reference_independent():
 
 def test_resolvent_shortcut_on_random_densities(qubit_solution):
     # Tr((I - Q) K rho) must equal Tr(H rho)
+    h, _ = dense_maps(qubit_solution)
     rng = np.random.default_rng(37)
     for _ in range(5):
         rho = random_density(2, rng=rng)
         tau = mean_hitting_time_direct(qubit_solution, rho)
-        cross = np.trace(apply_rep(qubit_solution.h_rep, rho.matrix)).real
+        cross = np.trace(apply_rep(h, rho.matrix)).real
         assert tau == pytest.approx(cross, abs=1e-10)
 
 
@@ -471,7 +499,7 @@ def test_hitting_maps_are_positive(qubit_solution):
     rng = np.random.default_rng(41)
     for _ in range(5):
         rho = random_density(2, rng=rng)
-        for rep in (qubit_solution.h_rep, qubit_solution.k_rep):
+        for rep in dense_maps(qubit_solution):
             out = apply_rep(rep, rho.matrix)
             assert is_psd(out).ok
 
@@ -481,9 +509,9 @@ def test_projector_substitution_leaves_traces_unchanged(qubit_solution, qubit_st
     sp = qubit_solution.subspace
     eye = np.eye(4)
     rho = qubit_states["chi"].matrix
-    for rep in (qubit_solution.h_rep, qubit_solution.k_rep):
-        via_p = np.trace(apply_rep(sp.pp_rep @ rep, rho)).real
-        via_q = np.trace(apply_rep((eye - sp.qq_rep) @ rep, rho)).real
+    for rep in dense_maps(qubit_solution):
+        via_p = np.trace(apply_rep(lift(sp.projector_p) @ rep, rho)).real
+        via_q = np.trace(apply_rep((eye - lift(sp.projector_q)) @ rep, rho)).real
         assert via_p == pytest.approx(via_q, abs=1e-12)
 
 
@@ -538,24 +566,24 @@ def test_covector_queries_match_dense_formulas(n, kraus_rank, rank):
         for label, rho in starts.items()
     }
     ortho = mhtf_orthogonal(hs, starts["complement"], rho_psi)
-    assert "_dense" not in vars(hs)  # the queries never build H or K
 
-    maps = hitting_maps(channel, sub)
-    eye = np.eye(n * n)
-    k11 = block(maps.k_rep, sub, 1, 1)
-    dz = (k11 + block(maps.k_rep, sub, 2, 2)) @ hs.fd.z_rep
-    z11 = block(hs.fd.z_rep, sub, 1, 1)
-    z12 = block(hs.fd.z_rep, sub, 1, 2)
+    h, k = hitting_maps(channel, sub)
+    qq = lift(sub.projector_q)
+    z = fundamental(hs.fd)
+    k11 = block(k, sub, 1, 1)
+    dz = (k11 + block(k, sub, 2, 2)) @ z
+    z11 = block(z, sub, 1, 1)
+    z12 = block(z, sub, 1, 2)
 
     def tr(rep, rho):
         return np.trace(apply_rep(rep, rho.matrix)).real
 
     return_term = tr(k11 @ z11, rho_psi)
     for label, rho in starts.items():
-        sigma = unvec(sub.qq_rep @ channel.rep @ vec(rho.matrix))
+        sigma = unvec(qq @ channel.rep @ vec(rho.matrix))
         expected = (
-            tr(maps.h_rep - sub.qq_rep @ maps.h_rep, rho),
-            tr(maps.k_rep - sub.qq_rep @ maps.k_rep, rho),
+            tr(h - qq @ h, rho),
+            tr(k - qq @ k, rho),
             1.0 + return_term * np.trace(sigma).real
             - np.trace(apply_rep(k11 @ z12, sigma)).real,
         )

@@ -3,10 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 import hittime.io
-from hittime import DEFAULT_TOL, DimensionError, ParseError, Tolerance, apply
+from hittime import (
+    DEFAULT_TOL,
+    DimensionError,
+    ParseError,
+    Tolerance,
+    ValidationError,
+    apply,
+    pure_density,
+)
+from hittime.cli import main
 from hittime.io import (
     build_superoperator,
     load_map_spec,
@@ -231,6 +241,53 @@ def test_realize_initial_dimension_checks(tmp_path):
     query = load_query_file(write(tmp_path, "q.json", payload))[0]
     with pytest.raises(DimensionError, match="exceeds"):
         realize_initial(query, 2)
+
+
+# ------------------------------------- initial states beyond the norm's range
+
+def test_initial_vector_whose_norm_overflows(tmp_path):
+    payload = {"subspace": {"indices": [1]}, "initial": {"vector": [1e200, 1e200]}}
+    initial = realize_initial(load_query_file(write(tmp_path, "q.json", payload))[0], 2)
+    assert initial.normalization == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    assert_allclose(initial.state.matrix, np.full((2, 2), 0.5), rtol=0, atol=1e-15)
+    payload["initial"] = {"vector": [1.5e308, 1.5e308]}  # the norm itself is out of range
+    query = load_query_file(write(tmp_path, "q.json", payload))[0]
+    with pytest.raises(ParseError, match="initial vector norm: number is too large"):
+        realize_initial(query, 2)
+
+
+def test_initial_vector_whose_norm_underflows(tmp_path):
+    payload = {"subspace": {"indices": [1]}, "initial": {"vector": [0, 1e-200]}}
+    initial = realize_initial(load_query_file(write(tmp_path, "q.json", payload))[0], 2)
+    assert initial.normalization == pytest.approx(1e-200, rel=1e-15)
+    assert_allclose(initial.state.matrix, np.diag([0.0, 1.0]), rtol=0, atol=1e-15)
+
+
+def test_initial_distribution_whose_mass_overflows(tmp_path):
+    payload = {"subspace": {"indices": [1]}, "initial": {"distribution": [1e308, 1e308]}}
+    query = load_query_file(write(tmp_path, "q.json", payload))[0]
+    with pytest.raises(ParseError, match="initial distribution mass: number is too large"):
+        realize_initial(query, 2)
+
+
+def test_pure_density_of_a_vector_whose_norm_overflows():
+    assert_allclose(pure_density([1e200, 1e200]).matrix, np.full((2, 2), 0.5), rtol=0, atol=1e-15)
+    assert_allclose(pure_density([0, 1e-200]).matrix, np.diag([0.0, 1.0]), rtol=0, atol=1e-15)
+    with pytest.raises(ValidationError, match="norm inf"):
+        pure_density([1.5e308, 1.5e308])
+
+
+def test_hit_record_stays_valid_json_for_huge_initial_states(tmp_path):
+    map_path = write(tmp_path, "map.json", qubit_map_payload())
+    huge = {"subspace": {"indices": [1]}, "initial": {"vector": [1e200, 1e200]}}
+    result = CliRunner().invoke(main, ["hit", map_path, write(tmp_path, "q.json", huge), "--json"])
+    assert result.exit_code == 0, result.output
+    record = json.loads(result.output, parse_constant=pytest.fail)
+    assert record["normalization"]["factor"] == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    huge["initial"] = {"distribution": [1e308, 1e308]}
+    result = CliRunner().invoke(main, ["hit", map_path, write(tmp_path, "q.json", huge), "--json"])
+    assert result.exit_code == 1
+    assert "initial distribution mass" in result.output
 
 
 # ---------------------------------------------------- whole-array fast path

@@ -15,6 +15,7 @@ from hittime import (
     tau_series,
 )
 import hittime.oracle
+from hittime.blocks import lift
 from hittime.examples import cycle_chain, symmetric_two_state_chain
 from hittime.sampling import random_column_stochastic, random_cptp_map, random_density, random_subspace
 from test_bordered import block_map
@@ -112,7 +113,7 @@ def test_tau_series_at_zero_tolerance_stops_at_rounding():
 def per_term_series(t, sp, rho, r_max):
     """pi_1 .. pi_r_max and ||vec((QT)^r_max rho)||_1, one complex matvec per term."""
     sigma = rho.matrix.reshape(-1).astype(complex)
-    qt = sp.qq_rep @ t.rep
+    qt = lift(sp.projector_q) @ t.rep
     arrival = sp.projector_p.conj().reshape(-1) @ t.rep
     probs = np.empty(r_max)
     for r in range(r_max):
@@ -124,7 +125,7 @@ def per_term_series(t, sp, rho, r_max):
 def per_term_tau(t, sp, rho):
     """sum r pi_r, one term at a time, until the tail bound is below rounding."""
     sigma = rho.matrix.reshape(-1).astype(complex)
-    qt = sp.qq_rep @ t.rep
+    qt = lift(sp.projector_q) @ t.rep
     arrival = sp.projector_p.conj().reshape(-1) @ t.rep
     radius = np.abs(np.linalg.eigvals(qt)).max()
     gap = 1.0 - radius

@@ -14,7 +14,6 @@ from hittime import (
     SuperOperator,
     from_kraus,
     fundamental_map,
-    hitting_maps,
     invariant_state,
     solve_hitting,
     subspace_from_indices,
@@ -24,6 +23,8 @@ from hittime import (
     vec,
 )
 from hittime import linalg
+from hittime.blocks import hitting_maps, lift
+from hittime.hitting import _survival_resolvent
 from hittime.cli import main
 from hittime.examples import qudit_demo_channel
 from hittime.linalg import (
@@ -76,7 +77,7 @@ def test_hermitian_form_keeps_singular_values_and_eigenvalues(n):
     rng = np.random.default_rng(10 + n)
     d = n * n
     rep = random_cptp_map(n, 3, rng).rep
-    q = _subspaces(n, 1, rng)[1].qq_rep
+    q = lift(_subspaces(n, 1, rng)[1].projector_q)
     general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     for a, real in ((rep, True), (np.eye(d) - q @ rep, True), (general, False)):
         form = hermitian_form(a)
@@ -127,7 +128,7 @@ def test_compressed_radius_matches_full_survival_spectrum(n, kraus_rank):
     for rank in range(1, n):
         for sub in _subspaces(n, rank, rng):
             assert sub.complement_basis.shape == (n, n - rank)
-            full = float(np.max(np.abs(np.linalg.eigvals(sub.qq_rep @ t.rep))))
+            full = float(np.max(np.abs(np.linalg.eigvals(lift(sub.projector_q) @ t.rep))))
             assert survival_radius(t.rep, sub.complement_basis) == pytest.approx(
                 full, abs=1e-12
             )
@@ -264,7 +265,7 @@ def gap_map(rng, n, eps):
 
 
 def full_survival_radius(t, sub):
-    return float(np.max(np.abs(np.linalg.eigvals(sub.qq_rep @ t.rep))))
+    return float(np.max(np.abs(np.linalg.eigvals(lift(sub.projector_q) @ t.rep))))
 
 
 @pytest.fixture
@@ -353,7 +354,7 @@ def test_raw_map_that_is_not_positive_takes_eigvals(monkeypatch, perron_results)
     assert np.isrealobj(hermitian_form(t.rep))
     shapes = _recording_eigvals(monkeypatch)
     sub = subspace_from_indices(n, [0, 1])
-    radius = hitting_maps(t, sub).spectral_radius_qphi
+    _, radius, _ = _survival_resolvent(t, sub)  # the route solve_hitting and hitting_maps share
     tau_series(t, sub, np.eye(n) / n)
     assert perron_results == []
     assert shapes == [(100, 100)] * 2
