@@ -45,7 +45,7 @@ def omega(pi) -> np.ndarray:
 
 def fundamental(fd: FundamentalData) -> np.ndarray:
     """The dense Z; column j of the solve against the identity is row j of Z."""
-    return fd.z_covector(np.eye(fd.a_rep.shape[0])).T
+    return fd.z_covector(np.eye(fd.a_form.shape[0])).T
 
 
 def hitting_maps(
@@ -53,10 +53,12 @@ def hitting_maps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """H = T (I - QT)^{-1} and K = T (I - QT)^{-2}, by two successive solves.
 
-    I - QT comes from the answer path, with its refusals: the monitored
-    evolution must contract and the resolvent be well conditioned.
+    I - QT is built here as I - lift(Q) T, in vec coordinates.  The answer
+    path's refusals apply: the monitored evolution must contract and the
+    resolvent be well conditioned.
     """
-    m, _, _ = _survival_resolvent(t, subspace)
+    _survival_resolvent(t, subspace)
+    m = np.eye(t.rep.shape[0]) - lift(subspace.projector_q) @ t.rep
     h = np.linalg.solve(m.T, t.rep.T).T
     k = np.linalg.solve(m.T, h.T).T
     return h, k

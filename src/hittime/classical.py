@@ -103,10 +103,7 @@ def build_chain(p, tol: Tolerance | None = None) -> MarkovChain:
             raise ValidationError(
                 f"chain is not irreducible: stationary space has dimension {len(basis)}"
             )
-        v = basis[0]
-        pivot = v[int(np.argmax(np.abs(v)))]
-        v = (v * np.conj(pivot) / abs(pivot)).real
-        pi = v / v.sum()
+        pi = basis[0] / basis[0].sum()
         a = bordered(arr, pi, every)
     if pi.min() <= tol.atol:
         raise ValidationError(

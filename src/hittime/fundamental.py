@@ -9,7 +9,8 @@ Its inverse Z is the fundamental map; it is trace preserving and satisfies
     Omega^2 = T Omega = Omega T = Omega.
 
 Z is only ever applied: a covector l is carried through it by one transposed
-solve of A = I - T + Omega.  The dense Omega and Z, and the residuals of the
+solve of A = I - T + Omega, in the Hermitian form of A that certified the
+map irreducible.  The dense Omega and Z, and the residuals of the
 identities above, live in :mod:`hittime.blocks`, the reference route of the
 identity checks.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .linalg import COND_CEIL, DEFAULT_TOL, Tolerance, bordered, vec
+from .linalg import COND_CEIL, DEFAULT_TOL, Tolerance, form_solve
 from .maps import (
     CERTIFIED_IRREDUCIBLE,
     DensityMatrix,
@@ -35,20 +36,22 @@ __all__ = ["FundamentalData", "fundamental_map"]
 
 @dataclass(frozen=True, eq=False)
 class FundamentalData:
-    """Invariant state pi and the matrix A = I - T + Omega whose inverse is Z.
+    """Invariant state pi and A = I - T + Omega, whose inverse is Z.
 
-    :meth:`z_covector` applies Z to a covector by one solve; no dense Omega
-    or Z is kept (:mod:`hittime.blocks` builds them for the reference checks).
+    ``a_form`` is the :func:`~hittime.linalg.hermitian_form` of A, the array
+    the certificate took its singular values of.  :meth:`z_covector`
+    applies Z to a covector by one solve there; no dense Omega or Z is kept
+    (:mod:`hittime.blocks` builds them for the reference checks).
     """
 
     pi: DensityMatrix
-    a_rep: np.ndarray
+    a_form: np.ndarray
     condition_estimate: float
 
     def z_covector(self, covector: np.ndarray) -> np.ndarray:
-        """l Z, from the transposed solve A^T x = l."""
+        """l Z for a covector l, or a column of covectors, in vec coordinates (x A = l)."""
         try:
-            return np.linalg.solve(self.a_rep.T, covector)
+            return form_solve(self.a_form, covector)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 f"fundamental solve failed (condition estimate {self.condition_estimate:.3e})"
@@ -63,13 +66,14 @@ def fundamental_map(
     """The fundamental map Z = (I - rep + omega)^{-1} of ``t``, as A = I - rep + omega.
 
     Requires a ``certified_irreducible`` certificate and trace preservation.
-    The condition number of A is the one the certificate carries (from the
-    values-only SVD :func:`~hittime.maps.invariant_state` certifies with);
-    an A that is singular to working precision raises :class:`NumericError`.
+    A and its condition number are the ones the certificate carries: the
+    Hermitian form whose values-only SVD :func:`~hittime.maps.invariant_state`
+    certifies with, and the condition that SVD gives.  An A that is singular
+    to working precision raises :class:`NumericError`.
     """
     if tol is None:
         tol = DEFAULT_TOL
-    if cert.verdict != CERTIFIED_IRREDUCIBLE or cert.invariant_state is None:
+    if cert.verdict != CERTIFIED_IRREDUCIBLE or cert.a_form is None:
         raise PreconditionError(
             f"map is not certified irreducible (verdict: {cert.verdict})"
         )
@@ -84,9 +88,5 @@ def fundamental_map(
             f"fundamental solve is singular to working precision "
             f"(condition estimate {cond:.3e})"
         )
-    # omega = vec(pi) vec(I)^T is nonzero only in the n columns k(n + 1)
-    # where vec(I) is 1.
-    pi = cert.invariant_state
-    a = bordered(t.rep, vec(pi.matrix), slice(None, None, t.dim + 1))
-    return FundamentalData(pi, a, cond)
+    return FundamentalData(cert.invariant_state, cert.a_form, cond)
 

@@ -15,9 +15,9 @@ and :func:`mhtf_general`.
 
 Every answer is a linear functional of the start state, <l, vec(rho)> for a
 fixed covector l, so :func:`solve_hitting` keeps only the covectors, found by
-transposed vector solves against I - QT.  The dense H, K, their blocks and
-D, N, L live in :mod:`hittime.blocks`, the reference route of the identity
-and golden checks.
+transposed vector solves against the Hermitian form of I - QT.  The dense H,
+K, their blocks and D, N, L live in :mod:`hittime.blocks`, the reference
+route of the identity and golden checks.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ import numpy as np
 from .errors import DimensionError, NumericError, OrthogonalityError, ValidationError
 from .fundamental import FundamentalData, fundamental_map
 from .linalg import (
+    _EPS,
     COND_CEIL,
     DEFAULT_TOL,
     MIN_SPECTRAL_GAP,
     Tolerance,
+    form_solve,
     frobenius,
     hermitian_form,
     hermitize,
@@ -69,10 +71,6 @@ __all__ = [
 # User-supplied states carry entry round-off, so support preconditions are
 # checked against a residual looser than the numerical tolerance.
 ORTHOGONALITY_TOL = 1e-8
-
-# A solve with condition number c loses about c unit roundoffs of relative
-# accuracy (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +199,7 @@ def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
 def _survival_resolvent(
     t: SuperOperator, subspace: ArrivalSubspace
 ) -> tuple[np.ndarray, float, float]:
-    """I - QT, with the spectral radius of QT and the condition of I - QT.
+    """The Hermitian form of I - QT, the spectral radius of QT and the condition of both.
 
     Raises :class:`NumericError` unless the monitored evolution contracts and
     the resolvent is well conditioned.
@@ -212,14 +210,14 @@ def _survival_resolvent(
             f"monitored evolution does not contract: spectral radius of the "
             f"survival map is {radius:.12g} (map reducible or subspace trivial)"
         )
-    m = np.eye(t.rep.shape[0]) - subspace.compress(t.rep)
-    cond = float(np.linalg.cond(hermitian_form(m)))
+    form = hermitian_form(np.eye(t.rep.shape[0]) - subspace.compress(t.rep))
+    cond = float(np.linalg.cond(form))
     if not np.isfinite(cond) or cond > COND_CEIL:
         raise NumericError(
             f"survival resolvent is singular to working precision "
             f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
         )
-    return m, radius, cond
+    return form, radius, cond
 
 
 def solve_hitting(
@@ -233,8 +231,9 @@ def solve_hitting(
 
     ``fd`` is the fundamental map of ``t``; pass it to share one across the
     subspaces of a map, otherwise it is computed here (from ``cert`` when
-    given).  The covectors come from two transposed solves against I - QT:
-    one for the probability and trace rows, one for the time row.
+    given).  The covectors come from two transposed solves against the
+    Hermitian form of I - QT (:func:`~hittime.linalg.form_solve`): one for
+    the probability and trace rows, one for the time row.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -246,15 +245,15 @@ def solve_hitting(
         if cert is None:
             cert = invariant_state(t, tol)
         fd = fundamental_map(t, cert, tol)
-    m, radius, cond = _survival_resolvent(t, subspace)
-    # A covector l with l (I - QT) = r solves (I - QT)^T l = r.
+    form, radius, cond = _survival_resolvent(t, subspace)
+    # Each covector l solves l (I - QT) = r.
     trace_row = vec(np.eye(t.dim))
     # e (I - QQ) = vec(conj(P)): e QQ = vec(conj(Q)^2) = vec(conj(Q)) for e = vec(I).
     first_row = vec(subspace.projector_p.conj())
-    probability, trace = np.linalg.solve(
-        m.T, np.column_stack([first_row @ t.rep, trace_row @ t.rep])
+    probability, trace = form_solve(
+        form, np.column_stack([first_row @ t.rep, trace_row @ t.rep])
     ).T
-    time = np.linalg.solve(m.T, probability)
+    time = form_solve(form, probability)
     # e K11 = e (I - QQ) K (I - QQ)
     k11_row = time - subspace.compress_covector(time)
     kz = fd.z_covector(k11_row)
@@ -300,7 +299,10 @@ def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
     w = vec(state.matrix)
     tau = _pair(hs.time_covector, w)
     cross = _pair(hs.trace_covector, w)
-    rel = max(hs.tol.atol, hs.condition_estimate * _UNIT_ROUNDOFF)
+    # A solve with condition number c loses about c unit roundoffs (eps / 2)
+    # of relative accuracy (Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 7).
+    rel = max(hs.tol.atol, hs.condition_estimate * (_EPS / 2))
     if abs(tau - cross) > rel * max(1.0, abs(tau)):
         raise NumericError(
             f"mean hitting time cross-check failed: {tau!r} vs {cross!r}"

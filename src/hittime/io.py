@@ -421,7 +421,17 @@ def realize_initial(
     if m.shape != (n, n):
         raise DimensionError(f"initial density has shape {m.shape}, expected ({n}, {n})")
     herm = hermitize(m)
-    trace = float(np.trace(herm).real)
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(herm).real)
     if trace <= 0:
         raise ParseError("initial density must have positive trace")
-    return InitialState(density(herm / trace, tol), trace, "density matrix")
+    if trace == math.inf:
+        raise _fail("initial density trace", _OUT_OF_RANGE)
+    try:
+        with np.errstate(over="raise"):
+            rho = herm / trace
+    except FloatingPointError:
+        # numpy divides a complex array by multiplying with 1 / trace, which
+        # overflows for a subnormal trace; divide the parts instead.
+        rho = (herm.view(float) / trace).view(complex)
+    return InitialState(density(rho, tol), trace, "density matrix")

@@ -14,7 +14,8 @@ A map that preserves Hermiticity (every positive map does) has a real
 representation in the Hilbert-Schmidt-orthonormal Hermitian basis;
 :func:`hermitian_form` changes to that basis, so the spectral kernels of such
 maps (the bordered solve for the invariant state, the fixed space, condition
-numbers, the survival radius) run in real arithmetic.
+numbers, the survival radius) run in real arithmetic, and so do the covector
+solves against them (:func:`form_solve`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "PsdCheck",
     "spectral_radius",
     "hermitian_form",
+    "form_solve",
     "survival_radius",
 ]
 
@@ -108,9 +110,16 @@ def unvec(v) -> np.ndarray:
 
 
 def hermitize(x) -> np.ndarray:
-    """Hermitian part (X + X*) / 2, used before positivity checks."""
+    """Hermitian part (X + X*) / 2, used before positivity checks.
+
+    X / 2 + X* / 2 only when X + X* overflows, so ordinary inputs keep every bit.
+    """
     m = _as_square(x, "x")
-    return (m + m.conj().T) / 2
+    try:
+        with np.errstate(over="raise"):
+            return (m + m.conj().T) / 2
+    except FloatingPointError:
+        return m / 2 + m.conj().T / 2
 
 
 def frobenius(x) -> float:
@@ -184,12 +193,12 @@ def hermitian_form(a) -> np.ndarray:
 
 
 def _from_hermitian_coords(c: np.ndarray) -> np.ndarray:
-    """U c: the row-stacked vec of the matrix with Hermitian-basis coordinates c."""
-    n = math.isqrt(c.size)
+    """U c: the row-stacked vec of the matrix with Hermitian-basis coordinates c (each column)."""
+    n = math.isqrt(c.shape[0])
     diag, upper, lower = _hermitian_basis(n)
     half = upper.size
     sym, anti = c[n:n + half], c[n + half:]
-    x = np.empty(c.size, dtype=complex)
+    x = np.empty(c.shape, dtype=complex)
     x[diag] = c[:n]
     x[upper] = (sym + 1j * anti) * math.sqrt(0.5)
     x[lower] = (sym - 1j * anti) * math.sqrt(0.5)
@@ -205,11 +214,29 @@ def _to_hermitian_coords(h) -> np.ndarray:
 
 
 def _covector_to_hermitian_coords(a) -> np.ndarray:
-    """a U: a covector on row-stacked vecs, carried into the basis of :func:`hermitian_form`."""
-    n = math.isqrt(a.size)
+    """a U: a covector on row-stacked vecs (or each column of a), in the Hermitian basis."""
+    n = math.isqrt(a.shape[0])
     diag, upper, lower = _hermitian_basis(n)
     x, y = a[upper], a[lower]
     return np.concatenate([a[diag], (x + y) * math.sqrt(0.5), (x - y) * (1j * math.sqrt(0.5))])
+
+
+def form_solve(a: np.ndarray, covector) -> np.ndarray:
+    """x with x M = l, for M = U a U* the row-stacked matrix whose :func:`hermitian_form` is ``a``.
+
+    ``covector`` is one covector l or a column of them, shape (d, k).
+    (x U) a = l U is solved in the Hermitian basis, and x = (x U) U* comes
+    back.  A real ``a`` takes the real and imaginary parts of l U as real
+    right-hand sides.  A singular ``a`` raises ``numpy.linalg.LinAlgError``.
+    """
+    rhs = _covector_to_hermitian_coords(np.asarray(covector))
+    if np.isrealobj(a):
+        # Viewed as floats, each complex column is its real and imaginary parts.
+        y = np.linalg.solve(a.T, rhs.reshape(rhs.shape[0], -1).view(float)).view(complex)
+    else:
+        y = np.linalg.solve(a.T, rhs)
+    # y U* = conj(U conj(y)), read as a covector.
+    return _from_hermitian_coords(y.reshape(rhs.shape).conj()).conj()
 
 
 def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:

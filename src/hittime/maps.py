@@ -108,8 +108,10 @@ class IrreducibilityCertificate:
 
     ``certified_irreducible`` requires a one-dimensional fixed space whose
     normalized fixed point is a strictly positive state.  A certified
-    certificate carries the 2-norm condition number of
-    A = I - T + vec(pi) vec(I)^T, whose inverse is the fundamental map.
+    certificate carries ``a_form``, the :func:`~hittime.linalg.hermitian_form`
+    of A = I - T + vec(pi) vec(I)^T whose singular values certified it (the
+    inverse of A is the fundamental map), and the 2-norm condition number
+    of A; both are left unset otherwise.
     """
 
     invariant_state: DensityMatrix | None
@@ -117,6 +119,7 @@ class IrreducibilityCertificate:
     min_eigenvalue_of_pi: float
     verdict: str
     condition_estimate: float = math.nan
+    a_form: np.ndarray | None = None
 
 
 class TraceCheck(NamedTuple):
@@ -289,7 +292,8 @@ def check_trace_preserving(
     if tol is None:
         tol = DEFAULT_TOL
     n = t.dim
-    residual = frobenius(unvec(t.rep.conj().T @ vec(np.eye(n))) - np.eye(n))
+    # T*(I) = conj(rep)^T vec(I) = conj(vec(I) rep), without a conjugated copy of rep.
+    residual = frobenius(unvec((vec(np.eye(n)) @ t.rep).conj()) - np.eye(n))
     return TraceCheck(residual <= tol.atol + tol.rtol * math.sqrt(n), residual)
 
 
@@ -338,9 +342,10 @@ def invariant_state(
     e = vec(I), the candidate pi comes from one bordered solve
     (:func:`bordered_solve`), and the values-only SVD of
     A = I - T + vec(pi) e^T certifies a one-dimensional fixed space
-    (:func:`isolates_fixed_vector`).  The same SVD gives the condition
-    number of A that :func:`~hittime.fundamental.fundamental_map` gates on.
-    When the certificate fails, :func:`fixed_space` decides and reports the
+    (:func:`isolates_fixed_vector`).  A certified map keeps that form of A,
+    which :func:`~hittime.fundamental.fundamental_map` solves against, and
+    the condition number the same SVD gives, which it gates on.  When the
+    certificate fails, :func:`fixed_space` decides and reports the
     dimension.  A one-dimensional fixed space whose Hermitized,
     trace-normalized fixed point is a strictly positive state yields the
     verdict ``certified_irreducible``; a larger fixed space yields
@@ -356,16 +361,16 @@ def invariant_state(
     h = hermitian_form(t.rep)
     head = slice(0, t.dim)  # vec(I) in the Hermitian basis
 
-    def fundamental_singular_values(pi: np.ndarray) -> np.ndarray:
+    def fundamental_form(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = bordered(h, _to_hermitian_coords(pi), head)
-        return np.linalg.svd(a, compute_uv=False)
+        return a, np.linalg.svd(a, compute_uv=False)
 
     sing = None
     try:
         candidate = hermitize(unvec(_from_hermitian_coords(bordered_solve(h, head))))
         tr = float(np.trace(candidate).real)
         if abs(tr) >= _TRACE_FLOOR:
-            sing = fundamental_singular_values(candidate / tr)
+            a, sing = fundamental_form(candidate / tr)
     except np.linalg.LinAlgError:
         pass
     if sing is None or not isolates_fixed_vector(sing, h, tol):
@@ -390,8 +395,8 @@ def invariant_state(
             DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE
         )
     if sing is None:
-        sing = fundamental_singular_values(pi)
+        a, sing = fundamental_form(pi)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
     return IrreducibilityCertificate(
-        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond
+        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond, a
     )

@@ -36,9 +36,7 @@ from .sampling import (
     random_subspace,
 )
 
-__all__ = ["CheckResult", "run_selftest", "DEFAULT_SELFTEST_SEED"]
-
-DEFAULT_SELFTEST_SEED = 20240817
+__all__ = ["CheckResult", "run_selftest"]
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -208,7 +206,7 @@ def check_classical_embedding(seed: int, instances: int = 5) -> CheckResult:
     return _result("classical embedding on seeded random chains", items)
 
 
-def run_selftest(seed: int = DEFAULT_SELFTEST_SEED) -> list[CheckResult]:
+def run_selftest(seed: int) -> list[CheckResult]:
     """Run every embedded check; deterministic for a fixed seed.
 
     A check that raises is reported as failed rather than aborting the run.

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hittime
+import hittime.classical
 import hittime.maps
 from hittime import (
     CERTIFIED_IRREDUCIBLE,
@@ -19,6 +20,8 @@ from hittime import (
     fundamental_map,
     hermitize,
     invariant_state,
+    solve_hitting,
+    subspace_from_indices,
     unvec,
 )
 from hittime.linalg import bordered, bordered_solve, fixed_space
@@ -121,7 +124,7 @@ def test_certified_map_takes_one_values_only_svd(monkeypatch, fixed_space_calls)
     assert not fixed_space_calls
     assert fd.condition_estimate == cert.condition_estimate
     assert cert.condition_estimate == pytest.approx(
-        np.linalg.cond(fd.a_rep), rel=1e-10
+        np.linalg.cond(fd.a_form), rel=1e-10
     )
 
 
@@ -172,3 +175,40 @@ def test_hoelder_bound_certifies_where_the_frobenius_bound_gave_up(monkeypatch, 
         cert.invariant_state.matrix, reference, rtol=0,
         atol=cert.condition_estimate * np.finfo(float).eps,
     )
+
+
+# ------------------------------------------ the fixed_space rescue of a certificate
+
+EPS = np.finfo(float).eps
+
+
+def test_rescued_kraus_certificate_matches_the_bordered_one(monkeypatch):
+    """When the bordered certificate fails, fixed_space finds the same pi and A."""
+    n = 4
+    t = from_kraus(kraus_family(np.random.default_rng(3), n, 2))
+    cert = invariant_state(t)
+    monkeypatch.setattr(hittime.maps, "isolates_fixed_vector", lambda *args: False)
+    rescued = invariant_state(t)
+    bound = cert.condition_estimate * EPS
+    assert rescued.verdict == cert.verdict == CERTIFIED_IRREDUCIBLE
+    assert rescued.fixed_space_dim == 1
+    assert_allclose(rescued.invariant_state.matrix, cert.invariant_state.matrix, rtol=0, atol=bound)
+    assert rescued.condition_estimate == pytest.approx(cert.condition_estimate, rel=1e-10)
+    assert_allclose(rescued.a_form, cert.a_form, rtol=0, atol=bound)
+    sub = subspace_from_indices(n, [0])
+    hs, reference = solve_hitting(t, sub, rescued), solve_hitting(t, sub, cert)
+    scale = np.abs(reference.return_covector).max()
+    assert_allclose(
+        hs.return_covector, reference.return_covector,
+        rtol=0, atol=bound * reference.condition_estimate * scale,
+    )
+
+
+def test_rescued_chain_matches_the_bordered_one(monkeypatch):
+    p = random_column_stochastic(6, np.random.default_rng(5))
+    mc = build_chain(p)
+    monkeypatch.setattr(hittime.classical, "isolates_fixed_vector", lambda *args: False)
+    rescued = build_chain(p)
+    bound = np.linalg.cond(np.eye(6) - p + np.outer(mc.pi, np.ones(6))) * EPS
+    assert_allclose(rescued.pi, mc.pi, rtol=0, atol=bound)
+    assert_allclose(rescued.z, mc.z, rtol=0, atol=bound * np.abs(mc.z).max())

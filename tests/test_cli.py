@@ -16,6 +16,8 @@ from click.testing import CliRunner
 import hittime
 import hittime.cli
 import hittime.examples as examples
+import hittime.fundamental
+import hittime.hitting
 import hittime.io
 import hittime.maps
 from hittime.cli import main
@@ -121,6 +123,19 @@ def test_validate_reducible_chain_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["validate", path])
     assert result.exit_code == 2
     assert "not_irreducible" in result.output
+
+
+def test_validate_amplitude_damping_reports_a_singular_invariant_state(runner, tmp_path):
+    """A one-dimensional fixed space whose state |0><0| is not positive definite."""
+    gamma = 0.3
+    kraus = [[[1, 0], [0, math.sqrt(1 - gamma)]], [[0, math.sqrt(gamma)], [0, 0]]]
+    path = write(tmp_path, "damping.json", {"dim": 2, "kraus": kraus})
+    result = runner.invoke(main, ["validate", path, "--json"])
+    assert result.exit_code == 2
+    record = json.loads(result.output)
+    assert record["irreducibility"]["verdict"] == "not_irreducible"
+    assert record["irreducibility"]["fixed_space_dim"] == 1
+    assert record["invariant_state"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 
 def test_validate_missing_file_exits_1(runner):
@@ -329,6 +344,21 @@ def test_hit_computes_the_fundamental_map_once(runner, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("module,message", [
+    (hittime.fundamental, "error: fundamental solve is singular to working precision"),
+    (hittime.hitting, "error: survival resolvent is singular to working precision"),
+])
+def test_hit_exits_5_on_a_condition_beyond_the_ceiling(
+    runner, tmp_path, monkeypatch, module, message
+):
+    monkeypatch.setattr(module, "COND_CEIL", 1.0)
+    result = runner.invoke(
+        main, ["hit", qubit_map_file(tmp_path), qubit_query_file(tmp_path), "--json"]
+    )
+    assert result.exit_code == 5
+    assert result.output.startswith(message)
+
+
 def test_hit_judges_the_map_under_the_command_tolerance(runner, tmp_path):
     """--tol judges the map (exit 2); a query's tol judges only its own query.
 
@@ -531,6 +561,19 @@ def test_classical_kac_command(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert json.loads(result.output)["tau"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_classical_refuses_a_stationary_distribution_with_a_zero_entry(runner, tmp_path):
+    path = write(
+        tmp_path, "absorbing.json",
+        {"dim": 2, "stochastic": [[1, 0.5], [0, 0.5]], "orientation": "column"},
+    )
+    result = runner.invoke(main, ["classical", "kac", path, "-j", "1"])
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: chain is not irreducible: stationary distribution has a "
+        "non-positive entry (0.000e+00)\n"
+    )
 
 
 def test_classical_dist_command(runner, tmp_path):
@@ -767,6 +810,24 @@ def test_selftest_json(runner):
     records = json.loads(result.output)
     assert all(entry["ok"] for entry in records)
     assert len(records) == 8
+
+
+def test_importing_the_cli_leaves_out_the_selftest():
+    src = str(Path(hittime.__file__).resolve().parents[1])
+    probe = (
+        "import json, sys, hittime.cli; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('hittime.')]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(json.loads(out.stdout))
+    assert "hittime.cli" in loaded
+    assert not loaded & {"hittime.selftest", "hittime.examples", "hittime.sampling", "hittime.blocks"}
 
 
 def test_selftest_detects_perturbation(runner, monkeypatch):

@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import golden
+import hittime.fundamental
 from hittime import (
     FundamentalData,
     NumericError,
     PreconditionError,
+    SuperOperator,
     apply,
     condition_first_step,
     density,
@@ -93,6 +95,25 @@ def test_fundamental_map_rejects_reducible_map():
     assert cert.fixed_space_dim == 4
     with pytest.raises(PreconditionError):
         fundamental_map(identity_channel, cert)
+
+
+def test_fundamental_map_refuses_a_condition_beyond_the_ceiling(monkeypatch, qubit_channel):
+    cert = invariant_state(qubit_channel)
+    monkeypatch.setattr(hittime.fundamental, "COND_CEIL", cert.condition_estimate / 2)
+    with pytest.raises(NumericError) as refused:
+        fundamental_map(qubit_channel, cert)
+    assert str(refused.value) == (
+        f"fundamental solve is singular to working precision "
+        f"(condition estimate {cert.condition_estimate:.3e})"
+    )
+
+
+def test_fundamental_map_refuses_a_map_that_is_not_trace_preserving(qubit_channel):
+    cert = invariant_state(qubit_channel)
+    scaled = SuperOperator(2, 0.5 * qubit_channel.rep, "raw")  # T*(I) = I / 2
+    with pytest.raises(PreconditionError) as refused:
+        fundamental_map(scaled, cert)
+    assert str(refused.value) == "map is not trace preserving (residual 7.071e-01)"
 
 
 def test_identities_demo_channel(qubit_channel, qubit_fd):

@@ -35,6 +35,7 @@ from hittime import (
     vec,
 )
 from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
+from hittime.hitting import _survival_resolvent
 from hittime.examples import symmetric_two_state_chain
 from hittime.sampling import (
     random_cptp_map,
@@ -518,6 +519,18 @@ def test_projector_substitution_leaves_traces_unchanged(qubit_solution, qubit_st
 def test_solve_hitting_rejects_reducible_map():
     with pytest.raises(PreconditionError, match="certified"):
         solve_hitting(from_kraus([np.eye(2)]), subspace_from_indices(2, [0]))
+
+
+def test_solve_hitting_refuses_an_ill_conditioned_resolvent(monkeypatch, qubit_channel):
+    sub = subspace_from_indices(2, [0])
+    _, radius, cond = _survival_resolvent(qubit_channel, sub)
+    monkeypatch.setattr(hittime.hitting, "COND_CEIL", cond / 2)
+    with pytest.raises(NumericError) as refused:
+        solve_hitting(qubit_channel, sub)
+    assert str(refused.value) == (
+        f"survival resolvent is singular to working precision "
+        f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
+    )
 
 
 def test_solve_hitting_rejects_dimension_mismatch(qubit_channel):

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
+import hittime
 import hittime.io
 from hittime import (
     DEFAULT_TOL,
@@ -14,6 +19,7 @@ from hittime import (
     Tolerance,
     ValidationError,
     apply,
+    hermitize,
     pure_density,
 )
 from hittime.cli import main
@@ -288,6 +294,54 @@ def test_hit_record_stays_valid_json_for_huge_initial_states(tmp_path):
     result = CliRunner().invoke(main, ["hit", map_path, write(tmp_path, "q.json", huge), "--json"])
     assert result.exit_code == 1
     assert "initial distribution mass" in result.output
+
+
+def test_hermitize_of_a_matrix_whose_sum_overflows():
+    m = np.array([[1e308, 1e308], [0.0, 1e307]])
+    assert_allclose(hermitize(m), [[1e308, 5e307], [5e307, 1e307]], rtol=1e-15)
+    rng = np.random.default_rng(3)
+    ordinary = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert np.array_equal(hermitize(ordinary), (ordinary + ordinary.conj().T) / 2)
+
+
+def test_initial_density_whose_trace_overflows(tmp_path):
+    payload = {"subspace": {"indices": [1]}, "initial": {"density": [[1e308, 0], [0, 1e307]]}}
+    initial = realize_initial(load_query_file(write(tmp_path, "q.json", payload))[0], 2)
+    assert initial.normalization == pytest.approx(1.1e308, rel=1e-15)
+    assert_allclose(initial.state.matrix, np.diag([10 / 11, 1 / 11]), rtol=0, atol=1e-15)
+    payload["initial"] = {"density": [[1e308, 0], [0, 1e308]]}  # the trace is out of range
+    query = load_query_file(write(tmp_path, "q.json", payload))[0]
+    with pytest.raises(ParseError, match="initial density trace: number is too large"):
+        realize_initial(query, 2)
+
+
+def test_initial_density_whose_trace_underflows(tmp_path):
+    payload = {"subspace": {"indices": [1]}, "initial": {"density": [[1e-320, 0], [0, 1e-320]]}}
+    initial = realize_initial(load_query_file(write(tmp_path, "q.json", payload))[0], 2)
+    assert initial.normalization == 2e-320
+    assert np.array_equal(initial.state.matrix, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("entry,code", [(1e308, 1), (1e-320, 0)])
+def test_hit_with_a_huge_or_tiny_density_warns_nothing(tmp_path, entry, code):
+    """Under -W error, a density beyond the double range ends in one error line."""
+    map_path = write(tmp_path, "map.json", qubit_map_payload())
+    query = {"subspace": {"indices": [1]}, "initial": {"density": [[entry, 0], [0, entry]]}}
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hittime", "hit", map_path,
+         write(tmp_path, "q.json", query), "--json"],
+        env=dict(os.environ, PYTHONPATH=str(Path(hittime.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == code
+    if code:
+        assert out.stderr == (
+            "error: initial density trace: number is too large for a double-precision float\n"
+        )
+    else:
+        assert out.stderr == ""
+        assert json.loads(out.stdout)["normalization"]["factor"] == 2e-320
 
 
 # ---------------------------------------------------- whole-array fast path

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,7 +138,9 @@ def test_compressed_radius_matches_full_survival_spectrum(n, kraus_rank):
 def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
     """The spectral kernels of a Kraus map run real, and each radius is m^2 x m^2."""
     calls = []
-    originals = {name: getattr(np.linalg, name) for name in ("eigvals", "svd", "cond", "norm")}
+    originals = {
+        name: getattr(np.linalg, name) for name in ("eigvals", "svd", "cond", "norm", "solve")
+    }
 
     def recording(name):
         def recorder(a, *args, **kwargs):
@@ -170,6 +173,50 @@ def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
     invariant_state(t)
     fundamental_map(t, cert)
     assert calls and not [c for c in calls if c[2]]
+
+
+# ------------------------------------------------- solves in the Hermitian form
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_form_solve_matches_the_vec_coordinate_solve(n):
+    rng = np.random.default_rng(30 + n)
+    d = n * n
+    resolvent = np.eye(d) - 0.5 * random_cptp_map(n, 2, rng).rep
+    general = np.eye(d) * d + rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for m, real in ((resolvent, True), (general, False)):
+        form = hermitian_form(m)
+        assert np.isrealobj(form) == real
+        covector = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        columns = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        for rhs in (covector, columns, columns.real):
+            x = linalg.form_solve(form, rhs)
+            assert x.shape == rhs.shape
+            assert_allclose(x, np.linalg.solve(m.T, rhs), rtol=0, atol=1e-13)
+
+
+def test_each_linear_system_is_kept_once_in_its_hermitian_form():
+    n = 6
+    d = n * n
+    rng = np.random.default_rng(9)
+    t = from_kraus(kraus_family(rng, n, 2))
+    cert = invariant_state(t)
+    tracemalloc.start()
+    try:
+        fd = fundamental_map(t, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fd.a_form is cert.a_form
+    assert peak < d * d * 8  # not one d x d array, real or complex
+    assert np.isrealobj(cert.a_form)
+    omega = np.outer(vec(cert.invariant_state.matrix), vec(np.eye(n)))
+    assert_allclose(cert.a_form, hermitian_form(np.eye(d) - t.rep + omega), rtol=0, atol=1e-14)
+    for sub in _subspaces(n, 2, rng):
+        form, _, cond = _survival_resolvent(t, sub)
+        assert np.isrealobj(form)
+        assert cond == np.linalg.cond(form)
+        expected = hermitian_form(np.eye(d) - lift(sub.projector_q) @ t.rep)
+        assert_allclose(form, expected, rtol=0, atol=1e-14)
 
 
 # A trace-preserving map that does not preserve Hermiticity: the qudit demo
