@@ -9,12 +9,13 @@ row-stacked vecs:
 - ``lift(P)`` = kron(P, conj(P)), the map X -> P X P*; PP and QQ are the lifts
   of the subspace projectors and RR = I - PP - QQ;
 - ``omega(pi)`` = |pi><I|, the map rho -> Tr(rho) pi;
-- ``fundamental(fd)`` = Z = (I - T + Omega)^{-1};
+- ``fundamental(t, pi)`` = Z = (I - T + Omega)^{-1}, by a dense inverse;
 - ``hitting_maps`` = H = T (I - QT)^{-1} and K = T (I - QT)^{-2};
 - ``block(X, subspace, i, j)`` = X_ij for the pair I - QQ (index 1), QQ (2);
 - ``dnl`` = D = K_11 + K_22, N = K - D and L = K - N T.
 
-Nothing on the answer path imports this module.
+None of it reuses a solve of the answer path, and nothing on the answer
+path imports this module.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ def omega(pi) -> np.ndarray:
     return np.outer(vec(state.matrix), vec(np.eye(state.dim)))
 
 
-def fundamental(fd: FundamentalData) -> np.ndarray:
-    """The dense Z; column j of the solve against the identity is row j of Z."""
-    return fd.z_covector(np.eye(fd.a_form.shape[0])).T
+def fundamental(t: SuperOperator, pi) -> np.ndarray:
+    """The dense Z = (I - T + Omega)^{-1} of ``t``, Omega = omega(pi), in vec coordinates."""
+    return np.linalg.inv(np.eye(t.rep.shape[0]) - t.rep + omega(pi))
 
 
 def hitting_maps(
@@ -86,7 +87,7 @@ def dnl(
 
 def fundamental_identities(fd: FundamentalData, t: SuperOperator) -> dict[str, float]:
     """Frobenius residuals of the algebraic identities of Z and Omega."""
-    om, z, rep = omega(fd.pi), fundamental(fd), t.rep
+    om, z, rep = omega(fd.pi), fundamental(t, fd.pi), t.rep
     eye = np.eye(rep.shape[0])
     vec_eye = vec(np.eye(fd.pi.dim))
     return {

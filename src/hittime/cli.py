@@ -242,13 +242,17 @@ def validate(map_file: str, tol: Tolerance | None, as_json: bool, digits: int,
 
 
 def _evaluate_query(channel, fd, solutions, query, tolerance, method):
-    """One query's record; ``solutions`` memoizes the solves of ``channel``
-    by (subspace, query tolerance)."""
-    subspace = realize_subspace(query, channel.dim)
-    initial = realize_initial(query, channel.dim, tolerance)
+    """One query's record; ``solutions`` memoizes the solves of ``channel`` by
+    (subspace as stated: sorted indices or vector bytes, query tolerance), so
+    each distinct subspace is realized once."""
     query_tol = query.tol or tolerance
-    key = (subspace.projector_p.tobytes(), query_tol)
-    if key not in solutions:
+    if query.subspace_indices is not None:
+        key = (tuple(sorted(set(query.subspace_indices))), query_tol)
+    else:
+        key = (tuple(v.tobytes() for v in query.subspace_vectors), query_tol)
+    subspace = None if key in solutions else realize_subspace(query, channel.dim)
+    initial = realize_initial(query, channel.dim, tolerance)
+    if subspace is not None:
         solutions[key] = solve_hitting(channel, subspace, tol=query_tol, fd=fd)
     hs = solutions[key]
     rho = initial.state

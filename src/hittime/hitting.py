@@ -13,11 +13,13 @@ The block decomposition induced by I - Q and Q links K to the fundamental map
 Z and yields the mean hitting time formula used by :func:`mhtf_orthogonal`
 and :func:`mhtf_general`.
 
-Every answer is a linear functional of the start state, <l, vec(rho)> for a
-fixed covector l, so :func:`solve_hitting` keeps only the covectors, found by
-transposed vector solves against the Hermitian form of I - QT.  The dense H,
-K, their blocks and D, N, L live in :mod:`hittime.blocks`, the reference
-route of the identity and golden checks.
+Every answer is a linear functional of the start state.  In the Hermitian
+basis of a frame W that splits V off (:class:`ArrivalSubspace`), Q is a
+coordinate mask, so :func:`solve_hitting` keeps covectors in frame
+coordinates, solved against the frame form of T (:func:`frame_form`), and
+each query pairs them with the coordinates of W* rho W.  The dense H, K,
+their blocks and D, N, L live in :mod:`hittime.blocks`, the reference route
+of the identity and golden checks.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from .linalg import (
     DEFAULT_TOL,
     MIN_SPECTRAL_GAP,
     Tolerance,
-    form_solve,
+    _to_hermitian_coords,
+    bordered,
     frobenius,
+    hermitian_block,
     hermitian_form,
     hermitize,
     survival_radius,
@@ -75,11 +79,12 @@ ORTHOGONALITY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ArrivalSubspace:
-    """Orthogonal projector pair (P, Q = I - P) for a proper nonzero subspace.
+    """Orthogonal projector pair (P, Q = I - P) for a proper nonzero subspace, and its frame.
 
-    :meth:`compress` applies X -> QXQ, which is QQ = Q (x) conj(Q) on
-    row-stacked vecs, without forming that n^2 x n^2 matrix;
-    :func:`hittime.blocks.lift` builds the dense lifts for the reference checks.
+    ``frame`` is the unitary W = [basis, complement_basis], or None for an
+    index target, whose frame is the computational basis.  W* Q W is a
+    coordinate projector, so in the Hermitian basis of the frame X -> QXQ
+    keeps the coordinates ``kept`` and zeroes the rest.
     """
 
     dim_ambient: int
@@ -88,31 +93,28 @@ class ArrivalSubspace:
     projector_q: np.ndarray
     basis: np.ndarray  # n x rank, orthonormal columns spanning the subspace
     complement_basis: np.ndarray  # n x (n - rank), orthonormal columns spanning range(Q)
+    frame: np.ndarray | None
+    kept: np.ndarray
 
-    def compress(self, x: np.ndarray) -> np.ndarray:
-        """QQ x, for x a vec or a matrix of n^2 rows such as a rep.
+    def coords(self, x) -> np.ndarray:
+        """Hermitian-basis coordinates of W* X W, for an n x n Hermitian X."""
+        if self.frame is not None:
+            x = self.frame.conj().T @ x @ self.frame
+        return _to_hermitian_coords(x)
 
-        Q acts on the two matrix indices of each column in turn: O(n^3) per
-        column instead of the O(n^4) of the dense QQ.
-        """
-        n, q = self.dim_ambient, self.projector_q
-        if x.shape[0] != n * n:
-            raise DimensionError(f"expected {n * n} rows, got shape {x.shape}")
-        y = (q @ x.reshape(n, -1)).reshape(n, n, -1)
-        return (q.conj() @ y).reshape(x.shape)
-
-    def compress_covector(self, covector: np.ndarray) -> np.ndarray:
-        """l QQ = vec(conj(Q) L conj(Q)) for the covector l = vec(L)."""
-        n, qc = self.dim_ambient, self.projector_q.conj()
-        return (qc @ covector.reshape(n, n) @ qc).reshape(-1)
+    def mask(self, x: np.ndarray) -> np.ndarray:
+        """QQ x, or l QQ for a covector l, in frame coordinates: x outside ``kept`` zeroed."""
+        y = np.zeros_like(x)
+        y[self.kept] = x[self.kept]
+        return y
 
 
 @dataclass(frozen=True, eq=False)
 class HittingSolution:
     """Everything needed to answer hitting-time queries for one (map, subspace).
 
-    Each query is a pairing <l, vec(rho)> with one of the covectors (row
-    vectors) below, with e = vec(I):
+    Each query pairs one of the covectors (row vectors) below with the frame
+    coordinates of rho (``subspace.coords``), with e the coordinates of I:
 
     - ``probability_covector``  e (I - QQ) H   (hitting probability)
     - ``time_covector``         e (I - QQ) K   (direct mean time)
@@ -120,13 +122,13 @@ class HittingSolution:
     - ``return_covector``       e K11 Z (I - QQ)   (return summand of the mhtf)
     - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
 
-    It holds no dense map: :func:`hittime.blocks.hitting_maps` builds H and K
-    for the reference checks.
+    ``form``, the frame form of the map, steps the start of :func:`mhtf_general`.
     """
 
     map: SuperOperator
     subspace: ArrivalSubspace
     fd: FundamentalData
+    form: np.ndarray
     probability_covector: np.ndarray
     time_covector: np.ndarray
     trace_covector: np.ndarray
@@ -173,9 +175,13 @@ def subspace_from_vectors(vectors, tol: Tolerance | None = None) -> ArrivalSubsp
         raise ValidationError(
             "arrival subspace must be proper (a nontrivial subspace is required)"
         )
+    # One Newton-Schulz step takes W = u to unitary within rounding: the frame
+    # conjugates the map, so its departure from unitarity perturbs every answer.
+    u = u @ (3.0 * np.eye(n) - u.conj().T @ u) / 2
     basis = u[:, :rank]
     p = hermitize(basis @ basis.conj().T)
-    return ArrivalSubspace(n, rank, p, np.eye(n) - p, basis, u[:, rank:])
+    kept = hermitian_block(n, np.arange(rank, n))
+    return ArrivalSubspace(n, rank, p, np.eye(n) - p, basis, u[:, rank:], u, kept)
 
 
 def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
@@ -193,31 +199,48 @@ def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
     p = np.zeros((n, n), dtype=complex)
     p[idx, idx] = 1.0
     rest = np.setdiff1d(np.arange(n), idx)
-    return ArrivalSubspace(n, len(idx), p, np.eye(n) - p, eye[:, idx], eye[:, rest])
+    kept = hermitian_block(n, rest)
+    return ArrivalSubspace(n, len(idx), p, np.eye(n) - p, eye[:, idx], eye[:, rest], None, kept)
+
+
+def frame_form(t: SuperOperator, subspace: ArrivalSubspace) -> np.ndarray:
+    """The Hermitian form of ``t`` in the frame of ``subspace``: the map's own for an index target.
+
+    A frame W takes K* rep K, K = kron(W, conj(W)), the map X -> W* T(W X W*) W,
+    contracted one matrix index of rep at a time: columns, then rows.
+    """
+    w = subspace.frame
+    if w is None:
+        return t.hermitian_form
+    n, d, wc = t.dim, t.dim * t.dim, w.conj()
+    x = w.T @ (t.rep.reshape(d * n, n) @ wc).reshape(d, n, n)
+    x = w.T @ (wc.T @ x.reshape(n, n * d)).reshape(n, n, d)
+    return hermitian_form(x.reshape(d, d))
 
 
 def _survival_resolvent(
     t: SuperOperator, subspace: ArrivalSubspace
-) -> tuple[np.ndarray, float, float]:
-    """The Hermitian form of I - QT, the spectral radius of QT and the condition of both.
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The frame form h, the form of I - QT, the spectral radius of QT and the condition of I - QT.
 
     Raises :class:`NumericError` unless the monitored evolution contracts and
     the resolvent is well conditioned.
     """
-    radius = survival_radius(t.rep, subspace.complement_basis, t.provenance == "kraus")
+    h = frame_form(t, subspace)
+    radius = survival_radius(h[np.ix_(subspace.kept, subspace.kept)], t.provenance == "kraus")
     if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NumericError(
             f"monitored evolution does not contract: spectral radius of the "
             f"survival map is {radius:.12g} (map reducible or subspace trivial)"
         )
-    form = hermitian_form(np.eye(t.rep.shape[0]) - subspace.compress(t.rep))
-    cond = float(np.linalg.cond(form))
+    resolvent = np.eye(h.shape[0]) - subspace.mask(h)
+    cond = float(np.linalg.cond(resolvent))
     if not np.isfinite(cond) or cond > COND_CEIL:
         raise NumericError(
             f"survival resolvent is singular to working precision "
             f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
         )
-    return form, radius, cond
+    return h, resolvent, radius, cond
 
 
 def solve_hitting(
@@ -227,13 +250,14 @@ def solve_hitting(
     tol: Tolerance | None = None,
     fd: FundamentalData | None = None,
 ) -> HittingSolution:
-    """Query covectors for one (map, subspace).
+    """Query covectors for one (map, subspace), in the subspace's frame coordinates.
 
     ``fd`` is the fundamental map of ``t``; pass it to share one across the
     subspaces of a map, otherwise it is computed here (from ``cert`` when
-    given).  The covectors come from two transposed solves against the
-    Hermitian form of I - QT (:func:`~hittime.linalg.form_solve`): one for
-    the probability and trace rows, one for the time row.
+    given).  Two transposed solves against I - QT give the probability,
+    trace and time rows, and one against A = I - T + Omega the mhtf rows;
+    A is built as :func:`~hittime.maps.invariant_state` builds it, so an
+    index target solves against the matrix that certified the map.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -245,23 +269,28 @@ def solve_hitting(
         if cert is None:
             cert = invariant_state(t, tol)
         fd = fundamental_map(t, cert, tol)
-    form, radius, cond = _survival_resolvent(t, subspace)
-    # Each covector l solves l (I - QT) = r.
-    trace_row = vec(np.eye(t.dim))
-    # e (I - QQ) = vec(conj(P)): e QQ = vec(conj(Q)^2) = vec(conj(Q)) for e = vec(I).
-    first_row = vec(subspace.projector_p.conj())
-    probability, trace = form_solve(
-        form, np.column_stack([first_row @ t.rep, trace_row @ t.rep])
-    ).T
-    time = form_solve(form, probability)
-    # e K11 = e (I - QQ) K (I - QQ)
-    k11_row = time - subspace.compress_covector(time)
-    kz = fd.z_covector(k11_row)
-    start = subspace.compress_covector(kz)
+    h, resolvent, radius, cond = _survival_resolvent(t, subspace)
+    # Each covector l solves l (I - QT) = r, with e = coords(I) and
+    # e (I - QQ) = coords(W* P W), exactly 1 on the target's diagonal.
+    e = _to_hermitian_coords(np.eye(t.dim))
+    rows = np.stack([e - subspace.mask(e), e]) @ h
+    probability, trace = np.linalg.solve(resolvent.T, rows.T).T
+    time = np.linalg.solve(resolvent.T, probability)
+    # e K11 = e (I - QQ) K (I - QQ), and x Z solves x A = e K11 for
+    # A = I - h + coords(W* pi W) e^T.
+    a = bordered(h, subspace.coords(fd.pi.matrix), slice(0, t.dim))
+    try:
+        kz = np.linalg.solve(a.T, time - subspace.mask(time))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"fundamental solve failed (condition estimate {fd.condition_estimate:.3e})"
+        ) from exc
+    start = subspace.mask(kz)
     return HittingSolution(
         map=t,
         subspace=subspace,
         fd=fd,
+        form=h,
         probability_covector=probability,
         time_covector=time,
         trace_covector=trace,
@@ -274,7 +303,7 @@ def solve_hitting(
 
 
 def _pair(covector: np.ndarray, w: np.ndarray) -> float:
-    """Real part of <covector, w>, a trace functional of the vectorized w."""
+    """Real part of <covector, w>, a trace functional of the frame coordinates w."""
     return float(np.real(covector @ w))
 
 
@@ -285,7 +314,7 @@ def hitting_probability(hs: HittingSolution, rho) -> float:
     numerical health indicator.
     """
     state = as_density(rho, hs.tol)
-    return _pair(hs.probability_covector, vec(state.matrix))
+    return _pair(hs.probability_covector, hs.subspace.coords(state.matrix))
 
 
 def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
@@ -296,7 +325,7 @@ def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
     the condition of I - QT allows signals numerical breakdown.
     """
     state = as_density(rho, hs.tol)
-    w = vec(state.matrix)
+    w = hs.subspace.coords(state.matrix)
     tau = _pair(hs.time_covector, w)
     cross = _pair(hs.trace_covector, w)
     # A solve with condition number c loses about c unit roundoffs (eps / 2)
@@ -353,8 +382,8 @@ def mhtf_orthogonal(
     psi_state = _reference_state(hs, rho_psi)
     # Tr((DZ)_11 x) and Tr((DZ)_12 x) are the return and start covectors:
     # e (I - QQ) D = e K11.
-    psi_term = _pair(hs.return_covector, vec(psi_state.matrix))
-    phi_term = _pair(hs.start_covector, vec(phi_state.matrix))
+    psi_term = _pair(hs.return_covector, hs.subspace.coords(psi_state.matrix))
+    phi_term = _pair(hs.start_covector, hs.subspace.coords(phi_state.matrix))
     return OrthogonalMhtf(psi_term - phi_term, psi_term, phi_term)
 
 
@@ -366,7 +395,7 @@ def condition_first_step(
 ) -> FirstStep:
     """One monitored step: either absorbed into V, or the surviving state.
 
-    Computes sigma = Q T rho.  If sigma vanishes the walk is absorbed at the
+    Computes sigma = Q T(rho) Q.  If sigma vanishes the walk is absorbed at the
     first step (mean hitting time 1); otherwise the surviving weight Tr(sigma)
     and the renormalized state sigma / Tr(sigma) are returned, satisfying
     tau(rho) = 1 + Tr(sigma) * tau(sigma / Tr(sigma)).
@@ -374,7 +403,8 @@ def condition_first_step(
     if tol is None:
         tol = DEFAULT_TOL
     state = as_density(rho, tol)
-    sigma = unvec(subspace.compress(t.rep @ vec(state.matrix)))
+    q = subspace.projector_q
+    sigma = q @ unvec(t.rep @ vec(state.matrix)) @ q
     if frobenius(sigma) <= tol.atol:
         return FirstStep(True, 0.0, None)
     weight = float(np.trace(sigma).real)
@@ -399,11 +429,13 @@ def mhtf_general(
     """
     state = as_density(rho, hs.tol)
     psi_state = _reference_state(hs, rho_psi)
-    sigma_vec = hs.subspace.compress(hs.map.rep @ vec(state.matrix))
-    if float(np.linalg.norm(sigma_vec)) <= hs.tol.atol:
+    kept = hs.subspace.kept
+    sigma = hs.form[kept] @ hs.subspace.coords(state.matrix)  # the kept coordinates of QT rho
+    if float(np.linalg.norm(sigma)) <= hs.tol.atol:
         return 1.0
-    # e K11 Z11 and e K11 Z12 are the return and start covectors.
-    weight = _pair(vec(np.eye(hs.map.dim)), sigma_vec)
-    psi_term = _pair(hs.return_covector, vec(psi_state.matrix))
-    start_term = _pair(hs.start_covector, sigma_vec)
+    # e K11 Z11 and e K11 Z12 are the return and start covectors; Tr(sigma)
+    # sums its diagonal coordinates, which are the first of the kept ones.
+    weight = float(sigma[: hs.map.dim - hs.subspace.rank].sum().real)
+    psi_term = _pair(hs.return_covector, hs.subspace.coords(psi_state.matrix))
+    start_term = _pair(hs.start_covector[kept], sigma)
     return 1.0 + psi_term * weight - start_term

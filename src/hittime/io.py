@@ -104,6 +104,9 @@ def _parse_complex(node, where: str) -> complex:
 
 
 def _parse_complex_vector(node, where: str) -> np.ndarray:
+    fast = _fast_matrix([node])  # the vector as a one-row matrix
+    if fast is not None:
+        return (fast.astype(complex) if fast.ndim == 2 else fast.view(complex)[..., 0])[0]
     if not isinstance(node, list) or not node:
         raise _fail(where, "expected a nonempty array of complex entries")
     return np.array(
@@ -177,6 +180,11 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _require_shape(m: np.ndarray, shape: tuple[int, int], where: str) -> None:
+    if m.shape != shape:
+        raise _fail(where, f"expected shape {shape}, got {m.shape}")
+
+
 def load_map_spec(path: str) -> MapSpec:
     """Parse a map specification file."""
     data = _load_json(path)
@@ -201,19 +209,11 @@ def load_map_spec(path: str) -> MapSpec:
             _parse_complex_matrix(m, f"{path}: kraus[{i}]") for i, m in enumerate(node)
         )
         for i, op in enumerate(ops):
-            if op.shape != (dim, dim):
-                raise _fail(
-                    f"{path}: kraus[{i}]",
-                    f"expected shape ({dim}, {dim}), got {op.shape}",
-                )
+            _require_shape(op, (dim, dim), f"{path}: kraus[{i}]")
         return MapSpec(dim, "kraus", kraus=ops)
     if kind == "stochastic":
         matrix = _parse_real_matrix(data["stochastic"], f"{path}: stochastic")
-        if matrix.shape != (dim, dim):
-            raise _fail(
-                f"{path}: stochastic",
-                f"expected shape ({dim}, {dim}), got {matrix.shape}",
-            )
+        _require_shape(matrix, (dim, dim), f"{path}: stochastic")
         orientation = data.get("orientation")
         if orientation is not None and orientation not in ("column", "row"):
             raise _fail(
@@ -222,11 +222,7 @@ def load_map_spec(path: str) -> MapSpec:
             )
         return MapSpec(dim, "stochastic", stochastic=matrix, orientation=orientation)
     matrix = _parse_complex_matrix(data["superoperator"], f"{path}: superoperator")
-    if matrix.shape != (dim * dim, dim * dim):
-        raise _fail(
-            f"{path}: superoperator",
-            f"expected shape ({dim * dim}, {dim * dim}), got {matrix.shape}",
-        )
+    _require_shape(matrix, (dim * dim, dim * dim), f"{path}: superoperator")
     return MapSpec(dim, "superoperator", superoperator=matrix)
 
 

@@ -12,10 +12,9 @@ which is pinned by the test suite.
 
 A map that preserves Hermiticity (every positive map does) has a real
 representation in the Hilbert-Schmidt-orthonormal Hermitian basis;
-:func:`hermitian_form` changes to that basis, so the spectral kernels of such
-maps (the bordered solve for the invariant state, the fixed space, condition
-numbers, the survival radius) run in real arithmetic, and so do the covector
-solves against them (:func:`form_solve`).
+:func:`hermitian_form` changes to that basis, where the kernels of such maps
+(solves, the fixed space, condition numbers, the survival radius) run in
+real arithmetic and a compression X -> CXC is a mask (:func:`hermitian_block`).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ __all__ = [
     "PsdCheck",
     "spectral_radius",
     "hermitian_form",
-    "form_solve",
+    "hermitian_block",
     "survival_radius",
 ]
 
@@ -67,6 +66,9 @@ _EPS = float(np.finfo(float).eps)
 _PERRON_MIN_DIM = 81
 _PERRON_POWER_STEPS = 16
 _PERRON_BRACKETS = 10
+# Each solve must shrink the bracket width by this factor; a stalled bracket
+# (a reducible map's tied Perron eigenvalues) falls back to eigvals at once.
+_PERRON_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -213,30 +215,18 @@ def _to_hermitian_coords(h) -> np.ndarray:
     return np.concatenate([flat[diag].real, off.real, off.imag])
 
 
-def _covector_to_hermitian_coords(a) -> np.ndarray:
-    """a U: a covector on row-stacked vecs (or each column of a), in the Hermitian basis."""
-    n = math.isqrt(a.shape[0])
-    diag, upper, lower = _hermitian_basis(n)
-    x, y = a[upper], a[lower]
-    return np.concatenate([a[diag], (x + y) * math.sqrt(0.5), (x - y) * (1j * math.sqrt(0.5))])
+def hermitian_block(n: int, cols) -> np.ndarray:
+    """The coordinates that X -> C X C keeps, for C the projector onto the basis vectors ``cols``.
 
-
-def form_solve(a: np.ndarray, covector) -> np.ndarray:
-    """x with x M = l, for M = U a U* the row-stacked matrix whose :func:`hermitian_form` is ``a``.
-
-    ``covector`` is one covector l or a column of them, shape (d, k).
-    (x U) a = l U is solved in the Hermitian basis, and x = (x U) U* comes
-    back.  A real ``a`` takes the real and imaginary parts of l U as real
-    right-hand sides.  A singular ``a`` raises ``numpy.linalg.LinAlgError``.
+    They keep the basis order, which is that of the Hermitian basis of M_m
+    (m = len(cols)), so the kept rows and columns of a :func:`hermitian_form`
+    are the form of the compressed map on M_m.
     """
-    rhs = _covector_to_hermitian_coords(np.asarray(covector))
-    if np.isrealobj(a):
-        # Viewed as floats, each complex column is its real and imaginary parts.
-        y = np.linalg.solve(a.T, rhs.reshape(rhs.shape[0], -1).view(float)).view(complex)
-    else:
-        y = np.linalg.solve(a.T, rhs)
-    # y U* = conj(U conj(y)), read as a covector.
-    return _from_hermitian_coords(y.reshape(rhs.shape).conj()).conj()
+    inside = np.zeros(n, dtype=bool)
+    inside[cols] = True
+    i, j = np.triu_indices(n, 1)
+    pair = inside[i] & inside[j]
+    return np.flatnonzero(np.concatenate([inside, pair, pair]))
 
 
 def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
@@ -244,23 +234,18 @@ def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
 
     Returns the right singular vectors ``v`` of ``m - I`` whose residual
     ``norm((m - I) v)`` is at most ``atol + rtol * norm(m, 2)``.  The list is
-    empty when 1 is not an eigenvalue.  A real ``m`` is decomposed in real
-    arithmetic; a complex n^2 x n^2 ``m`` (a map on M_n) in its
-    :func:`hermitian_form`, with the vectors mapped back to vec coordinates.
-    It takes two SVDs, so the certifying callers run it only when the
+    empty when 1 is not an eigenvalue.  A real ``m`` (such as the real
+    :func:`hermitian_form` of a map) is decomposed in real arithmetic.  It
+    takes two SVDs, so the certifying callers run it only when the
     :func:`bordered_solve` certificate fails, to report the dimension.
     """
     if tol is None:
         tol = DEFAULT_TOL
     mm = _as_square(m, "m", keep_real=True)
     d = mm.shape[0]
-    lifted = np.iscomplexobj(mm) and math.isqrt(d) ** 2 == d
-    h = hermitian_form(mm) if lifted else mm.copy()
-    threshold = tol.atol + tol.rtol * float(np.linalg.norm(h, 2))
-    h.flat[:: d + 1] -= 1.0
-    _, sing, vh = np.linalg.svd(h)
-    basis = [vh[i].conj() for i in range(d) if sing[i] <= threshold]
-    return [_from_hermitian_coords(v) for v in basis] if lifted else basis
+    threshold = tol.atol + tol.rtol * float(np.linalg.norm(mm, 2))
+    _, sing, vh = np.linalg.svd(mm - np.eye(d))
+    return [vh[i].conj() for i in range(d) if sing[i] <= threshold]
 
 
 def bordered(m, x, cols) -> np.ndarray:
@@ -368,11 +353,13 @@ def _perron_radius(h: np.ndarray) -> float | None:
     definite, and |sigma - mu| >= sigma - r for every eigenvalue mu, so the
     Perron eigenvector wins even against a peripheral spectrum.  Returns the
     midpoint once beta - alpha <= m^2 eps beta; None when an iterate is not
-    positive definite (a singular Perron vector), a solve is singular, or
+    positive definite (a singular Perron vector), a solve is singular, a
+    solve leaves the width above ``_PERRON_SHRINK`` times the last one, or
     the budget runs out.
     """
     d = h.shape[0]
     x = _to_hermitian_coords(np.eye(math.isqrt(d)))
+    width = math.inf
     try:
         for _ in range(_PERRON_POWER_STEPS):
             x = _rescaled(h @ x)
@@ -380,6 +367,9 @@ def _perron_radius(h: np.ndarray) -> float | None:
             lo, hi = _collatz_wielandt(h, x)
             if hi - lo <= d * _EPS * hi:
                 return (lo + hi) / 2
+            if hi - lo > _PERRON_SHRINK * width:
+                break
+            width = hi - lo
             shifted = -h
             shifted.flat[:: d + 1] += 2 * hi - lo
             x = _rescaled(np.linalg.solve(shifted, x))
@@ -388,33 +378,20 @@ def _perron_radius(h: np.ndarray) -> float | None:
     return None
 
 
-def survival_radius(rep, basis, positive: bool = False) -> float:
-    """Spectral radius of QQ rep for QQ = kron(Q, conj(Q)), Q = B B*.
+def survival_radius(block: np.ndarray, positive: bool = False) -> float:
+    """Spectral radius of the survival map QT from ``block``, the kept block of a frame form.
 
-    ``basis`` B is an n x m orthonormal basis of range(Q).  With
-    K = kron(B, conj(B)), QQ = K K*, so QQ rep has the nonzero spectrum of
-    the m^2 x m^2 compression K* rep K, the map X -> B* T(B X B*) B on M_m.
-    That compression is decomposed in its :func:`hermitian_form`.
+    QT is the frame form h with the rows outside the kept coordinates zeroed,
+    so its nonzero spectrum is that of ``block`` = h[kept][:, kept], the form
+    of X -> B* T(B X B*) B on M_m, B the complement's basis.
 
-    ``positive`` asserts that rep is a positive map (a Kraus map is), and
-    so is the compression.  A real form with m^2 >= ``_PERRON_MIN_DIM`` then
-    takes the midpoint of a Collatz-Wielandt bracket alpha <= r <= beta
-    closed to m^2 eps beta (:func:`_perron_radius`).  When the bracket
-    cannot close, and for every other map, it is the form's
-    :func:`spectral_radius`.
+    ``positive`` asserts that the map, and so the compression, is positive (a
+    Kraus map is).  A real block with m^2 >= ``_PERRON_MIN_DIM`` then takes
+    the Collatz-Wielandt bracket of :func:`_perron_radius`; when it cannot
+    close, and for every other map, the radius is the block's :func:`spectral_radius`.
     """
-    b = np.asarray(basis)
-    n, m = b.shape
-    d = n * n
-    bc = b.conj()
-    # Right factor: columns (g, h) of rep K, contracting the column indices
-    # (c, e) of rep with B[c, g] conj(B)[e, h].
-    x = b.T @ (np.asarray(rep).reshape(d, n, n) @ bc)
-    # Left factor: rows (a, b) contracted with conj(B)[a, g] B[b, h].
-    x = b.T @ (bc.T @ x.reshape(n, n * m * m)).reshape(m, n, m * m)
-    h = hermitian_form(x.reshape(m * m, m * m))
-    if positive and m * m >= _PERRON_MIN_DIM and np.isrealobj(h):
-        radius = _perron_radius(h)
+    if positive and block.shape[0] >= _PERRON_MIN_DIM and np.isrealobj(block):
+        radius = _perron_radius(block)
         if radius is not None:
             return radius
-    return spectral_radius(h)
+    return spectral_radius(block)

@@ -9,6 +9,7 @@ column-stochastic matrices, and for raw representation matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -90,6 +91,13 @@ class SuperOperator:
     rep: np.ndarray
     provenance: str
 
+    @functools.cached_property
+    def hermitian_form(self) -> np.ndarray:
+        """The :func:`~hittime.linalg.hermitian_form` of ``rep``, computed once; read-only."""
+        h = hermitian_form(self.rep)
+        h.flags.writeable = False
+        return h
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -108,10 +116,9 @@ class IrreducibilityCertificate:
 
     ``certified_irreducible`` requires a one-dimensional fixed space whose
     normalized fixed point is a strictly positive state.  A certified
-    certificate carries ``a_form``, the :func:`~hittime.linalg.hermitian_form`
-    of A = I - T + vec(pi) vec(I)^T whose singular values certified it (the
-    inverse of A is the fundamental map), and the 2-norm condition number
-    of A; both are left unset otherwise.
+    certificate carries the 2-norm condition number of
+    A = I - T + vec(pi) vec(I)^T, whose singular values certified it (the
+    inverse of A is the fundamental map); it is NaN otherwise.
     """
 
     invariant_state: DensityMatrix | None
@@ -119,7 +126,6 @@ class IrreducibilityCertificate:
     min_eigenvalue_of_pi: float
     verdict: str
     condition_estimate: float = math.nan
-    a_form: np.ndarray | None = None
 
 
 class TraceCheck(NamedTuple):
@@ -337,14 +343,14 @@ def invariant_state(
 ) -> IrreducibilityCertificate:
     """Compute the invariant state of the map and certify irreducibility.
 
-    The map must be trace preserving.  In the Hermitian basis of
-    :func:`hermitian_form` (real when the map preserves Hermiticity), with
-    e = vec(I), the candidate pi comes from one bordered solve
-    (:func:`bordered_solve`), and the values-only SVD of
+    The map must be trace preserving.  In the map's
+    :attr:`SuperOperator.hermitian_form` (real when the map preserves
+    Hermiticity), with e = vec(I), the candidate pi comes from one bordered
+    solve (:func:`bordered_solve`), and the values-only SVD of
     A = I - T + vec(pi) e^T certifies a one-dimensional fixed space
-    (:func:`isolates_fixed_vector`).  A certified map keeps that form of A,
-    which :func:`~hittime.fundamental.fundamental_map` solves against, and
-    the condition number the same SVD gives, which it gates on.  When the
+    (:func:`isolates_fixed_vector`).  A certified map keeps the condition
+    number the same SVD gives, which
+    :func:`~hittime.fundamental.fundamental_map` gates on.  When the
     certificate fails, :func:`fixed_space` decides and reports the
     dimension.  A one-dimensional fixed space whose Hermitized,
     trace-normalized fixed point is a strictly positive state yields the
@@ -358,30 +364,29 @@ def invariant_state(
         raise PreconditionError(
             f"map is not trace preserving (residual {tp.residual:.3e})"
         )
-    h = hermitian_form(t.rep)
+    h = t.hermitian_form
     head = slice(0, t.dim)  # vec(I) in the Hermitian basis
 
-    def fundamental_form(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = bordered(h, _to_hermitian_coords(pi), head)
-        return a, np.linalg.svd(a, compute_uv=False)
+    def fundamental_svd(pi: np.ndarray) -> np.ndarray:
+        return np.linalg.svd(bordered(h, _to_hermitian_coords(pi), head), compute_uv=False)
 
     sing = None
     try:
         candidate = hermitize(unvec(_from_hermitian_coords(bordered_solve(h, head))))
         tr = float(np.trace(candidate).real)
         if abs(tr) >= _TRACE_FLOOR:
-            a, sing = fundamental_form(candidate / tr)
+            sing = fundamental_svd(candidate / tr)
     except np.linalg.LinAlgError:
         pass
     if sing is None or not isolates_fixed_vector(sing, h, tol):
         sing = None
-        basis = fixed_space(t.rep, tol)
+        basis = fixed_space(h, tol)
         dim = len(basis)
         if dim == 0:
             return IrreducibilityCertificate(None, 0, float("nan"), INCONCLUSIVE)
         if dim > 1:
             return IrreducibilityCertificate(None, dim, float("nan"), NOT_IRREDUCIBLE)
-        candidate = hermitize(unvec(basis[0]))
+        candidate = hermitize(unvec(_from_hermitian_coords(basis[0])))
         tr = float(np.trace(candidate).real)
     if abs(tr) < _TRACE_FLOOR:
         return IrreducibilityCertificate(None, 1, float("nan"), INCONCLUSIVE)
@@ -395,8 +400,8 @@ def invariant_state(
             DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE
         )
     if sing is None:
-        a, sing = fundamental_form(pi)
+        sing = fundamental_svd(pi)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
     return IrreducibilityCertificate(
-        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond, a
+        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond
     )

@@ -5,10 +5,11 @@ from their definition,
 
     pi_r = Tr(P T (Q T)^{r-1} rho),    tau = sum_r r pi_r,
 
-by iterating the survival map, without touching the resolvent solves used by
-the hitting module, in the Hermitian basis where QT of a positive map is
-real and b terms per step.  A Monte-Carlo trajectory estimator provides a
-second, statistical oracle for classical chains.
+by iterating the survival map, b terms per step, without touching the
+resolvent solves used by the hitting module: the series builds its own frame
+form of the map (:func:`~hittime.hitting.frame_form`), in whose Hermitian
+basis QT of a positive map is real and Q a coordinate mask.  A Monte-Carlo
+trajectory estimator provides a second, statistical oracle for classical chains.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .hitting import ArrivalSubspace
-from .linalg import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius, vec
-from .linalg import _EPS, _covector_to_hermitian_coords, _to_hermitian_coords, hermitian_form
+from .hitting import ArrivalSubspace, frame_form
+from .linalg import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius
+from .linalg import _EPS, _to_hermitian_coords
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
 __all__ = [
@@ -59,19 +60,17 @@ class MonteCarloEstimate:
 
 
 def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance | None):
-    """Hermitian-basis coordinates of rho, QT and e PP T = vec(conj(P))^T T; the radius of QT."""
-    sigma = _to_hermitian_coords(as_density(rho, tol).matrix)
-    radius = survival_radius(t.rep, subspace.complement_basis, t.provenance == "kraus")
+    """Frame coordinates of rho, QT and e PP T = coords(P) h; the radius of QT."""
+    sigma = subspace.coords(as_density(rho, tol).matrix)
+    h = frame_form(t, subspace)
+    radius = survival_radius(h[np.ix_(subspace.kept, subspace.kept)], t.provenance == "kraus")
     if radius >= 1.0 - MIN_SPECTRAL_GAP:
         raise NonConvergenceError(
             f"monitored series does not converge: spectral radius of the "
             f"survival map is {radius:.12g} (map not irreducible)"
         )
-    step = hermitian_form(subspace.compress(t.rep))
-    arrival = _covector_to_hermitian_coords(vec(subspace.projector_p.conj()) @ t.rep)
-    if np.isrealobj(step):  # then every state stays real, so only Re(arrival) counts
-        arrival = arrival.real
-    return sigma, step, arrival, radius
+    e = _to_hermitian_coords(np.eye(t.dim))
+    return sigma, subspace.mask(h), (e - subspace.mask(e)) @ h, radius
 
 
 def _block_size(d: int, terms: float) -> int:
@@ -91,8 +90,9 @@ def _blocks(sigma, step, arrival, b: int, terms: int):
     """Yield (r, p, bound) per block of at most b terms, up to ``terms`` terms.
 
     p holds the block's probabilities from the rows a M^k, k < b, r the terms
-    taken so far and bound an upper bound on ||vec (QT)^r rho||_1.  A full
-    block advances by M^b, a partial last one by single steps.
+    taken so far and bound an upper bound on ||vec W* X W||_1, X = (QT)^r rho
+    in the frame W, which bounds the survival mass Tr X of a positive X.
+    A full block advances by M^b, a partial last one by single steps.
     """
     power, rows = step, arrival[None, :]
     while rows.shape[0] < b:

@@ -72,7 +72,7 @@ def check_qubit_golden_matrices() -> CheckResult:
     items = {
         "map representation": (_dev(channel.rep, examples.QUBIT_PHI), lim),
         "omega": (_dev(omega(hs.fd.pi), examples.QUBIT_OMEGA), lim),
-        "fundamental matrix": (_dev(fundamental(hs.fd), examples.QUBIT_Z), lim),
+        "fundamental matrix": (_dev(fundamental(channel, hs.fd.pi), examples.QUBIT_Z), lim),
         "subspace projector": (_dev(lift(subspace.projector_p), examples.QUBIT_PP), lim),
         "complement projector": (_dev(lift(subspace.projector_q), examples.QUBIT_QQ), lim),
         "time map": (_dev(k, examples.QUBIT_K), lim),

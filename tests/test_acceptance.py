@@ -87,7 +87,7 @@ def test_criterion_1_golden_matrices():
     worst = max(
         max_dev(channel.rep, golden.QUBIT_PHI),
         max_dev(omega(hs.fd.pi), golden.QUBIT_OMEGA),
-        max_dev(fundamental(hs.fd), golden.QUBIT_Z),
+        max_dev(fundamental(channel, hs.fd.pi), golden.QUBIT_Z),
         max_dev(lift(hs.subspace.projector_p), golden.QUBIT_PP),
         max_dev(lift(hs.subspace.projector_q), golden.QUBIT_QQ),
         max_dev(k, golden.QUBIT_K),
@@ -170,7 +170,7 @@ def test_criterion_3_closed_forms():
 def _vector_identity_residual(hs, rho_phi, rho_psi) -> float:
     sp = hs.subspace
     d_rep, n_rep, l_rep = dnl(hitting_maps(hs.map, sp)[1], hs.map, sp)
-    z = fundamental(hs.fd)
+    z = fundamental(hs.map, hs.fd.pi)
     dz, lz = d_rep @ z, l_rep @ z
 
     def act(rep, rho):

@@ -19,7 +19,9 @@ import hittime.examples as examples
 import hittime.fundamental
 import hittime.hitting
 import hittime.io
+import hittime.linalg
 import hittime.maps
+import hittime.oracle
 from hittime.cli import main
 
 
@@ -311,20 +313,72 @@ def fanout_queries():
     ]
 
 
-def test_hit_batch_solves_once_per_subspace(runner, tmp_path, monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``."""
     calls = []
-    solve = hittime.cli.solve_hitting
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return solve(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(hittime.cli, "solve_hitting", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hit_batch_solves_once_per_subspace(runner, tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, hittime.cli, "solve_hitting")
+    realized = _count_calls(monkeypatch, hittime.cli, "realize_subspace")
     query = write(tmp_path, "q.json", {"queries": fanout_queries()})
     result = runner.invoke(main, ["hit", qudit_map_file(tmp_path), query, "--json"])
     assert result.exit_code == 0, result.output
     assert len(json.loads(result.output)) == 10
     assert len(calls) == 2
+    assert len(realized) == 2
+
+
+@pytest.mark.parametrize("count,forms", [(5, 1), (10, 3)])
+def test_hit_answer_path_takes_one_form_per_frame_and_route(
+    runner, tmp_path, monkeypatch, count, forms
+):
+    """Index targets read the map's one Hermitian form; a vector target adds one
+    per route (solve_hitting and the series).  Past building the map from its
+    Kraus operators, nothing calls kron or decomposes a complex d x d matrix."""
+    built = [_count_calls(monkeypatch, module, "hermitian_form")
+             for module in (hittime.linalg, hittime.maps, hittime.hitting)]
+    decomposed = []
+    for name in ("solve", "svd", "cond", "eigvals", "eig", "eigh", "eigvalsh", "inv", "qr", "lstsq"):
+        original = getattr(np.linalg, name)
+
+        def recorder(a, *args, _original=original, _name=name, **kwargs):
+            decomposed.append((_name, np.shape(a), np.iscomplexobj(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorder)
+    kron_callers = []
+    kron = np.kron
+    monkeypatch.setattr(
+        np, "kron", lambda *args: kron_callers.append(sys._getframe(1).f_code.co_name) or kron(*args)
+    )
+    query = write(tmp_path, "q.json", {"queries": fanout_queries()[:count]})
+    result = runner.invoke(main, ["hit", qudit_map_file(tmp_path), query, "--json"])
+    assert result.exit_code == 0, result.output
+    assert sum(map(len, built)) == forms
+    assert set(kron_callers) == {"from_kraus"}
+    assert decomposed and not [c for c in decomposed if c[1] == (16, 16) and c[2]]
+
+
+def test_hit_routes_build_their_own_frame_forms(runner, tmp_path, monkeypatch):
+    """Under --method all, solve_hitting and tau_series each build the frame form."""
+    solves = _count_calls(monkeypatch, hittime.hitting, "frame_form")
+    series = _count_calls(monkeypatch, hittime.oracle, "frame_form")
+    query = write(tmp_path, "q.json", {"queries": fanout_queries()})
+    result = runner.invoke(
+        main, ["hit", qudit_map_file(tmp_path), query, "--json", "--method", "all"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(solves) == 2  # one per (map, subspace)
+    assert len(series) == 10  # one per series query
 
 
 def test_hit_computes_the_fundamental_map_once(runner, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 import golden
 import hittime.fundamental
 from hittime import (
+    DensityMatrix,
     FundamentalData,
     NumericError,
     PreconditionError,
@@ -15,6 +16,7 @@ from hittime import (
     first_visit_series,
     from_kraus,
     from_raw,
+    from_stochastic,
     fundamental_map,
     hitting_probability,
     invariant_state,
@@ -35,6 +37,7 @@ from hittime.sampling import (
     random_irreducible_cptp,
     random_subspace,
 )
+from test_real_kernels import hermitian_basis_matrix
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +71,10 @@ def test_omega_has_rank_one_with_unit_eigenvalue():
     assert_allclose(eigenvalues[:-1], 0.0, atol=1e-12)
 
 
-def test_fundamental_map_matches_printed(qubit_fd):
-    assert_allclose(fundamental(qubit_fd), golden.QUBIT_Z, atol=1e-13)
+def test_fundamental_map_matches_printed(monkeypatch, qubit_channel, qubit_fd):
+    # The dense Z inverts I - T + Omega itself, without the answer path's solve.
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solve called"))
+    assert_allclose(fundamental(qubit_channel, qubit_fd.pi), golden.QUBIT_Z, atol=1e-13)
 
 
 def test_fundamental_map_of_projection_map_is_identity():
@@ -78,13 +83,13 @@ def test_fundamental_map_of_projection_map_is_identity():
     omega_map = from_raw(omega(pi))
     cert = invariant_state(omega_map)
     fd = fundamental_map(omega_map, cert)
-    assert_allclose(fundamental(fd), np.eye(4), atol=1e-13)
+    assert_allclose(fundamental(omega_map, fd.pi), np.eye(4), atol=1e-13)
 
 
 def test_fundamental_solve_residual_on_random_map():
     channel, cert = random_irreducible_cptp(3, rng=13)
     fd = fundamental_map(channel, cert)
-    lhs = (np.eye(9) - channel.rep + omega(fd.pi)) @ fundamental(fd)
+    lhs = (np.eye(9) - channel.rep + omega(fd.pi)) @ fundamental(channel, fd.pi)
     assert np.max(np.abs(lhs - np.eye(9))) <= 1e-10
     assert fd.condition_estimate >= 1.0
 
@@ -141,10 +146,10 @@ def test_identities_qudit_demo():
     assert set(residuals) == expected
 
 
-def test_fundamental_map_preserves_trace_on_random_inputs(qubit_fd):
+def test_fundamental_map_preserves_trace_on_random_inputs(qubit_channel, qubit_fd):
     rng = np.random.default_rng(21)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    out = unvec(fundamental(qubit_fd) @ vec(x))
+    out = unvec(fundamental(qubit_channel, qubit_fd.pi) @ vec(x))
     assert np.trace(out) == pytest.approx(np.trace(x), abs=1e-12)
 
 
@@ -152,24 +157,46 @@ def _relative(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
 
 
+def _frame_basis(sub) -> np.ndarray:
+    """U_W = kron(W, conj(W)) U: the Hermitian basis of the frame W, in row-stacked vecs.
+
+    Frame coordinates are c = U_W* vec(X), so a covector l on them is l U_W* on vecs.
+    """
+    n = sub.dim_ambient
+    w = np.eye(n) if sub.frame is None else sub.frame
+    return np.kron(w, w.conj()) @ hermitian_basis_matrix(n)
+
+
+def _z_rows(hs):
+    """The row e K11 of a solution and the row e K11 Z it carried through Z."""
+    return hs.time_covector - hs.subspace.mask(hs.time_covector), hs.return_covector + hs.start_covector
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_z_covector_applies_z(n):
+    """solve_hitting applies Z in the frame, for an index and a vector target."""
     rng = np.random.default_rng(40 + n)
     t, cert = random_irreducible_cptp(n, 2, rng)
     fd = fundamental_map(t, cert)
-    covector = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-    assert _relative(fd.z_covector(covector), covector @ fundamental(fd)) <= 1e-12
+    z = fundamental(t, fd.pi)
+    for sub in (subspace_from_indices(n, [n - 1]), random_subspace(n, 1, rng)):
+        basis = _frame_basis(sub)
+        k11_row, kz = _z_rows(solve_hitting(t, sub, fd=fd))
+        assert _relative(kz, k11_row @ basis.conj().T @ z @ basis) <= 1e-12
 
 
 def test_z_covector_refuses_a_singular_matrix():
-    fd = FundamentalData(density(np.eye(2) / 2), np.zeros((4, 4)), 1.0)
+    # A pi of trace 0 leaves A = I - T + Omega exactly as singular as I - T.
+    t = from_stochastic(np.full((2, 2), 0.5))
+    fd = FundamentalData(DensityMatrix(np.zeros((2, 2))), 1.0)
     with pytest.raises(NumericError, match="fundamental solve failed"):
-        fd.z_covector(np.ones(4))
+        solve_hitting(t, subspace_from_indices(2, [0]), fd=fd)
 
 
-def test_z_covector_matches_printed(qubit_fd):
-    for row, covector in zip(golden.QUBIT_Z, np.eye(4)):
-        assert _relative(qubit_fd.z_covector(covector), row) <= 1e-12
+def test_z_covector_matches_printed(qubit_solution):
+    basis = _frame_basis(qubit_solution.subspace)
+    k11_row, kz = _z_rows(qubit_solution)
+    assert _relative(kz, k11_row @ basis.conj().T @ golden.QUBIT_Z @ basis) <= 1e-12
 
 
 def test_answer_path_builds_no_dense_omega_or_z(monkeypatch):

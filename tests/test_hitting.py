@@ -44,6 +44,7 @@ from hittime.sampling import (
     random_irreducible_cptp,
     random_subspace,
 )
+from test_real_kernels import hermitian_basis_matrix
 
 
 def apply_rep(rep, matrix):
@@ -131,20 +132,22 @@ def _index_and_vector_subspaces(n, rank, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_compression_matches_dense_lift(n):
+    """In the Hermitian basis of the frame, QQ = kron(Q, conj(Q)) masks the kept coordinates."""
     rng = np.random.default_rng(200 + n)
     d = n * n
-    rep = random_cptp_map(n, int(rng.integers(1, n + 1)), rng).rep
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    covector = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x += x.conj().T
     for rank in range(1, n):
         for sub in _index_and_vector_subspaces(n, rank, rng):
             q = sub.projector_q
             qq = np.kron(q, q.conj())
-            assert_allclose(sub.compress(rep), qq @ rep, rtol=0, atol=1e-13)
-            assert_allclose(sub.compress(v), qq @ v, rtol=0, atol=1e-13)
-            assert_allclose(sub.compress_covector(covector), covector @ qq, rtol=0, atol=1e-13)
-            with pytest.raises(DimensionError):
-                sub.compress(np.ones(d + 1))
+            w = np.eye(n) if sub.frame is None else sub.frame
+            basis = np.kron(w, w.conj()) @ hermitian_basis_matrix(n)
+            mask = np.zeros(d)
+            mask[sub.kept] = 1.0
+            assert sub.kept.size == (n - rank) ** 2
+            assert_allclose(basis.conj().T @ qq @ basis, np.diag(mask), rtol=0, atol=1e-13)
+            assert_allclose(sub.coords(x), basis.conj().T @ vec(x), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -342,7 +345,7 @@ def test_first_block_row_of_l_equals_h_random():
 def test_vector_identities_on_demo_states(qubit_solution, qubit_states):
     sp = qubit_solution.subspace
     d_rep, n_rep, l_rep = dnl(dense_maps(qubit_solution)[1], qubit_solution.map, sp)
-    z = fundamental(qubit_solution.fd)
+    z = fundamental(qubit_solution.map, qubit_solution.fd.pi)
     dz, lz = d_rep @ z, l_rep @ z
     rho_phi = qubit_states["phi"].matrix
     rho_psi = qubit_states["psi"].matrix
@@ -523,7 +526,7 @@ def test_solve_hitting_rejects_reducible_map():
 
 def test_solve_hitting_refuses_an_ill_conditioned_resolvent(monkeypatch, qubit_channel):
     sub = subspace_from_indices(2, [0])
-    _, radius, cond = _survival_resolvent(qubit_channel, sub)
+    _, _, radius, cond = _survival_resolvent(qubit_channel, sub)
     monkeypatch.setattr(hittime.hitting, "COND_CEIL", cond / 2)
     with pytest.raises(NumericError) as refused:
         solve_hitting(qubit_channel, sub)
@@ -550,19 +553,26 @@ def test_raw_rep_gives_same_hitting_results(qubit_solution, qubit_states):
 
 # ------------------------------------------------------------------ covectors
 
+# A rank gives a random vector target, a list of indices an index target.
 COVECTOR_CASES = [
     (n, kraus_rank, rank)
     for n in (2, 3, 4)
     for kraus_rank in (2, 3)
     for rank in range(1, n)
+] + [
+    pytest.param(5, 2, [1, 3], id="5-2-indices-1-3"),
+    (6, 2, 3),
 ]
 
 
 @pytest.mark.parametrize("n,kraus_rank,rank", COVECTOR_CASES)
 def test_covector_queries_match_dense_formulas(n, kraus_rank, rank):
-    rng = np.random.default_rng([n, kraus_rank, rank])
+    rng = np.random.default_rng([n, kraus_rank, len(rank) if isinstance(rank, list) else rank])
     channel, cert = random_irreducible_cptp(n, kraus_rank, rng=rng)
-    sub = random_subspace(n, rank, rng=rng)
+    if isinstance(rank, list):
+        sub = subspace_from_indices(n, rank)
+    else:
+        sub = random_subspace(n, rank, rng=rng)
     hs = solve_hitting(channel, sub, cert)
     rho_psi = random_density_supported(sub.basis, rng=rng)
     starts = {
@@ -582,7 +592,7 @@ def test_covector_queries_match_dense_formulas(n, kraus_rank, rank):
 
     h, k = hitting_maps(channel, sub)
     qq = lift(sub.projector_q)
-    z = fundamental(hs.fd)
+    z = fundamental(channel, hs.fd.pi)
     k11 = block(k, sub, 1, 1)
     dz = (k11 + block(k, sub, 2, 2)) @ z
     z11 = block(z, sub, 1, 1)

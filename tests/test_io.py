@@ -384,6 +384,30 @@ def test_fast_matrix_parse_matches_element_wise(monkeypatch, seed):
             slow = _element_wise(monkeypatch, parse, node)
             assert fast.dtype == slow.dtype and fast.shape == slow.shape
             assert fast.tobytes() == slow.tobytes()  # also tells -0.0 from 0.0
+        vector = node[0]  # query vectors take the same path as one-row matrices
+        assert hittime.io._fast_matrix([vector]) is not None
+        fast = hittime.io._parse_complex_vector(vector, "m")
+        slow = _element_wise(monkeypatch, hittime.io._parse_complex_vector, vector)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize(
+    "node",
+    [[1, True], [1, "2"], [], [[1, 2, 3]], [[1, 0], 2], [[1, 0], [2]], [10**400], [[0, 10**400]],
+     [float("inf")], 5, None],
+)
+def test_vector_parse_reports_as_element_wise(monkeypatch, node):
+    """Whatever the fast path declines, the element-wise parser answers as before."""
+    def outcome(parse):
+        try:
+            return parse().tobytes()
+        except ParseError as exc:
+            return str(exc)
+
+    fast = outcome(lambda: hittime.io._parse_complex_vector(node, "m"))
+    slow = outcome(lambda: _element_wise(monkeypatch, hittime.io._parse_complex_vector, node))
+    assert fast == slow
 
 
 def test_real_matrix_of_zero_imaginary_pairs(monkeypatch):

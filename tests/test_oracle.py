@@ -111,7 +111,8 @@ def test_tau_series_at_zero_tolerance_stops_at_rounding():
 # ------------------------------------------------------- block kernel vs loop
 
 def per_term_series(t, sp, rho, r_max):
-    """pi_1 .. pi_r_max and ||vec((QT)^r_max rho)||_1, one complex matvec per term."""
+    """pi_1 .. pi_r_max and ||vec(W* X W)||_1 for X = (QT)^r_max rho and W the
+    target's frame (the identity for an index target), one complex matvec per term."""
     sigma = rho.matrix.reshape(-1).astype(complex)
     qt = lift(sp.projector_q) @ t.rep
     arrival = sp.projector_p.conj().reshape(-1) @ t.rep
@@ -119,7 +120,10 @@ def per_term_series(t, sp, rho, r_max):
     for r in range(r_max):
         probs[r] = (arrival @ sigma).real
         sigma = qt @ sigma
-    return probs, np.abs(sigma).sum()
+    x = sigma.reshape(rho.dim, rho.dim)
+    if sp.frame is not None:
+        x = sp.frame.conj().T @ x @ sp.frame
+    return probs, np.abs(x).sum()
 
 
 def per_term_tau(t, sp, rho):
@@ -187,7 +191,7 @@ def test_block_first_visit_series_keeps_r_max_exact(monkeypatch, label, t, sp, r
         probs, norm = per_term_series(t, sp, rho, r_max)
         assert dist.r_max == r_max
         assert_allclose(dist.probabilities, probs, rtol=1e-12, atol=1e-15)
-        # The coordinate bound on ||vec sigma||_1 exceeds it by at most sqrt(2).
+        # The coordinate bound on ||vec W* sigma W||_1 exceeds it by at most sqrt(2).
         exact = norm / (1.0 - radius)
         assert exact * (1 - 1e-12) <= dist.tail_bound <= np.sqrt(2) * exact * (1 + 1e-12)
 

@@ -25,7 +25,7 @@ from hittime import (
 )
 from hittime import linalg
 from hittime.blocks import hitting_maps, lift
-from hittime.hitting import _survival_resolvent
+from hittime.hitting import _survival_resolvent, frame_form
 from hittime.cli import main
 from hittime.examples import qudit_demo_channel
 from hittime.linalg import (
@@ -115,6 +115,11 @@ def test_fixed_space_and_radius_keep_real_input_real(monkeypatch):
     assert dtypes and all(dt == np.float64 for dt in dtypes)
 
 
+def kept_block(t, sub):
+    """The kept rows and columns of the map's form in the target's frame."""
+    return frame_form(t, sub)[np.ix_(sub.kept, sub.kept)]
+
+
 def _subspaces(n, rank, rng):
     idx = sorted(rng.choice(n, size=rank, replace=False).tolist())
     vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(rank)]
@@ -130,9 +135,21 @@ def test_compressed_radius_matches_full_survival_spectrum(n, kraus_rank):
         for sub in _subspaces(n, rank, rng):
             assert sub.complement_basis.shape == (n, n - rank)
             full = float(np.max(np.abs(np.linalg.eigvals(lift(sub.projector_q) @ t.rep))))
-            assert survival_radius(t.rep, sub.complement_basis) == pytest.approx(
-                full, abs=1e-12
-            )
+            assert survival_radius(kept_block(t, sub)) == pytest.approx(full, abs=1e-12)
+
+
+def compression_form(t, basis):
+    """The Hermitian form of X -> B* T(B X B*) B, contracted densely as K* rep K, K = kron(B, conj(B))."""
+    k = np.kron(basis, basis.conj())
+    return hermitian_form(k.conj().T @ t.rep @ k)
+
+
+@pytest.mark.parametrize("n,target", [(6, [0]), (6, [1, 3]), (9, [2, 4, 8]), (20, [0, 1])])
+def test_index_target_kept_block_is_the_compression_exactly(n, target):
+    t = from_kraus(kraus_family(np.random.default_rng(n), n, 2))
+    sub = subspace_from_indices(n, target)
+    assert sub.frame is None
+    np.testing.assert_array_equal(kept_block(t, sub), compression_form(t, sub.complement_basis))
 
 
 def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
@@ -179,8 +196,10 @@ def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_form_solve_matches_the_vec_coordinate_solve(n):
+    """A covector l on vecs is l U on Hermitian coordinates, and x M = l is (x U) (U* M U) = l U."""
     rng = np.random.default_rng(30 + n)
     d = n * n
+    u = hermitian_basis_matrix(n)
     resolvent = np.eye(d) - 0.5 * random_cptp_map(n, 2, rng).rep
     general = np.eye(d) * d + rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     for m, real in ((resolvent, True), (general, False)):
@@ -189,16 +208,22 @@ def test_form_solve_matches_the_vec_coordinate_solve(n):
         covector = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         columns = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
         for rhs in (covector, columns, columns.real):
-            x = linalg.form_solve(form, rhs)
+            x = u.conj() @ np.linalg.solve(form.T, u.T @ rhs)
             assert x.shape == rhs.shape
             assert_allclose(x, np.linalg.solve(m.T, rhs), rtol=0, atol=1e-13)
 
 
-def test_each_linear_system_is_kept_once_in_its_hermitian_form():
+def test_each_linear_system_is_kept_once_in_its_hermitian_form(monkeypatch):
     n = 6
     d = n * n
     rng = np.random.default_rng(9)
     t = from_kraus(kraus_family(rng, n, 2))
+    form = t.hermitian_form
+    assert t.hermitian_form is form and not form.flags.writeable
+    assert np.isrealobj(form)
+    certified = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: certified.append(a) or svd(a, **kw))
     cert = invariant_state(t)
     tracemalloc.start()
     try:
@@ -206,17 +231,24 @@ def test_each_linear_system_is_kept_once_in_its_hermitian_form():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fd.a_form is cert.a_form
     assert peak < d * d * 8  # not one d x d array, real or complex
-    assert np.isrealobj(cert.a_form)
     omega = np.outer(vec(cert.invariant_state.matrix), vec(np.eye(n)))
-    assert_allclose(cert.a_form, hermitian_form(np.eye(d) - t.rep + omega), rtol=0, atol=1e-14)
+    assert_allclose(certified[0], hermitian_form(np.eye(d) - t.rep + omega), rtol=0, atol=1e-14)
     for sub in _subspaces(n, 2, rng):
-        form, _, cond = _survival_resolvent(t, sub)
-        assert np.isrealobj(form)
-        assert cond == np.linalg.cond(form)
-        expected = hermitian_form(np.eye(d) - lift(sub.projector_q) @ t.rep)
-        assert_allclose(form, expected, rtol=0, atol=1e-14)
+        h, resolvent, _, cond = _survival_resolvent(t, sub)
+        assert (h is form) == (sub.frame is None)
+        assert np.isrealobj(resolvent)
+        assert cond == np.linalg.cond(resolvent)
+        w = np.eye(n) if sub.frame is None else sub.frame
+        k = np.kron(w, w.conj())
+        expected = hermitian_form(k.conj().T @ (np.eye(d) - lift(sub.projector_q) @ t.rep) @ k)
+        assert_allclose(resolvent, expected, rtol=0, atol=1e-14)
+    # An index target's Z solve is against the certificate's own A, bit for bit.
+    solved = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+    solve_hitting(t, subspace_from_indices(n, [1, 4]), fd=fd)
+    np.testing.assert_array_equal(solved[-1].T, certified[0])
 
 
 # A trace-preserving map that does not preserve Hermiticity: the qudit demo
@@ -337,7 +369,7 @@ def test_perron_radius_matches_full_survival_spectrum(n, kraus_rank, perron_resu
     for rank in (1, 2, 3):
         for sub in _subspaces(n, rank, rng):
             del perron_results[:]
-            radius = survival_radius(t.rep, sub.complement_basis, positive=True)
+            radius = survival_radius(kept_block(t, sub), positive=True)
             # Compressions up to m^2 = 64 keep eigvals.
             assert perron_results == ([radius] if (n - rank) ** 2 > 64 else [])
             assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-13, abs=0)
@@ -350,7 +382,7 @@ def test_perron_radius_matches_on_nearly_reducible_maps(eps, perron_results):
     subspaces = [subspace_from_indices(12, [0]), subspace_from_indices(12, [0, 7])]
     subspaces += _subspaces(12, 2, rng)
     for sub in subspaces:
-        radius = survival_radius(t.rep, sub.complement_basis, positive=True)
+        radius = survival_radius(kept_block(t, sub), positive=True)
         assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-13, abs=0)
     assert len(perron_results) == len(subspaces)
 
@@ -371,9 +403,23 @@ def test_perron_route_falls_back_to_eigvals_exactly(label, perron_results):
         subspaces = [subspace_from_indices(12, [0, 1]), subspace_from_indices(12, [0, 6])]
     for sub in subspaces:
         del perron_results[:]
-        radius = survival_radius(t.rep, sub.complement_basis, positive=True)
+        radius = survival_radius(kept_block(t, sub), positive=True)
         assert perron_results == [None]
-        assert radius == survival_radius(t.rep, sub.complement_basis)
+        assert radius == survival_radius(kept_block(t, sub))
+
+
+def test_stalled_perron_bracket_falls_back_after_one_solve(monkeypatch, perron_results):
+    """On the reducible n = 20 map the bracket keeps its width 0.2 under the
+    target {0, 1}, so the first solve that fails to halve it ends the route."""
+    t = gap_map(np.random.default_rng(4), 20, 0.0)
+    block = kept_block(t, subspace_from_indices(20, [0, 1]))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    radius = survival_radius(block, positive=True)
+    assert perron_results == [None]
+    assert solves == [(324, 324)]
+    assert radius == survival_radius(block)  # the eigvals route
 
 
 def _recording_eigvals(monkeypatch):
@@ -401,7 +447,7 @@ def test_raw_map_that_is_not_positive_takes_eigvals(monkeypatch, perron_results)
     assert np.isrealobj(hermitian_form(t.rep))
     shapes = _recording_eigvals(monkeypatch)
     sub = subspace_from_indices(n, [0, 1])
-    _, radius, _ = _survival_resolvent(t, sub)  # the route solve_hitting and hitting_maps share
+    _, _, radius, _ = _survival_resolvent(t, sub)  # the route solve_hitting and hitting_maps share
     tau_series(t, sub, np.eye(n) / n)
     assert perron_results == []
     assert shapes == [(100, 100)] * 2
@@ -427,7 +473,7 @@ def test_kraus_solve_and_series_take_no_eigvals(monkeypatch, perron_results):
 def test_perron_route_keeps_the_refusal_messages(perron_results):
     t = gap_map(np.random.default_rng(0), 12, 1e-12)
     sub = subspace_from_indices(12, [0])
-    radius = survival_radius(t.rep, sub.complement_basis)  # the eigvals route
+    radius = survival_radius(kept_block(t, sub))  # the eigvals route
     assert radius >= 1.0 - MIN_SPECTRAL_GAP
     with pytest.raises(NumericError) as refused:
         hitting_maps(t, sub)
