@@ -33,12 +33,12 @@ import numpy as np
 from .errors import NumericError, PreconditionError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
-    DISTRIBUTION_SUM_TOL,
     Tolerance,
     bordered,
     bordered_solve,
     fixed_space,
     isolates_fixed_vector,
+    start_distribution,
 )
 from .maps import validate_column_stochastic
 
@@ -142,14 +142,7 @@ def kac_return_time(mc: MarkovChain, j: int) -> float:
 def classical_mhtf_distribution(mc: MarkovChain, x, j: int) -> float:
     """Mean time to reach state j when the start is drawn from distribution x."""
     j = _check_state(mc, "target state", j)
-    dist = np.asarray(x, dtype=float).reshape(-1)
-    if dist.size != mc.n:
-        raise ValidationError(
-            f"distribution has length {dist.size}, chain has {mc.n} states"
-        )
-    # Written so that NaN and inf entries fail too.
-    if not (dist.min() >= -DEFAULT_TOL.atol and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):
-        raise ValidationError("initial distribution must be non-negative and sum to 1")
+    dist = start_distribution(x, mc.n)
     reached = mc.z @ (mc.p @ dist)
     return float(1.0 + (mc.z[j, j] - reached[j]) / mc.pi[j])
 

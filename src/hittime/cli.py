@@ -427,7 +427,7 @@ def _classical_command(name: str, *options):
                 record = {"command": name, **fields}
                 if trials is not None:
                     record["monte_carlo"] = dataclasses.asdict(
-                        classical_monte_carlo(chain.p, start, target, trials, seed)
+                        classical_monte_carlo(chain.p, start, target, trials, seed, tol)
                     )
             _classical_emit(record, as_json, digits)
 

@@ -121,19 +121,20 @@ class HittingSolution:
     - ``trace_covector``        e H            (cross-check of the direct time)
     - ``return_covector``       e K11 Z (I - QQ)   (return summand of the mhtf)
     - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
-
-    ``form``, the frame form of the map, steps the start of :func:`mhtf_general`.
+    - ``survival_covector``     e QQ T             (weight of the first step)
+    - ``first_step_covector``   e K11 Z QQ T       (first-step summand of the mhtf)
     """
 
     map: SuperOperator
     subspace: ArrivalSubspace
     fd: FundamentalData
-    form: np.ndarray
     probability_covector: np.ndarray
     time_covector: np.ndarray
     trace_covector: np.ndarray
     return_covector: np.ndarray
     start_covector: np.ndarray
+    survival_covector: np.ndarray
+    first_step_covector: np.ndarray
     spectral_radius_qphi: float
     condition_estimate: float
     tol: Tolerance
@@ -257,7 +258,9 @@ def solve_hitting(
     given).  Two transposed solves against I - QT give the probability,
     trace and time rows, and one against A = I - T + Omega the mhtf rows;
     A is built as :func:`~hittime.maps.invariant_state` builds it, so an
-    index target solves against the matrix that certified the map.
+    index target solves against the matrix that certified the map.  One
+    step through the frame form takes the mask of e and the start row to
+    the survival and first-step rows of :func:`mhtf_general`.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -290,12 +293,13 @@ def solve_hitting(
         map=t,
         subspace=subspace,
         fd=fd,
-        form=h,
         probability_covector=probability,
         time_covector=time,
         trace_covector=trace,
         return_covector=kz - start,
         start_covector=start,
+        survival_covector=subspace.mask(e) @ h,
+        first_step_covector=start @ h,
         spectral_radius_qphi=radius,
         condition_estimate=cond,
         tol=tol,
@@ -424,18 +428,11 @@ def mhtf_general(
         tau = 1 + Tr(K11 Z11 rho_psi) Tr(Q T rho) - Tr(K11 Z12 Q T rho),
 
     where rho_psi is any density supported in V (defaults to the normalized
-    projector; the value does not depend on the choice).  An absorbed first
-    step gives tau = 1 exactly.
+    projector; the value does not depend on the choice).  Both traces over
+    Q T rho are the survival and first-step rows paired with rho.
     """
     state = as_density(rho, hs.tol)
     psi_state = _reference_state(hs, rho_psi)
-    kept = hs.subspace.kept
-    sigma = hs.form[kept] @ hs.subspace.coords(state.matrix)  # the kept coordinates of QT rho
-    if float(np.linalg.norm(sigma)) <= hs.tol.atol:
-        return 1.0
-    # e K11 Z11 and e K11 Z12 are the return and start covectors; Tr(sigma)
-    # sums its diagonal coordinates, which are the first of the kept ones.
-    weight = float(sigma[: hs.map.dim - hs.subspace.rank].sum().real)
+    w = hs.subspace.coords(state.matrix)
     psi_term = _pair(hs.return_covector, hs.subspace.coords(psi_state.matrix))
-    start_term = _pair(hs.start_covector[kept], sigma)
-    return 1.0 + psi_term * weight - start_term
+    return 1.0 + psi_term * _pair(hs.survival_covector, w) - _pair(hs.first_step_covector, w)

@@ -26,11 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "start_distribution",
     "vec",
     "unvec",
     "hermitize",
@@ -84,6 +85,17 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def start_distribution(x, n: int) -> np.ndarray:
+    """``x`` as a start distribution over n states: entries >= -atol that sum to 1."""
+    dist = np.asarray(x, dtype=float).reshape(-1)
+    if dist.size != n:
+        raise ValidationError(f"distribution has length {dist.size}, chain has {n} states")
+    # Written so that NaN and inf entries fail too.
+    if not (dist.min() >= -DEFAULT_TOL.atol and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):
+        raise ValidationError("initial distribution must be non-negative and sum to 1")
+    return dist
 
 
 def _as_square(a, name: str = "matrix", keep_real: bool = False) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .hitting import ArrivalSubspace, frame_form
-from .linalg import DEFAULT_TOL, DISTRIBUTION_SUM_TOL, MIN_SPECTRAL_GAP, Tolerance, survival_radius
+from .linalg import DEFAULT_TOL, MIN_SPECTRAL_GAP, Tolerance, start_distribution, survival_radius
 from .linalg import _EPS, _to_hermitian_coords
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
@@ -198,11 +198,8 @@ def classical_monte_carlo(
             raise ValidationError(f"start index must lie in [0, {n - 1}]")
         states = np.full(trials, s0, dtype=np.int64)
     else:
-        dist = np.asarray(start, dtype=float).reshape(-1)
-        if dist.size != n:
-            raise ValidationError("start distribution length does not match the chain")
-        if not (dist.min() >= 0 and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):  # NaN, inf fail too
-            raise ValidationError("start distribution must be non-negative and sum to 1")
+        # The tolerated entries in [-atol, 0) are clipped, as the chain's are below.
+        dist = np.maximum(start_distribution(start, n), 0.0)
         states = rng.choice(n, size=trials, p=dist / dist.sum()).astype(np.int64)
 
     # Row s holds the cumulative outgoing distribution of state s.  Clipping

@@ -674,6 +674,21 @@ def test_classical_monte_carlo_flag(runner, tmp_path):
     assert abs(mc["mean"] - 2.0) <= 4.0 * mc["std_error"]
 
 
+@pytest.mark.parametrize("stochastic,argv", [
+    # --trials judges the chain under --tol, as the formula does
+    ([[0.7, 0.3000001], [0.3, 0.7]],
+     ["mhtf", "-i", "1", "-j", "2", "--tol", "1e-6", "--trials", "20"]),
+    # the cross-check takes every start distribution the formula takes
+    ([[0.7, 0.3], [0.3, 0.7]],
+     ["dist", "--distribution=-1e-12,1.000000000001", "-j", "1", "--trials", "10"]),
+])
+def test_monte_carlo_accepts_what_the_formula_accepts(runner, tmp_path, stochastic, argv):
+    path = write(tmp_path, "chain.json", {"dim": 2, "stochastic": stochastic})
+    result = runner.invoke(main, ["classical", argv[0], path, *argv[1:], "--json"])
+    assert result.exit_code == 0, result.output
+    assert math.isfinite(json.loads(result.output)["monte_carlo"]["mean"])
+
+
 def test_classical_requires_stochastic_file(runner, tmp_path):
     result = runner.invoke(
         main,

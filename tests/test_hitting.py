@@ -438,6 +438,19 @@ def test_general_rejects_reference_state_outside_subspace(
         mhtf_general(qubit_solution, qubit_states["chi"], qubit_states["phi"])
 
 
+@pytest.mark.parametrize("target", ["index", "vector"])
+def test_hitting_solution_holds_no_matrix(target):
+    channel, cert = random_irreducible_cptp(4, rng=37)
+    if target == "index":
+        sub = subspace_from_indices(4, [0, 2])
+    else:
+        sub = random_subspace(4, 2, rng=38)
+    hs = solve_hitting(channel, sub, cert)
+    for field in dataclasses.fields(hs):
+        value = getattr(hs, field.name)
+        assert not (isinstance(value, np.ndarray) and value.ndim >= 2), field.name
+
+
 def test_general_absorbed_branch_returns_one():
     channel = from_stochastic(np.array([[0.0, 1.0], [1.0, 0.0]]))
     hs = solve_hitting(channel, subspace_from_indices(2, [1]))
