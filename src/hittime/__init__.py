@@ -21,10 +21,6 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fundamental import (
-    FundamentalData,
-    fundamental_map,
-)
 from .hitting import (
     ORTHOGONALITY_TOL,
     ArrivalSubspace,
@@ -76,12 +72,6 @@ from .maps import (
     pure_density,
     validate_column_stochastic,
 )
-from .oracle import (
-    FirstVisitDistribution,
-    MonteCarloEstimate,
-    classical_monte_carlo,
-    first_visit_series,
-    tau_series,
-)
+from .oracle import MonteCarloEstimate, classical_monte_carlo, tau_series
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
 """The paper's block matrices of operators, built densely as the paper states them.
 
-Every answer of the library is a covector solve (:mod:`hittime.hitting`,
-:mod:`hittime.fundamental`); this module is the dense reference route that
-``selftest`` and the tests check those answers and the printed golden
-matrices against.  Each object is a d x d matrix, d = n^2, acting on
-row-stacked vecs:
+Every answer of the library is a covector solve (:mod:`hittime.hitting`);
+this module is the dense reference route that ``selftest`` and the tests
+check those answers and the printed golden matrices against.  Each object
+is a d x d matrix, d = n^2, acting on row-stacked vecs:
 
 - ``lift(P)`` = kron(P, conj(P)), the map X -> P X P*; PP and QQ are the lifts
   of the subspace projectors and RR = I - PP - QQ;
@@ -23,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .fundamental import FundamentalData
 from .hitting import ArrivalSubspace, _survival_resolvent
 from .linalg import frobenius, vec
 from .maps import SuperOperator, as_density
@@ -85,11 +83,11 @@ def dnl(
     return d, n, k - n @ t.rep
 
 
-def fundamental_identities(fd: FundamentalData, t: SuperOperator) -> dict[str, float]:
-    """Frobenius residuals of the algebraic identities of Z and Omega."""
-    om, z, rep = omega(fd.pi), fundamental(t, fd.pi), t.rep
+def fundamental_identities(pi, t: SuperOperator) -> dict[str, float]:
+    """Frobenius residuals of the algebraic identities of Z and Omega = omega(pi)."""
+    om, z, rep = omega(pi), fundamental(t, pi), t.rep
     eye = np.eye(rep.shape[0])
-    vec_eye = vec(np.eye(fd.pi.dim))
+    vec_eye = vec(np.eye(t.dim))
     return {
         "omega_idempotent": frobenius(om @ om - om),
         "phi_omega": frobenius(rep @ om - om),

@@ -30,7 +30,6 @@ from .classical import (
     kac_return_time,
 )
 from .errors import HittimeError, NumericError, ParseError, ValidationError
-from .fundamental import fundamental_map
 from .hitting import (
     ORTHOGONALITY_TOL,
     hitting_probability,
@@ -241,7 +240,7 @@ def validate(map_file: str, tol: Tolerance | None, as_json: bool, digits: int,
         sys.exit(EXIT_MAP)
 
 
-def _evaluate_query(channel, fd, solutions, query, tolerance, method):
+def _evaluate_query(channel, cert, solutions, query, tolerance, method):
     """One query's record; ``solutions`` memoizes the solves of ``channel`` by
     (subspace as stated: sorted indices or vector bytes, query tolerance), so
     each distinct subspace is realized once."""
@@ -253,7 +252,7 @@ def _evaluate_query(channel, fd, solutions, query, tolerance, method):
     subspace = None if key in solutions else realize_subspace(query, channel.dim)
     initial = realize_initial(query, channel.dim, tolerance)
     if subspace is not None:
-        solutions[key] = solve_hitting(channel, subspace, tol=query_tol, fd=fd)
+        solutions[key] = solve_hitting(channel, subspace, cert, query_tol)
     hs = solutions[key]
     rho = initial.state
 
@@ -343,18 +342,19 @@ def hit(map_file: str, query_file: str, method: str | None, tol: Tolerance | Non
     channel = _load_map(map_file, row_stochastic, tol)
     with _exits(EXIT_QUERY):
         queries = load_query_file(query_file)
-    # The map is judged once, under --tol: fundamental_map refuses a map that
-    # is not certified irreducible or not trace preserving.  A query's own
-    # tolerance governs only that query.
+    # The map is judged once, under --tol: refused unless trace preserving,
+    # certified irreducible and with a fundamental map in working precision.
+    # A query's own tolerance governs only that query.
     with _exits(EXIT_MAP):
-        fd = fundamental_map(channel, invariant_state(channel, tol), tol)
+        cert = invariant_state(channel, tol)
+        cert.fundamental_pi()
 
     # Queries are answered in input order, so the first failing one sets the
     # exit code; those sharing a subspace and tolerance share one solve.
     solutions = {}
     with _exits(EXIT_QUERY):
         records = [
-            _evaluate_query(channel, fd, solutions, query, tol, method or query.method)
+            _evaluate_query(channel, cert, solutions, query, tol, method or query.method)
             for query in queries
         ]
 
@@ -517,6 +517,8 @@ def _subset(chain, i, subset_spec):
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON records.")
 def selftest(seed: int, as_json: bool) -> None:
     """Run the embedded golden suite; exits 0 only if every check passes."""
+    if seed < 0:
+        _abort(EXIT_PARSE, "--seed must be non-negative")
     from .selftest import run_selftest
 
     results = run_selftest(seed)

@@ -30,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericError, OrthogonalityError, ValidationError
-from .fundamental import FundamentalData, fundamental_map
 from .linalg import (
     _EPS,
     COND_CEIL,
@@ -125,9 +124,7 @@ class HittingSolution:
     - ``first_step_covector``   e K11 Z QQ T       (first-step summand of the mhtf)
     """
 
-    map: SuperOperator
     subspace: ArrivalSubspace
-    fd: FundamentalData
     probability_covector: np.ndarray
     time_covector: np.ndarray
     trace_covector: np.ndarray
@@ -249,18 +246,19 @@ def solve_hitting(
     subspace: ArrivalSubspace,
     cert: IrreducibilityCertificate | None = None,
     tol: Tolerance | None = None,
-    fd: FundamentalData | None = None,
 ) -> HittingSolution:
     """Query covectors for one (map, subspace), in the subspace's frame coordinates.
 
-    ``fd`` is the fundamental map of ``t``; pass it to share one across the
-    subspaces of a map, otherwise it is computed here (from ``cert`` when
-    given).  Two transposed solves against I - QT give the probability,
-    trace and time rows, and one against A = I - T + Omega the mhtf rows;
-    A is built as :func:`~hittime.maps.invariant_state` builds it, so an
-    index target solves against the matrix that certified the map.  One
-    step through the frame form takes the mask of e and the start row to
-    the survival and first-step rows of :func:`mhtf_general`.
+    ``cert``, the :func:`~hittime.maps.invariant_state` of ``t``, gives pi
+    through its gate; pass it to share one across the subspaces of a map,
+    otherwise it is computed here.  It is trusted, not checked against
+    ``t``: the certificate of another map gives wrong answers, not an error.
+    Two transposed solves against I - QT give the probability, trace and
+    time rows, and one against A = I - T + Omega the mhtf rows; A is built
+    as :func:`~hittime.maps.invariant_state` builds it, so an index target
+    solves against the matrix that certified the map.  One step through the
+    frame form takes the mask of e and the start row to the survival and
+    first-step rows of :func:`mhtf_general`.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -268,10 +266,9 @@ def solve_hitting(
         raise DimensionError(
             f"subspace lives in dimension {subspace.dim_ambient}, map in {t.dim}"
         )
-    if fd is None:
-        if cert is None:
-            cert = invariant_state(t, tol)
-        fd = fundamental_map(t, cert, tol)
+    if cert is None:
+        cert = invariant_state(t, tol)
+    pi = cert.fundamental_pi()
     h, resolvent, radius, cond = _survival_resolvent(t, subspace)
     # Each covector l solves l (I - QT) = r, with e = coords(I) and
     # e (I - QQ) = coords(W* P W), exactly 1 on the target's diagonal.
@@ -281,18 +278,16 @@ def solve_hitting(
     time = np.linalg.solve(resolvent.T, probability)
     # e K11 = e (I - QQ) K (I - QQ), and x Z solves x A = e K11 for
     # A = I - h + coords(W* pi W) e^T.
-    a = bordered(h, subspace.coords(fd.pi.matrix), slice(0, t.dim))
+    a = bordered(h, subspace.coords(pi.matrix), slice(0, t.dim))
     try:
         kz = np.linalg.solve(a.T, time - subspace.mask(time))
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"fundamental solve failed (condition estimate {fd.condition_estimate:.3e})"
+            f"fundamental solve failed (condition estimate {cert.condition_estimate:.3e})"
         ) from exc
     start = subspace.mask(kz)
     return HittingSolution(
-        map=t,
         subspace=subspace,
-        fd=fd,
         probability_covector=probability,
         time_covector=time,
         trace_covector=trace,

@@ -16,8 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError, ValidationError
+from .errors import DimensionError, NumericError, PreconditionError, ValidationError
 from .linalg import (
+    COND_CEIL,
     DEFAULT_TOL,
     PsdCheck,
     Tolerance,
@@ -118,7 +119,7 @@ class IrreducibilityCertificate:
     normalized fixed point is a strictly positive state.  A certified
     certificate carries the 2-norm condition number of
     A = I - T + vec(pi) vec(I)^T, whose singular values certified it (the
-    inverse of A is the fundamental map); it is NaN otherwise.
+    inverse of A is the fundamental map Z); it is NaN otherwise.
     """
 
     invariant_state: DensityMatrix | None
@@ -126,6 +127,21 @@ class IrreducibilityCertificate:
     min_eigenvalue_of_pi: float
     verdict: str
     condition_estimate: float = math.nan
+
+    def fundamental_pi(self) -> DensityMatrix:
+        """pi, once the certificate admits Z = A^{-1}: the map is certified
+        irreducible, and A is not singular to working precision."""
+        if self.verdict != CERTIFIED_IRREDUCIBLE:
+            raise PreconditionError(
+                f"map is not certified irreducible (verdict: {self.verdict})"
+            )
+        cond = self.condition_estimate
+        if not np.isfinite(cond) or cond > COND_CEIL:
+            raise NumericError(
+                f"fundamental solve is singular to working precision "
+                f"(condition estimate {cond:.3e})"
+            )
+        return self.invariant_state
 
 
 class TraceCheck(NamedTuple):
@@ -349,8 +365,8 @@ def invariant_state(
     solve (:func:`bordered_solve`), and the values-only SVD of
     A = I - T + vec(pi) e^T certifies a one-dimensional fixed space
     (:func:`isolates_fixed_vector`).  A certified map keeps the condition
-    number the same SVD gives, which
-    :func:`~hittime.fundamental.fundamental_map` gates on.  When the
+    number the same SVD gives, the gate of the fundamental map Z = A^{-1}
+    (:meth:`IrreducibilityCertificate.fundamental_pi`).  When the
     certificate fails, :func:`fixed_space` decides and reports the
     dimension.  A one-dimensional fixed space whose Hermitized,
     trace-normalized fixed point is a strictly positive state yields the

@@ -25,28 +25,13 @@ from .linalg import DEFAULT_TOL, MIN_SPECTRAL_GAP, Tolerance, start_distribution
 from .linalg import _EPS, _to_hermitian_coords
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
-__all__ = [
-    "FirstVisitDistribution",
-    "MonteCarloEstimate",
-    "first_visit_series",
-    "tau_series",
-    "classical_monte_carlo",
-]
+__all__ = ["MonteCarloEstimate", "tau_series", "classical_monte_carlo"]
 
 _MAX_SERIES_TERMS = 1_000_000
 _MC_STEP_CAP = 10_000_000
 # Gathered cumulative entries per Monte-Carlo block, so one step needs
 # O(trials) memory whatever the number of states.
 _MC_BLOCK_ENTRIES = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class FirstVisitDistribution:
-    """First-visit probabilities pi_1 .. pi_{r_max} with a geometric tail bound."""
-
-    probabilities: np.ndarray
-    tail_bound: float
-    r_max: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,26 +99,6 @@ def _blocks(sigma, step, arrival, b: int, terms: int):
         yield r + k, p, np.abs(sigma) @ weights
 
 
-def first_visit_series(
-    t: SuperOperator,
-    subspace: ArrivalSubspace,
-    rho,
-    r_max: int,
-    tol: Tolerance | None = None,
-) -> FirstVisitDistribution:
-    """First r_max terms of the first-visit distribution of ``rho``.
-
-    The tail bound dominates the probability mass beyond r_max and decreases
-    geometrically in r_max while the survival map contracts.
-    """
-    if r_max < 1:
-        raise ValidationError("r_max must be at least 1")
-    sigma, step, arrival, radius = _survival_data(t, subspace, rho, tol)
-    blocks = list(_blocks(sigma, step, arrival, _block_size(sigma.size, r_max), r_max))
-    probs = np.concatenate([p for _, p, _ in blocks])
-    return FirstVisitDistribution(probs, blocks[-1][2] / (1.0 - radius), r_max)
-
-
 def tau_series(
     t: SuperOperator,
     subspace: ArrivalSubspace,
@@ -180,7 +145,7 @@ def classical_monte_carlo(
     state j).  ``start`` is a 0-based state index or an initial distribution;
     ``target`` a set of 0-based state indices.  The first visit is counted at
     step r >= 1, so a start inside the target records the return time.  The
-    RNG is numpy PCG64 seeded with ``seed``; results are deterministic.
+    RNG is numpy PCG64 seeded with ``seed`` >= 0; results are deterministic.
     """
     arr = validate_column_stochastic(p, tol)
     n = arr.shape[0]
@@ -191,6 +156,8 @@ def classical_monte_carlo(
         raise ValidationError(f"target indices must lie in [0, {n - 1}]")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     rng = np.random.default_rng(int(seed))
     if np.isscalar(start):
         s0 = int(start)

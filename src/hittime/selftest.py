@@ -16,7 +16,6 @@ import numpy as np
 from . import examples
 from .blocks import block, fundamental, fundamental_identities, hitting_maps, lift, omega
 from .classical import build_chain, classical_mhtf, classical_mhtf_subset, kac_return_time
-from .fundamental import fundamental_map
 from .hitting import (
     condition_first_step,
     hitting_probability,
@@ -59,20 +58,15 @@ def _dev(actual, expected) -> float:
     return float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
 
 
-def _qubit_solution():
-    channel = examples.qubit_demo_channel()
-    subspace = examples.qubit_demo_subspace()
-    return channel, subspace, solve_hitting(channel, subspace)
-
-
 def check_qubit_golden_matrices() -> CheckResult:
-    channel, subspace, hs = _qubit_solution()
+    channel, subspace = examples.qubit_demo_channel(), examples.qubit_demo_subspace()
     _, k = hitting_maps(channel, subspace)
+    pi = invariant_state(channel).fundamental_pi()
     lim = 1e-12
     items = {
         "map representation": (_dev(channel.rep, examples.QUBIT_PHI), lim),
-        "omega": (_dev(omega(hs.fd.pi), examples.QUBIT_OMEGA), lim),
-        "fundamental matrix": (_dev(fundamental(channel, hs.fd.pi), examples.QUBIT_Z), lim),
+        "omega": (_dev(omega(pi), examples.QUBIT_OMEGA), lim),
+        "fundamental matrix": (_dev(fundamental(channel, pi), examples.QUBIT_Z), lim),
         "subspace projector": (_dev(lift(subspace.projector_p), examples.QUBIT_PP), lim),
         "complement projector": (_dev(lift(subspace.projector_q), examples.QUBIT_QQ), lim),
         "time map": (_dev(k, examples.QUBIT_K), lim),
@@ -82,7 +76,8 @@ def check_qubit_golden_matrices() -> CheckResult:
 
 
 def check_qubit_hitting_times() -> CheckResult:
-    channel, subspace, hs = _qubit_solution()
+    channel, subspace = examples.qubit_demo_channel(), examples.qubit_demo_subspace()
+    hs = solve_hitting(channel, subspace)
     states = examples.qubit_demo_states()
     rho_phi = pure_density(states["phi"])
     rho_psi = pure_density(states["psi"])
@@ -137,9 +132,8 @@ def check_fundamental_identities() -> CheckResult:
         ("qubit demo", examples.qubit_demo_channel()),
         ("M4 demo", examples.qudit_demo_channel(0.6)),
     ):
-        cert = invariant_state(channel)
-        fd = fundamental_map(channel, cert)
-        items[label] = (max(fundamental_identities(fd, channel).values()), 1e-10)
+        pi = invariant_state(channel).fundamental_pi()
+        items[label] = (max(fundamental_identities(pi, channel).values()), 1e-10)
     return _result("fundamental map identities", items)
 
 

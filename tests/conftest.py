@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hittime import pure_density, solve_hitting
+from hittime import invariant_state, pure_density, solve_hitting
 from hittime.examples import (
     qubit_demo_channel,
     qubit_demo_states,
@@ -20,6 +20,11 @@ from hittime.examples import (
 @pytest.fixture(scope="session")
 def qubit_channel():
     return qubit_demo_channel()
+
+
+@pytest.fixture(scope="session")
+def qubit_pi(qubit_channel):
+    return invariant_state(qubit_channel).fundamental_pi()
 
 
 @pytest.fixture(scope="session")

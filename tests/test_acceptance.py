@@ -18,7 +18,6 @@ from hittime import (
     classical_monte_carlo,
     condition_first_step,
     from_stochastic,
-    fundamental_map,
     hitting_probability,
     invariant_state,
     kac_return_time,
@@ -82,12 +81,14 @@ def random_instance(index: int):
 def test_criterion_1_golden_matrices():
     start = time.perf_counter()
     channel = qubit_demo_channel()
-    hs = solve_hitting(channel, qubit_demo_subspace())
+    cert = invariant_state(channel)
+    hs = solve_hitting(channel, qubit_demo_subspace(), cert)
     _, k = hitting_maps(channel, hs.subspace)
+    pi = cert.fundamental_pi()
     worst = max(
         max_dev(channel.rep, golden.QUBIT_PHI),
-        max_dev(omega(hs.fd.pi), golden.QUBIT_OMEGA),
-        max_dev(fundamental(channel, hs.fd.pi), golden.QUBIT_Z),
+        max_dev(omega(pi), golden.QUBIT_OMEGA),
+        max_dev(fundamental(channel, pi), golden.QUBIT_Z),
         max_dev(lift(hs.subspace.projector_p), golden.QUBIT_PP),
         max_dev(lift(hs.subspace.projector_q), golden.QUBIT_QQ),
         max_dev(k, golden.QUBIT_K),
@@ -167,10 +168,9 @@ def test_criterion_3_closed_forms():
     )
 
 
-def _vector_identity_residual(hs, rho_phi, rho_psi) -> float:
-    sp = hs.subspace
-    d_rep, n_rep, l_rep = dnl(hitting_maps(hs.map, sp)[1], hs.map, sp)
-    z = fundamental(hs.map, hs.fd.pi)
+def _vector_identity_residual(channel, cert, sp, rho_phi, rho_psi) -> float:
+    d_rep, n_rep, l_rep = dnl(hitting_maps(channel, sp)[1], channel, sp)
+    z = fundamental(channel, cert.fundamental_pi())
     dz, lz = d_rep @ z, l_rep @ z
 
     def act(rep, rho):
@@ -191,10 +191,10 @@ def _vector_identity_residual(hs, rho_phi, rho_psi) -> float:
     return max(float(np.max(np.abs(first))), float(np.max(np.abs(second))))
 
 
-def _first_row_residual(hs) -> float:
-    h, k = hitting_maps(hs.map, hs.subspace)
-    _, _, l_rep = dnl(k, hs.map, hs.subspace)
-    left = np.eye(k.shape[0]) - lift(hs.subspace.projector_q)
+def _first_row_residual(channel, sp) -> float:
+    h, k = hitting_maps(channel, sp)
+    _, _, l_rep = dnl(k, channel, sp)
+    left = np.eye(k.shape[0]) - lift(sp.projector_q)
     return float(np.max(np.abs(left @ l_rep - left @ h)))
 
 
@@ -221,28 +221,28 @@ def test_criterion_4_identity_suite():
     ]
     for channel, subspace, rho_phi, rho_psi in demo_cases:
         cert = invariant_state(channel)
-        fd = fundamental_map(channel, cert)
         worst_fundamental = max(
             worst_fundamental,
-            max(fundamental_identities(fd, channel).values()),
+            max(fundamental_identities(cert.fundamental_pi(), channel).values()),
         )
-        hs = solve_hitting(channel, subspace, cert)
         psi = rho_psi if rho_psi is not None else pure_density(
             qudit_demo_states()["psi1"]
         )
-        worst_vector = max(worst_vector, _vector_identity_residual(hs, rho_phi, psi))
-        worst_first_row = max(worst_first_row, _first_row_residual(hs))
+        worst_vector = max(
+            worst_vector, _vector_identity_residual(channel, cert, subspace, rho_phi, psi)
+        )
+        worst_first_row = max(worst_first_row, _first_row_residual(channel, subspace))
 
     for index in range(50):
         channel, cert, subspace, rho_phi, rho_psi = random_instance(index)
-        fd = fundamental_map(channel, cert)
         worst_fundamental = max(
             worst_fundamental,
-            max(fundamental_identities(fd, channel).values()),
+            max(fundamental_identities(cert.fundamental_pi(), channel).values()),
         )
-        hs = solve_hitting(channel, subspace, cert)
-        worst_vector = max(worst_vector, _vector_identity_residual(hs, rho_phi, rho_psi))
-        worst_first_row = max(worst_first_row, _first_row_residual(hs))
+        worst_vector = max(
+            worst_vector, _vector_identity_residual(channel, cert, subspace, rho_phi, rho_psi)
+        )
+        worst_first_row = max(worst_first_row, _first_row_residual(channel, subspace))
 
     ok = (
         worst_fundamental <= 1e-10

@@ -17,7 +17,6 @@ from hittime import (
     SuperOperator,
     build_chain,
     from_kraus,
-    fundamental_map,
     hermitize,
     invariant_state,
     solve_hitting,
@@ -124,11 +123,10 @@ def test_certified_map_takes_one_values_only_svd(monkeypatch, fixed_space_calls)
     t = from_kraus(kraus_family(np.random.default_rng(2), n, 2))
     calls = _record_decompositions(monkeypatch)
     cert = invariant_state(t)
-    fd = fundamental_map(t, cert)
+    assert cert.fundamental_pi() is cert.invariant_state  # the gate decomposes nothing
     assert cert.verdict == CERTIFIED_IRREDUCIBLE
     assert calls == [("svd", (n * n, n * n), False)]
     assert not fixed_space_calls
-    assert fd.condition_estimate == cert.condition_estimate
     assert cert.condition_estimate == pytest.approx(
         np.linalg.cond(certified_a(t, cert)), rel=1e-10
     )

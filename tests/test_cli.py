@@ -16,7 +16,6 @@ from click.testing import CliRunner
 import hittime
 import hittime.cli
 import hittime.examples as examples
-import hittime.fundamental
 import hittime.hitting
 import hittime.io
 import hittime.linalg
@@ -382,15 +381,16 @@ def test_hit_routes_build_their_own_frame_forms(runner, tmp_path, monkeypatch):
 
 
 def test_hit_computes_the_fundamental_map_once(runner, tmp_path, monkeypatch):
-    """One fundamental map per invocation, even for one subspace at two query tolerances."""
+    """One certificate, and so one fundamental map, per invocation, even for one
+    subspace at two query tolerances."""
     calls = []
-    fundamental = hittime.cli.fundamental_map
+    certify = hittime.cli.invariant_state
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return fundamental(*args, **kwargs)
+        return certify(*args, **kwargs)
 
-    monkeypatch.setattr(hittime.cli, "fundamental_map", counted)
+    monkeypatch.setattr(hittime.cli, "invariant_state", counted)
     queries = [dict(fanout_queries()[0], tol=tol) for tol in (1e-8, 1e-10)]
     query = write(tmp_path, "q.json", {"queries": queries})
     result = runner.invoke(main, ["hit", qudit_map_file(tmp_path), query, "--json"])
@@ -399,7 +399,7 @@ def test_hit_computes_the_fundamental_map_once(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("module,message", [
-    (hittime.fundamental, "error: fundamental solve is singular to working precision"),
+    (hittime.maps, "error: fundamental solve is singular to working precision"),
     (hittime.hitting, "error: survival resolvent is singular to working precision"),
 ])
 def test_hit_exits_5_on_a_condition_beyond_the_ceiling(

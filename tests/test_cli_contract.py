@@ -211,10 +211,14 @@ def _raise(error):
     (("classical", "subset", "chain2.json", "-i", "1", "-S", "0"), None, 3,
      "subset state must lie in [1, 2], got 0"),
     # the fundamental map is judged with the map, before any query is answered
-    (("hit", "chain2.json", "q_basis5.json"), ("fundamental_map", NumericError("numeric")), 5,
+    (("hit", "chain2.json", "q_basis5.json"), ("invariant_state", NumericError("numeric")), 5,
      "numeric"),
     (("hit", "chain2.json", "q_text_tol.json"), None, 1,
      "q_text_tol.json: tol.atol: expected a number, got '0.5'"),
+    # numpy seeds only non-negative integers
+    (("classical", "mhtf", "c3.json", "-i", "1", "-j", "2", "--trials", "5", "--seed", "-1"),
+     None, 3, "seed must be non-negative"),
+    (("selftest", "--seed", "-1"), None, 1, "--seed must be non-negative"),
 ])
 def test_exit_policy(run, monkeypatch, argv, patch, code, stderr):
     if patch is not None:

@@ -18,7 +18,6 @@ from hittime import (
     PreconditionError,
     ValidationError,
     condition_first_step,
-    first_visit_series,
     from_kraus,
     from_stochastic,
     hitting_probability,
@@ -36,7 +35,7 @@ from hittime import (
 )
 from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
 from hittime.hitting import _survival_resolvent
-from hittime.examples import symmetric_two_state_chain
+from hittime.examples import qudit_demo_channel, symmetric_two_state_chain
 from hittime.sampling import (
     random_cptp_map,
     random_density,
@@ -51,9 +50,9 @@ def apply_rep(rep, matrix):
     return unvec(rep @ vec(matrix))
 
 
-def dense_maps(hs):
-    """H and K of a solution's (map, subspace), from the dense reference route."""
-    return hitting_maps(hs.map, hs.subspace)
+def dense_maps(t, hs):
+    """H and K of (t, the solution's subspace), from the dense reference route."""
+    return hitting_maps(t, hs.subspace)
 
 
 # ------------------------------------------------------------------ subspaces
@@ -176,7 +175,6 @@ def test_queries_and_series_never_build_dense_lift(monkeypatch):
     mhtf_orthogonal(hs, phi)
     mhtf_general(hs, rho)
     tau_series(channel, sub, rho)
-    first_visit_series(channel, sub, rho, 10)
     condition_first_step(channel, sub, rho)
     assert kron_calls == []
 
@@ -196,12 +194,13 @@ def test_importing_the_library_leaves_out_the_dense_reference_route():
 
 # ----------------------------------------------------------------- hitting maps
 
-def test_hitting_maps_demo_printed(qubit_solution):
-    assert_allclose(dense_maps(qubit_solution)[1], golden.QUBIT_K, atol=1e-12)
+def test_hitting_maps_demo_printed(qubit_channel, qubit_solution):
+    assert_allclose(dense_maps(qubit_channel, qubit_solution)[1], golden.QUBIT_K, atol=1e-12)
 
 
 def test_hitting_maps_qudit_quadrants_match_closed_forms(qudit_solution_06):
-    assert_allclose(dense_maps(qudit_solution_06)[1], golden.qudit_k_expected(0.6), atol=1e-12)
+    k = dense_maps(qudit_demo_channel(0.6), qudit_solution_06)[1]
+    assert_allclose(k, golden.qudit_k_expected(0.6), atol=1e-12)
 
 
 def test_time_map_is_probability_map_times_resolvent():
@@ -222,8 +221,8 @@ def test_hitting_maps_reject_reducible_survival():
 
 # ---------------------------------------------------------------------- blocks
 
-def test_block_demo_printed(qubit_solution):
-    recomputed = block(dense_maps(qubit_solution)[1], qubit_solution.subspace, 1, 2)
+def test_block_demo_printed(qubit_channel, qubit_solution):
+    recomputed = block(dense_maps(qubit_channel, qubit_solution)[1], qubit_solution.subspace, 1, 2)
     assert_allclose(recomputed, golden.QUBIT_K12, atol=1e-12)
 
 
@@ -234,14 +233,14 @@ def test_blocks_resolve_identity(qubit_solution):
     assert_allclose(total, eye, atol=1e-14)
 
 
-def test_block_rejects_bad_indices(qubit_solution):
+def test_block_rejects_bad_indices(qubit_channel, qubit_solution):
     with pytest.raises(ValidationError):
-        block(dense_maps(qubit_solution)[1], qubit_solution.subspace, 0, 1)
+        block(dense_maps(qubit_channel, qubit_solution)[1], qubit_solution.subspace, 0, 1)
 
 
-def test_off_diagonal_part_has_zero_diagonal_blocks(qubit_solution):
+def test_off_diagonal_part_has_zero_diagonal_blocks(qubit_channel, qubit_solution):
     sp = qubit_solution.subspace
-    _, n_rep, _ = dnl(dense_maps(qubit_solution)[1], qubit_solution.map, sp)
+    _, n_rep, _ = dnl(dense_maps(qubit_channel, qubit_solution)[1], qubit_channel, sp)
     assert np.max(np.abs(block(n_rep, sp, 1, 1))) <= 1e-12
     assert np.max(np.abs(block(n_rep, sp, 2, 2))) <= 1e-12
 
@@ -321,10 +320,10 @@ def test_formula_rejects_unsupported_start(qubit_solution, qubit_states):
 
 # ------------------------------------------------------------------ D / N / L
 
-def test_first_block_row_of_l_equals_h(qubit_solution):
+def test_first_block_row_of_l_equals_h(qubit_channel, qubit_solution):
     sp = qubit_solution.subspace
-    h, k = dense_maps(qubit_solution)
-    _, _, l_rep = dnl(k, qubit_solution.map, sp)
+    h, k = dense_maps(qubit_channel, qubit_solution)
+    _, _, l_rep = dnl(k, qubit_channel, sp)
     eye = np.eye(4)
     lhs = (eye - lift(sp.projector_q)) @ l_rep
     rhs = (eye - lift(sp.projector_q)) @ h
@@ -334,7 +333,7 @@ def test_first_block_row_of_l_equals_h(qubit_solution):
 def test_first_block_row_of_l_equals_h_random():
     channel, cert = random_irreducible_cptp(3, rng=18)
     hs = solve_hitting(channel, random_subspace(3, 1, rng=19), cert)
-    h, k = dense_maps(hs)
+    h, k = dense_maps(channel, hs)
     _, _, l_rep = dnl(k, channel, hs.subspace)
     eye = np.eye(9)
     lhs = (eye - lift(hs.subspace.projector_q)) @ l_rep
@@ -342,10 +341,10 @@ def test_first_block_row_of_l_equals_h_random():
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
-def test_vector_identities_on_demo_states(qubit_solution, qubit_states):
+def test_vector_identities_on_demo_states(qubit_channel, qubit_pi, qubit_solution, qubit_states):
     sp = qubit_solution.subspace
-    d_rep, n_rep, l_rep = dnl(dense_maps(qubit_solution)[1], qubit_solution.map, sp)
-    z = fundamental(qubit_solution.map, qubit_solution.fd.pi)
+    d_rep, n_rep, l_rep = dnl(dense_maps(qubit_channel, qubit_solution)[1], qubit_channel, sp)
+    z = fundamental(qubit_channel, qubit_pi)
     dz, lz = d_rep @ z, l_rep @ z
     rho_phi = qubit_states["phi"].matrix
     rho_psi = qubit_states["psi"].matrix
@@ -383,7 +382,7 @@ def test_first_step_demo(qubit_channel, qubit_solution, qubit_states):
 def test_first_step_qudit(qudit_solution_06, qudit_states):
     a, b = 0.6, 0.8
     step = condition_first_step(
-        qudit_solution_06.map, qudit_solution_06.subspace, qudit_states["chi"]
+        qudit_demo_channel(0.6), qudit_solution_06.subspace, qudit_states["chi"]
     )
     assert not step.absorbed
     assert step.weight == pytest.approx(1.0, abs=1e-12)
@@ -489,9 +488,9 @@ def test_return_summand_is_reference_independent():
     assert max(values) - min(values) <= 1e-10
 
 
-def test_resolvent_shortcut_on_random_densities(qubit_solution):
+def test_resolvent_shortcut_on_random_densities(qubit_channel, qubit_solution):
     # Tr((I - Q) K rho) must equal Tr(H rho)
-    h, _ = dense_maps(qubit_solution)
+    h, _ = dense_maps(qubit_channel, qubit_solution)
     rng = np.random.default_rng(37)
     for _ in range(5):
         rho = random_density(2, rng=rng)
@@ -512,21 +511,21 @@ def test_first_step_recursion():
     assert tau == pytest.approx(1.0 + step.weight * tau_next, abs=1e-9)
 
 
-def test_hitting_maps_are_positive(qubit_solution):
+def test_hitting_maps_are_positive(qubit_channel, qubit_solution):
     rng = np.random.default_rng(41)
     for _ in range(5):
         rho = random_density(2, rng=rng)
-        for rep in dense_maps(qubit_solution):
+        for rep in dense_maps(qubit_channel, qubit_solution):
             out = apply_rep(rep, rho.matrix)
             assert is_psd(out).ok
 
 
-def test_projector_substitution_leaves_traces_unchanged(qubit_solution, qubit_states):
+def test_projector_substitution_leaves_traces_unchanged(qubit_channel, qubit_solution, qubit_states):
     # replacing the subspace projector by I - Q only adds traceless terms
     sp = qubit_solution.subspace
     eye = np.eye(4)
     rho = qubit_states["chi"].matrix
-    for rep in dense_maps(qubit_solution):
+    for rep in dense_maps(qubit_channel, qubit_solution):
         via_p = np.trace(apply_rep(lift(sp.projector_p) @ rep, rho)).real
         via_q = np.trace(apply_rep((eye - lift(sp.projector_q)) @ rep, rho)).real
         assert via_p == pytest.approx(via_q, abs=1e-12)
@@ -605,7 +604,7 @@ def test_covector_queries_match_dense_formulas(n, kraus_rank, rank):
 
     h, k = hitting_maps(channel, sub)
     qq = lift(sub.projector_q)
-    z = fundamental(channel, hs.fd.pi)
+    z = fundamental(channel, cert.fundamental_pi())
     k11 = block(k, sub, 1, 1)
     dz = (k11 + block(k, sub, 2, 2)) @ z
     z11 = block(z, sub, 1, 1)

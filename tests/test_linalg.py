@@ -152,9 +152,7 @@ def test_spectral_radius_nilpotent():
     assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0)
 
 
-def test_spectral_radius_survival_map_contracts(qubit_solution):
-    radius = spectral_radius(
-        lift(qubit_solution.subspace.projector_q) @ qubit_solution.map.rep
-    )
+def test_spectral_radius_survival_map_contracts(qubit_channel, qubit_solution):
+    radius = spectral_radius(lift(qubit_solution.subspace.projector_q) @ qubit_channel.rep)
     assert radius == pytest.approx(5.0 / 6.0, abs=1e-12)
     assert radius < 1.0

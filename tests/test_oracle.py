@@ -8,7 +8,6 @@ from hittime import (
     Tolerance,
     ValidationError,
     classical_monte_carlo,
-    first_visit_series,
     from_stochastic,
     pure_density,
     subspace_from_indices,
@@ -30,55 +29,52 @@ def chain_setup(p_matrix, target_indices):
 
 # ---------------------------------------------------------------- series terms
 
+def block_terms(t, sp, rho, r_max):
+    """pi_1 .. pi_r_max from the series' block kernel, the term count it reached, its
+    bound on ||vec W* X W||_1 for X = (QT)^r_max rho, and the spectral radius of QT."""
+    sigma, step, arrival, radius = hittime.oracle._survival_data(t, sp, rho, None)
+    b = hittime.oracle._block_size(sigma.size, r_max)
+    blocks = list(hittime.oracle._blocks(sigma, step, arrival, b, r_max))
+    return np.concatenate([p for _, p, _ in blocks]), blocks[-1][0], blocks[-1][2], radius
+
+
 def test_series_sums_to_one(qubit_channel, qubit_solution, qubit_states):
-    dist = first_visit_series(
+    probs, r, norm, radius = block_terms(
         qubit_channel, qubit_solution.subspace, qubit_states["phi"], 200
     )
-    assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
-    assert dist.r_max == 200
-    partial = np.cumsum(dist.probabilities)
-    assert np.all(partial <= 1.0 + 1e-12)
-    assert np.all(dist.probabilities >= -1e-12)
-    assert dist.probabilities.sum() + dist.tail_bound >= 1.0 - 1e-10
+    assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+    assert r == 200
+    assert np.all(np.cumsum(probs) <= 1.0 + 1e-12)
+    assert np.all(probs >= -1e-12)
+    assert probs.sum() + norm / (1.0 - radius) >= 1.0 - 1e-10
 
 
 def test_series_tail_bound_decreases_geometrically(
     qubit_channel, qubit_solution, qubit_states
 ):
     sp = qubit_solution.subspace
-    short = first_visit_series(qubit_channel, sp, qubit_states["phi"], 30)
-    long = first_visit_series(qubit_channel, sp, qubit_states["phi"], 60)
-    assert long.tail_bound < short.tail_bound
-    assert long.tail_bound <= short.tail_bound * (5.0 / 6.0) ** 25
+    short = block_terms(qubit_channel, sp, qubit_states["phi"], 30)[2]
+    long = block_terms(qubit_channel, sp, qubit_states["phi"], 60)[2]
+    assert long < short
+    assert long <= short * (5.0 / 6.0) ** 25
 
 
 def test_series_matches_geometric_law():
     p = 0.3
     channel, sp = chain_setup(symmetric_two_state_chain(p), [1])
-    dist = first_visit_series(channel, sp, pure_density([1.0, 0.0]), 40)
+    probs = block_terms(channel, sp, pure_density([1.0, 0.0]), 40)[0]
     expected = [(1 - p) ** (r - 1) * p for r in range(1, 41)]
-    assert_allclose(dist.probabilities, expected, atol=1e-12)
+    assert_allclose(probs, expected, atol=1e-12)
 
 
 def test_series_absorbed_in_one_step():
     channel, sp = chain_setup(np.array([[0.0, 1.0], [1.0, 0.0]]), [1])
-    dist = first_visit_series(channel, sp, pure_density([1.0, 0.0]), 10)
-    assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-14)
-    assert_allclose(dist.probabilities[1:], 0.0, atol=1e-14)
-
-
-def test_series_rejects_bad_r_max(qubit_channel, qubit_solution, qubit_states):
-    with pytest.raises(ValidationError):
-        first_visit_series(
-            qubit_channel, qubit_solution.subspace, qubit_states["phi"], 0
-        )
+    assert tau_series(channel, sp, pure_density([1.0, 0.0])) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_series_detects_non_contracting_survival():
     channel, sp = chain_setup(np.eye(2), [1])
     with pytest.raises(NonConvergenceError, match="spectral radius"):
-        first_visit_series(channel, sp, pure_density([1.0, 0.0]), 10)
-    with pytest.raises(NonConvergenceError):
         tau_series(channel, sp, pure_density([1.0, 0.0]))
 
 
@@ -184,16 +180,18 @@ FIRST_VISIT_CASES = [case for case in SERIES_CASES if case[0] in FIRST_VISIT_LAB
 @pytest.mark.parametrize("b", [1, 8, 64])
 @pytest.mark.parametrize("label,t,sp,rho", FIRST_VISIT_CASES, ids=[case[0] for case in FIRST_VISIT_CASES])
 def test_block_first_visit_series_keeps_r_max_exact(monkeypatch, label, t, sp, rho, b):
+    """At a forced block size the series' sum and its first r_max terms, which
+    end on a partial block unless b divides r_max, match the per-term loop."""
     monkeypatch.setattr(hittime.oracle, "_block_size", lambda d, terms: b)
-    _, radius = per_term_tau(t, sp, rho)
+    reference, _ = per_term_tau(t, sp, rho)
+    assert tau_series(t, sp, rho, Tolerance(0.0, 0.0)) == pytest.approx(reference, rel=1e-12)
     for r_max in sorted({1, max(b - 1, 1), b, b + 1, 3 * b + 5}):
-        dist = first_visit_series(t, sp, rho, r_max)
-        probs, norm = per_term_series(t, sp, rho, r_max)
-        assert dist.r_max == r_max
-        assert_allclose(dist.probabilities, probs, rtol=1e-12, atol=1e-15)
+        probs, r, bound, _ = block_terms(t, sp, rho, r_max)
+        expected, norm = per_term_series(t, sp, rho, r_max)
+        assert r == r_max
+        assert_allclose(probs, expected, rtol=1e-12, atol=1e-15)
         # The coordinate bound on ||vec W* sigma W||_1 exceeds it by at most sqrt(2).
-        exact = norm / (1.0 - radius)
-        assert exact * (1 - 1e-12) <= dist.tail_bound <= np.sqrt(2) * exact * (1 + 1e-12)
+        assert norm * (1 - 1e-12) <= bound <= np.sqrt(2) * norm * (1 + 1e-12)
 
 
 def test_block_size_is_a_power_of_two_that_grows_with_the_term_count():
@@ -267,6 +265,8 @@ def test_monte_carlo_validations():
         classical_monte_carlo(chain, 0, [1], trials=0, seed=0)
     with pytest.raises(ValidationError):
         classical_monte_carlo(chain, [0.7, 0.7], [1], trials=10, seed=0)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        classical_monte_carlo(chain, 0, [1], trials=10, seed=-1)
 
 
 def _sparse_chain():

@@ -14,7 +14,6 @@ from hittime import (
     NumericError,
     SuperOperator,
     from_kraus,
-    fundamental_map,
     invariant_state,
     solve_hitting,
     subspace_from_indices,
@@ -175,11 +174,10 @@ def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
     rng = np.random.default_rng(5)
     t = random_cptp_map(n, 2, rng)
     cert = invariant_state(t)
-    fd = fundamental_map(t, cert)
     rho = random_density(n, rng)
     for sub in _subspaces(n, 2, rng) + _subspaces(n, 1, rng):
         del calls[:]
-        hs = solve_hitting(t, sub, cert, fd=fd)
+        hs = solve_hitting(t, sub, cert)
         tau_series(t, hs.subspace, rho)
         m = n - sub.rank
         assert [shape for name, shape, _ in calls if name == "eigvals"] == [(m * m, m * m)] * 2
@@ -187,8 +185,7 @@ def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
     full_size = [c for c in calls if c[1] == (d, d)]
     assert full_size  # the condition number of I - QT is still taken at full size
     calls.clear()
-    invariant_state(t)
-    fundamental_map(t, cert)
+    invariant_state(t).fundamental_pi()
     assert calls and not [c for c in calls if c[2]]
 
 
@@ -227,7 +224,7 @@ def test_each_linear_system_is_kept_once_in_its_hermitian_form(monkeypatch):
     cert = invariant_state(t)
     tracemalloc.start()
     try:
-        fd = fundamental_map(t, cert)
+        cert.fundamental_pi()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,7 +244,7 @@ def test_each_linear_system_is_kept_once_in_its_hermitian_form(monkeypatch):
     solved = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
-    solve_hitting(t, subspace_from_indices(n, [1, 4]), fd=fd)
+    solve_hitting(t, subspace_from_indices(n, [1, 4]), cert)
     np.testing.assert_array_equal(solved[-1].T, certified[0])
 
 
@@ -459,11 +456,10 @@ def test_kraus_solve_and_series_take_no_eigvals(monkeypatch, perron_results):
     rng = np.random.default_rng(7)
     t = from_kraus(kraus_family(rng, n, 2))
     cert = invariant_state(t)
-    fd = fundamental_map(t, cert)
     shapes = _recording_eigvals(monkeypatch)
     for sub in _subspaces(n, 2, rng):
         del perron_results[:]
-        hs = solve_hitting(t, sub, cert, fd=fd)
+        hs = solve_hitting(t, sub, cert)
         tau_series(t, hs.subspace, random_density(n, rng))
         assert len(perron_results) == 2 and None not in perron_results
         assert perron_results[0] == hs.spectral_radius_qphi
