@@ -74,7 +74,7 @@ class SubsetHitting:
     j_independence_residual: float
 
 
-def build_chain(p, tol: Tolerance | None = None) -> MarkovChain:
+def build_chain(p, tol: Tolerance = DEFAULT_TOL) -> MarkovChain:
     """Validate a column-stochastic matrix and build its fundamental matrix.
 
     The chain must be irreducible: the eigenvalue-1 eigenspace of P must be
@@ -84,8 +84,6 @@ def build_chain(p, tol: Tolerance | None = None) -> MarkovChain:
     (:func:`~hittime.linalg.isolates_fixed_vector`); otherwise
     :func:`~hittime.linalg.fixed_space` decides.  Z is the inverse of A.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     # A C-ordered copy: the chain owns its matrix, and a transposed view (a
     # row-oriented file) gives bit for bit the products a column file gives.
     arr = validate_column_stochastic(p, tol).copy()

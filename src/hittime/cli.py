@@ -47,7 +47,7 @@ from .io import (
     realize_subspace,
     stochastic_matrix,
 )
-from .linalg import Tolerance, frobenius
+from .linalg import DEFAULT_TOL, Tolerance, frobenius
 from .maps import (
     CERTIFIED_IRREDUCIBLE,
     check_complete_positivity,
@@ -107,7 +107,7 @@ def _shared_flags(*trailing):
     """Add the shared flags, then ``trailing`` options, to a command.
 
     --tol and --digits are checked before the command runs (exit 1), and the
-    command gets ``tol`` as a Tolerance, or None when it is not given.
+    command gets ``tol`` as a Tolerance, ``DEFAULT_TOL`` when it is not given.
     """
     def decorate(command):
         @functools.wraps(command)
@@ -116,7 +116,7 @@ def _shared_flags(*trailing):
                 _abort(EXIT_PARSE, "--tol must be non-negative")
             if digits < 0:
                 _abort(EXIT_PARSE, "--digits must be non-negative")
-            tolerance = None if tol is None else Tolerance(tol, tol)
+            tolerance = DEFAULT_TOL if tol is None else Tolerance(tol, tol)
             return command(tol=tolerance, digits=digits, **kwargs)
 
         for option in reversed((*_SHARED_FLAGS, *trailing)):
@@ -152,7 +152,7 @@ def _emit_json(record) -> None:
     _echo(json.dumps(record, sort_keys=True, indent=2))
 
 
-def _load_map(map_file: str, row_stochastic: bool, tol: Tolerance | None):
+def _load_map(map_file: str, row_stochastic: bool, tol: Tolerance):
     with _exits(EXIT_MAP):
         return build_superoperator(load_map_spec(map_file), row_stochastic, tol)
 
@@ -170,7 +170,7 @@ def main() -> None:
 @main.command()
 @_MAP_FILE
 @_shared_flags()
-def validate(map_file: str, tol: Tolerance | None, as_json: bool, digits: int,
+def validate(map_file: str, tol: Tolerance, as_json: bool, digits: int,
              row_stochastic: bool) -> None:
     """Validate a map file: trace preservation, complete positivity,
     irreducibility certificate and invariant state.
@@ -330,7 +330,7 @@ def _print_hit_record(record, index: int, total: int, digits: int) -> None:
 @click.option("--method", type=click.Choice(METHODS), default=None,
               help="Override the method of every query.")
 @_shared_flags()
-def hit(map_file: str, query_file: str, method: str | None, tol: Tolerance | None,
+def hit(map_file: str, query_file: str, method: str | None, tol: Tolerance,
         as_json: bool, digits: int, row_stochastic: bool) -> None:
     """Evaluate hitting-time queries from QUERY_FILE against MAP_FILE.
 
@@ -365,7 +365,7 @@ def hit(map_file: str, query_file: str, method: str | None, tol: Tolerance | Non
             _print_hit_record(record, index, len(records), digits)
 
 
-def _load_chain(map_file: str, row_stochastic: bool, tol: Tolerance | None):
+def _load_chain(map_file: str, row_stochastic: bool, tol: Tolerance):
     with _exits(EXIT_MAP):
         spec = load_map_spec(map_file)
         if spec.kind != "stochastic":

@@ -116,7 +116,7 @@ class HittingSolution:
     coordinates of rho (``subspace.coords``), with e the coordinates of I:
 
     - ``probability_covector``  e (I - QQ) H   (hitting probability)
-    - ``time_covector``         e (I - QQ) K   (direct mean time)
+    - ``time_covector``         e (I - QT)^-1  (direct mean time, the survival sum)
     - ``trace_covector``        e H            (cross-check of the direct time)
     - ``return_covector``       e K11 Z (I - QQ)   (return summand of the mhtf)
     - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
@@ -149,14 +149,12 @@ class FirstStep(NamedTuple):
     next_state: DensityMatrix | None
 
 
-def subspace_from_vectors(vectors, tol: Tolerance | None = None) -> ArrivalSubspace:
-    """Arrival subspace spanned by the given vectors.
+def subspace_from_vectors(vectors, tol: Tolerance = DEFAULT_TOL) -> ArrivalSubspace:
+    """Arrival subspace spanned by the given vectors, whatever their overall scale.
 
-    The vectors are orthonormalized; linear dependence is collapsed.  The
-    span must be proper and nonzero.
+    The vectors are orthonormalized; singular values up to (atol + rtol) times
+    the largest are collapsed.  The span must be proper and nonzero.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not cols:
         raise ValidationError("at least one spanning vector is required")
@@ -166,9 +164,9 @@ def subspace_from_vectors(vectors, tol: Tolerance | None = None) -> ArrivalSubsp
             raise DimensionError("spanning vectors have mixed lengths")
     a = np.column_stack(cols)
     u, sing, _ = np.linalg.svd(a)
-    if sing.size == 0 or sing[0] <= tol.atol:
+    if sing.size == 0 or not sing[0] > 0:
         raise ValidationError("spanning vectors span the zero subspace")
-    rank = int(np.sum(sing > tol.atol + tol.rtol * sing[0]))
+    rank = int(np.sum(sing > (tol.atol + tol.rtol) * sing[0]))
     if rank >= n:
         raise ValidationError(
             "arrival subspace must be proper (a nontrivial subspace is required)"
@@ -245,7 +243,7 @@ def solve_hitting(
     t: SuperOperator,
     subspace: ArrivalSubspace,
     cert: IrreducibilityCertificate | None = None,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> HittingSolution:
     """Query covectors for one (map, subspace), in the subspace's frame coordinates.
 
@@ -253,15 +251,14 @@ def solve_hitting(
     through its gate; pass it to share one across the subspaces of a map,
     otherwise it is computed here.  It is trusted, not checked against
     ``t``: the certificate of another map gives wrong answers, not an error.
-    Two transposed solves against I - QT give the probability, trace and
-    time rows, and one against A = I - T + Omega the mhtf rows; A is built
+    One transposed solve against M = I - QT, of e (I - QQ) T, e and e T,
+    gives the probability, time and trace rows, and one against
+    A = I - T + Omega the mhtf rows; A is built
     as :func:`~hittime.maps.invariant_state` builds it, so an index target
     solves against the matrix that certified the map.  One step through the
     frame form takes the mask of e and the start row to the survival and
     first-step rows of :func:`mhtf_general`.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     if subspace.dim_ambient != t.dim:
         raise DimensionError(
             f"subspace lives in dimension {subspace.dim_ambient}, map in {t.dim}"
@@ -273,11 +270,10 @@ def solve_hitting(
     # Each covector l solves l (I - QT) = r, with e = coords(I) and
     # e (I - QQ) = coords(W* P W), exactly 1 on the target's diagonal.
     e = _to_hermitian_coords(np.eye(t.dim))
-    rows = np.stack([e - subspace.mask(e), e]) @ h
-    probability, trace = np.linalg.solve(resolvent.T, rows.T).T
-    time = np.linalg.solve(resolvent.T, probability)
-    # e K11 = e (I - QQ) K (I - QQ), and x Z solves x A = e K11 for
-    # A = I - h + coords(W* pi W) e^T.
+    rows = np.stack([(e - subspace.mask(e)) @ h, e, e @ h])
+    probability, time, trace = np.linalg.solve(resolvent.T, rows.T).T
+    # The probability row is e, so e K11 = e (I - QQ) K (I - QQ) is the time
+    # row off the mask; x Z solves x A = e K11, A = I - h + coords(W* pi W) e^T.
     a = bordered(h, subspace.coords(pi.matrix), slice(0, t.dim))
     try:
         kz = np.linalg.solve(a.T, time - subspace.mask(time))
@@ -317,11 +313,12 @@ def hitting_probability(hs: HittingSolution, rho) -> float:
 
 
 def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
-    """Mean time of first visit, Tr((I - Q) K rho).
+    """Mean time of first visit, Tr((I - Q) K rho) = sum_k Tr((QT)^k rho).
 
-    The equivalent resolvent expression Tr(H rho) is evaluated as a built-in
-    cross-check; a deviation beyond the tolerance or beyond the forward error
-    the condition of I - QT allows signals numerical breakdown.
+    The survival sum e M^-1 rho, M = I - QT, is checked against Tr(H rho) =
+    (e T) M^-1 rho, which differs by (e T - e) M^-1 rho: a deviation beyond the
+    tolerance or the forward error cond(M) allows signals breakdown or a map
+    that is not trace preserving.
     """
     state = as_density(rho, hs.tol)
     w = hs.subspace.coords(state.matrix)
@@ -390,7 +387,7 @@ def condition_first_step(
     t: SuperOperator,
     subspace: ArrivalSubspace,
     rho,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> FirstStep:
     """One monitored step: either absorbed into V, or the surviving state.
 
@@ -399,8 +396,6 @@ def condition_first_step(
     and the renormalized state sigma / Tr(sigma) are returned, satisfying
     tau(rho) = 1 + Tr(sigma) * tau(sigma / Tr(sigma)).
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     state = as_density(rho, tol)
     q = subspace.projector_q
     sigma = q @ unvec(t.rep @ vec(state.matrix)) @ q

@@ -229,7 +229,7 @@ def load_map_spec(path: str) -> MapSpec:
 def build_superoperator(
     spec: MapSpec,
     row_stochastic: bool = False,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> SuperOperator:
     """Turn a parsed map spec into a superoperator.
 
@@ -375,7 +375,7 @@ def realize_subspace(query: QuerySpec, n: int) -> ArrivalSubspace:
 
 
 def realize_initial(
-    query: QuerySpec, n: int, tol: Tolerance | None = None
+    query: QuerySpec, n: int, tol: Tolerance = DEFAULT_TOL
 ) -> InitialState:
     """Build the initial density of a query, normalizing and reporting the factor."""
     kind = query.initial_kind

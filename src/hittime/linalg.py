@@ -241,7 +241,7 @@ def hermitian_block(n: int, cols) -> np.ndarray:
     return np.flatnonzero(np.concatenate([inside, pair, pair]))
 
 
-def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
+def fixed_space(m, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical eigenvalue-1 eigenspace of ``m``.
 
     Returns the right singular vectors ``v`` of ``m - I`` whose residual
@@ -251,8 +251,6 @@ def fixed_space(m, tol: Tolerance | None = None) -> list[np.ndarray]:
     takes two SVDs, so the certifying callers run it only when the
     :func:`bordered_solve` certificate fails, to report the dimension.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     mm = _as_square(m, "m", keep_real=True)
     d = mm.shape[0]
     threshold = tol.atol + tol.rtol * float(np.linalg.norm(mm, 2))
@@ -307,7 +305,7 @@ class PsdCheck(NamedTuple):
     min_eigenvalue: float
 
 
-def is_psd(x, tol: Tolerance | None = None) -> PsdCheck:
+def is_psd(x, tol: Tolerance = DEFAULT_TOL) -> PsdCheck:
     """Check positive semidefiniteness of a (nearly) Hermitian matrix.
 
     ``ok`` is true iff ``x`` is Hermitian within tolerance and the smallest
@@ -315,8 +313,6 @@ def is_psd(x, tol: Tolerance | None = None) -> PsdCheck:
     eigenvalue is always reported; a value above ``atol`` certifies strict
     positivity.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     m = _as_square(x, "x")
     herm_residual = frobenius(m - m.conj().T)
     min_eig = float(np.linalg.eigvalsh(hermitize(m))[0])

@@ -169,14 +169,12 @@ def _finite_square(a, name: str) -> np.ndarray:
     return m
 
 
-def density(matrix, tol: Tolerance | None = None) -> DensityMatrix:
+def density(matrix, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """Validate and wrap a matrix as a density matrix.
 
     Requires Hermiticity, unit trace and positive semidefiniteness, each
     within tolerance.  Positivity is checked on the Hermitian part.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     m = _finite_square(matrix, "density matrix")
     herm_residual = frobenius(m - m.conj().T)
     if herm_residual > tol.atol + tol.rtol * frobenius(m):
@@ -207,7 +205,7 @@ def pure_density(state) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def as_density(rho, tol: Tolerance | None = None) -> DensityMatrix:
+def as_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """Coerce a DensityMatrix or raw matrix into a validated DensityMatrix."""
     if isinstance(rho, DensityMatrix):
         return rho
@@ -236,15 +234,13 @@ def from_kraus(kraus_ops: Sequence) -> SuperOperator:
     return SuperOperator(n, rep, "kraus")
 
 
-def validate_column_stochastic(p, tol: Tolerance | None = None) -> np.ndarray:
+def validate_column_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate a column-stochastic matrix and return it as a float array.
 
     Column j holds the outgoing distribution of state j; entries must be
     non-negative and each column must sum to 1 within tolerance.  Offending
     columns are named 1-based in error messages.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     arr = np.asarray(p)
     if np.iscomplexobj(arr):
         if np.max(np.abs(arr.imag)) > tol.atol:
@@ -267,7 +263,7 @@ def validate_column_stochastic(p, tol: Tolerance | None = None) -> np.ndarray:
     return arr
 
 
-def from_stochastic(p, tol: Tolerance | None = None) -> SuperOperator:
+def from_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> SuperOperator:
     """Embed a column-stochastic matrix as a map on M_n.
 
     The resulting map sends diag(x) to diag(P x) and annihilates off-diagonal
@@ -307,21 +303,15 @@ def choi_matrix(t: SuperOperator) -> np.ndarray:
     return np.einsum("klij->ikjl", rep4).reshape(n * n, n * n)
 
 
-def check_trace_preserving(
-    t: SuperOperator, tol: Tolerance | None = None
-) -> TraceCheck:
+def check_trace_preserving(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> TraceCheck:
     """Check T*(I) = I; returns the verdict and the Frobenius residual."""
-    if tol is None:
-        tol = DEFAULT_TOL
     n = t.dim
     # T*(I) = conj(rep)^T vec(I) = conj(vec(I) rep), without a conjugated copy of rep.
     residual = frobenius(unvec((vec(np.eye(n)) @ t.rep).conj()) - np.eye(n))
     return TraceCheck(residual <= tol.atol + tol.rtol * math.sqrt(n), residual)
 
 
-def check_complete_positivity(
-    t: SuperOperator, tol: Tolerance | None = None
-) -> CpCheck:
+def check_complete_positivity(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CpCheck:
     """PSD test on the Choi matrix; certifies complete positivity."""
     check: PsdCheck = is_psd(choi_matrix(t), tol)
     return CpCheck(check.ok, check.min_eigenvalue)
@@ -331,7 +321,7 @@ def positivity_sample(
     t: SuperOperator,
     samples: int = 1000,
     seed: int = 0,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> PositivitySample:
     """Heuristic positivity check for maps whose Choi matrix is not PSD.
 
@@ -339,8 +329,6 @@ def positivity_sample(
     outputs for positive semidefiniteness.  A pass does not prove positivity;
     a failure disproves it.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     rng = np.random.default_rng(seed)
     failures = 0
     worst = math.inf
@@ -355,7 +343,7 @@ def positivity_sample(
 
 
 def invariant_state(
-    t: SuperOperator, tol: Tolerance | None = None
+    t: SuperOperator, tol: Tolerance = DEFAULT_TOL
 ) -> IrreducibilityCertificate:
     """Compute the invariant state of the map and certify irreducibility.
 
@@ -373,8 +361,6 @@ def invariant_state(
     verdict ``certified_irreducible``; a larger fixed space yields
     ``not_irreducible``; degenerate numerical outcomes are ``inconclusive``.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     tp = check_trace_preserving(t, tol)
     if not tp.ok:
         raise PreconditionError(

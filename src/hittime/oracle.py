@@ -44,7 +44,7 @@ class MonteCarloEstimate:
     seed: int
 
 
-def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance | None):
+def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance):
     """Frame coordinates of rho, QT and e PP T = coords(P) h; the radius of QT."""
     sigma = subspace.coords(as_density(rho, tol).matrix)
     h = frame_form(t, subspace)
@@ -103,7 +103,7 @@ def tau_series(
     t: SuperOperator,
     subspace: ArrivalSubspace,
     rho,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Mean hitting time by direct summation of r * pi_r.
 
@@ -112,8 +112,6 @@ def tau_series(
     any comparison tolerance down to atol.  The target is floored at
     4 eps times the running total, its rounding level, so atol = 0 ends too.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     sigma, step, arrival, radius = _survival_data(t, subspace, rho, tol)
     gap = 1.0 - radius
     target = tol.atol / 10.0
@@ -137,7 +135,7 @@ def classical_monte_carlo(
     target,
     trials: int,
     seed: int,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> MonteCarloEstimate:
     """Trajectory estimate of the mean first-visit time of a classical chain.
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hitting import ArrivalSubspace, subspace_from_vectors
-from .linalg import Tolerance, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, hermitize
 from .maps import (
     CERTIFIED_IRREDUCIBLE,
     DensityMatrix,
@@ -59,7 +59,7 @@ def random_irreducible_cptp(
     n: int,
     num_kraus: int | None = None,
     rng=None,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[SuperOperator, IrreducibilityCertificate]:
     """Random CPTP map together with its irreducibility certificate.
 

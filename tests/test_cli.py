@@ -216,6 +216,17 @@ def test_hit_classical_file(runner, tmp_path):
     assert record["tau"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_hit_answers_a_subspace_spanned_by_tiny_vectors(runner, tmp_path):
+    query = write(
+        tmp_path,
+        "q.json",
+        {"subspace": {"vectors": [[[1e-12, 0], [1e-12, 0]]]}, "initial": {"index": 2}},
+    )
+    result = runner.invoke(main, ["hit", chain_file(tmp_path), query, "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["tau"] == pytest.approx(2.0, abs=1e-9)
+
+
 def test_hit_method_override(runner, tmp_path):
     result = runner.invoke(
         main,

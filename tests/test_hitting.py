@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from hittime import (
     from_kraus,
     from_stochastic,
     hitting_probability,
+    invariant_state,
     is_psd,
     mean_hitting_time_direct,
     mhtf_general,
@@ -35,6 +37,7 @@ from hittime import (
 )
 from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
 from hittime.hitting import _survival_resolvent
+from hittime.linalg import _to_hermitian_coords
 from hittime.examples import qudit_demo_channel, symmetric_two_state_chain
 from hittime.sampling import (
     random_cptp_map,
@@ -80,6 +83,16 @@ def test_subspace_collapses_linear_dependence():
 def test_subspace_rejects_zero_span():
     with pytest.raises(ValidationError):
         subspace_from_vectors([np.zeros(3)])
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000])
+def test_subspace_rank_does_not_depend_on_the_scale_of_the_vectors(scale):
+    rng = np.random.default_rng(90)
+    vectors = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    unit = subspace_from_vectors(vectors)
+    sub = subspace_from_vectors(vectors * scale)
+    assert sub.rank == 2
+    assert_allclose(sub.projector_p, unit.projector_p, rtol=0, atol=1e-15)
 
 
 def test_subspace_rejects_full_space():
@@ -646,3 +659,66 @@ def test_direct_cross_check_rejects_deviation_beyond_conditioning():
     skewed = dataclasses.replace(hs, trace_covector=hs.trace_covector * (1 + 1e-8))
     with pytest.raises(NumericError, match="cross-check"):
         mean_hitting_time_direct(skewed, start)
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-5, 1e-7, 1e-8])
+def test_direct_time_on_two_state_chains_is_exact_to_a_few_ulps(p):
+    """From state 1 the walk stays put with probability s = fl(1 - p) each step,
+    so the stored chain's mean time to {2} is exactly 1 / (1 - s)."""
+    hs = solve_hitting(from_stochastic(symmetric_two_state_chain(p)), subspace_from_indices(2, [1]))
+    exact = float(1 / (1 - Fraction(1 - p)))
+    tau = mean_hitting_time_direct(hs, pure_density([1.0, 0.0]))
+    assert abs(tau - exact) <= 4 * np.spacing(exact)
+
+
+def _whitened_kraus(rng, n):
+    g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", g.conj(), g))
+    return g @ ((v * w**-0.5) @ v.conj().T)
+
+
+def gap_map(seed, eps):
+    """Two channels on the halves of C^8, weight 1 - eps, joined by a channel on C^8 of weight eps."""
+    rng = np.random.default_rng(seed)
+    halves = np.zeros((2, 8, 8), dtype=complex)
+    halves[:, :4, :4] = _whitened_kraus(rng, 4)
+    halves[:, 4:, 4:] = _whitened_kraus(rng, 4)
+    return from_kraus([*np.sqrt(1 - eps) * halves, *np.sqrt(eps) * _whitened_kraus(rng, 8)])
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_direct_time_on_gap_maps_is_the_refined_survival_sum(seed, eps):
+    channel = gap_map(seed, eps)
+    sub = subspace_from_indices(8, [0])
+    hs = solve_hitting(channel, sub)
+    start = pure_density(np.eye(8)[7])
+    tau = mean_hitting_time_direct(hs, start)
+    # e M^-1 for M = I - QT, refined with residuals in extended precision
+    _, m, _, cond = _survival_resolvent(channel, sub)
+    e = _to_hermitian_coords(np.eye(8))
+    x = np.linalg.solve(m.T, e)
+    for _ in range(2):
+        residual = e.astype(np.longdouble) - x.astype(np.longdouble) @ m.astype(np.longdouble)
+        x = x + np.linalg.solve(m.T, residual.astype(float))
+    refined = float(x @ _to_hermitian_coords(start.matrix))
+    unit = cond * np.finfo(float).eps * refined
+    assert abs(tau - refined) <= 0.5 * unit
+    assert abs(tau - mhtf_orthogonal(hs, start).tau) <= 3 * unit
+
+
+def test_solve_hitting_factors_the_survival_resolvent_once(monkeypatch):
+    channel = from_stochastic(symmetric_two_state_chain(0.3))
+    sub = subspace_from_indices(2, [1])
+    cert = invariant_state(channel)
+    resolvent = _survival_resolvent(channel, sub)[1]
+    matrices = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        matrices.append(np.array(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    solve_hitting(channel, sub, cert)
+    assert sum(np.array_equal(a, resolvent.T) for a in matrices) == 1

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hittime import (
+    DEFAULT_TOL,
     NonConvergenceError,
     SuperOperator,
     Tolerance,
@@ -32,7 +33,7 @@ def chain_setup(p_matrix, target_indices):
 def block_terms(t, sp, rho, r_max):
     """pi_1 .. pi_r_max from the series' block kernel, the term count it reached, its
     bound on ||vec W* X W||_1 for X = (QT)^r_max rho, and the spectral radius of QT."""
-    sigma, step, arrival, radius = hittime.oracle._survival_data(t, sp, rho, None)
+    sigma, step, arrival, radius = hittime.oracle._survival_data(t, sp, rho, DEFAULT_TOL)
     b = hittime.oracle._block_size(sigma.size, r_max)
     blocks = list(hittime.oracle._blocks(sigma, step, arrival, b, r_max))
     return np.concatenate([p for _, p, _ in blocks]), blocks[-1][0], blocks[-1][2], radius
