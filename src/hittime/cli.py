@@ -249,8 +249,8 @@ def _evaluate_query(channel, cert, solutions, query, tolerance, method):
         key = (tuple(sorted(set(query.subspace_indices))), query_tol)
     else:
         key = (tuple(v.tobytes() for v in query.subspace_vectors), query_tol)
-    subspace = None if key in solutions else realize_subspace(query, channel.dim)
-    initial = realize_initial(query, channel.dim, tolerance)
+    subspace = None if key in solutions else realize_subspace(query, channel.dim, query_tol)
+    initial = realize_initial(query, channel.dim, query_tol)
     if subspace is not None:
         solutions[key] = solve_hitting(channel, subspace, cert, query_tol)
     hs = solutions[key]

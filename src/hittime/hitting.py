@@ -34,7 +34,6 @@ from .linalg import (
     _EPS,
     COND_CEIL,
     DEFAULT_TOL,
-    MIN_SPECTRAL_GAP,
     Tolerance,
     _to_hermitian_coords,
     bordered,
@@ -224,7 +223,7 @@ def _survival_resolvent(
     """
     h = frame_form(t, subspace)
     radius = survival_radius(h[np.ix_(subspace.kept, subspace.kept)], t.provenance == "kraus")
-    if radius >= 1.0 - MIN_SPECTRAL_GAP:
+    if not radius < 1.0:
         raise NumericError(
             f"monitored evolution does not contract: spectral radius of the "
             f"survival map is {radius:.12g} (map reducible or subspace trivial)"

@@ -365,13 +365,13 @@ def load_query_file(path: str) -> list[QuerySpec]:
     return [_parse_query(data, path)]
 
 
-def realize_subspace(query: QuerySpec, n: int) -> ArrivalSubspace:
-    """Build the arrival subspace of a query in ambient dimension n."""
+def realize_subspace(query: QuerySpec, n: int, tol: Tolerance = DEFAULT_TOL) -> ArrivalSubspace:
+    """Build the arrival subspace of a query in ambient dimension n; ``tol`` collapses its span."""
     if query.subspace_indices is not None:
         if max(query.subspace_indices) > n:  # the parser refuses indices below 1
             raise ValidationError(f"basis indices must lie in [1, {n}]")
         return subspace_from_indices(n, [i - 1 for i in query.subspace_indices])
-    return subspace_from_vectors(query.subspace_vectors)
+    return subspace_from_vectors(query.subspace_vectors, tol)
 
 
 def realize_initial(

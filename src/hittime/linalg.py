@@ -49,9 +49,6 @@ __all__ = [
     "survival_radius",
 ]
 
-# Monitored evolution must contract: a spectral radius of QT this close to 1
-# makes the resolvent solves and the series meaningless.
-MIN_SPECTRAL_GAP = 1e-9
 # Solves whose 2-norm condition number exceeds this are singular to working
 # precision.
 COND_CEIL = 1e14

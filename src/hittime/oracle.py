@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .hitting import ArrivalSubspace, frame_form
-from .linalg import DEFAULT_TOL, MIN_SPECTRAL_GAP, Tolerance, start_distribution, survival_radius
+from .linalg import DEFAULT_TOL, Tolerance, start_distribution, survival_radius
 from .linalg import _EPS, _to_hermitian_coords
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
@@ -49,7 +49,7 @@ def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolera
     sigma = subspace.coords(as_density(rho, tol).matrix)
     h = frame_form(t, subspace)
     radius = survival_radius(h[np.ix_(subspace.kept, subspace.kept)], t.provenance == "kraus")
-    if radius >= 1.0 - MIN_SPECTRAL_GAP:
+    if not radius < 1.0:
         raise NonConvergenceError(
             f"monitored series does not converge: spectral radius of the "
             f"survival map is {radius:.12g} (map not irreducible)"

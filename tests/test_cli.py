@@ -455,6 +455,32 @@ def test_hit_judges_the_map_under_the_command_tolerance(runner, tmp_path):
     assert refused.stderr == "error: map is not trace preserving (residual 5.657e-12)\n"
 
 
+@pytest.mark.parametrize("query", [
+    {"subspace": {"indices": [2]}, "tol": 1e-3,
+     "initial": {"density": [[[1.000001, 0], [0, 0]], [[0, 0], [-0.000001, 0]]]}},
+    {"subspace": {"vectors": [[1, 1e-5], [1, 0]]}, "initial": {"index": 2}, "tol": 1e-3,
+     "method": "direct"},
+])
+def test_query_tolerance_judges_its_start_and_its_subspace(runner, tmp_path, query):
+    """Under its tol of 1e-3 the start's eigenvalue -1e-6 is tolerated and the
+    two spanning vectors collapse to one line; the default tolerance refuses both."""
+    result = runner.invoke(main, ["hit", chain_file(tmp_path), write(tmp_path, "q.json", query),
+                                  "--json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["tau"] == pytest.approx(2.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol", "1e-14"]])
+@pytest.mark.parametrize("p", [1e-14, 1e-15, 1e-16])
+def test_hit_refuses_a_chain_coupled_below_the_tolerance_at_the_certificate(
+    runner, tmp_path, p, flags
+):
+    query = write(tmp_path, "q.json", {"subspace": {"indices": [2]}, "initial": {"index": 1}})
+    result = runner.invoke(main, ["hit", chain_file(tmp_path, p), query, *flags])
+    assert result.exit_code == 2
+    assert result.stderr == "error: map is not certified irreducible (verdict: not_irreducible)\n"
+
+
 def test_trace_preservation_refusal_is_one_error_line_under_warnings_as_errors(tmp_path):
     """The scaled demo map of the test above, run as ``python -W error -m hittime``."""
     ops = [(1 + 2e-12) * op for op in examples.qubit_demo_kraus()]
@@ -843,7 +869,8 @@ def test_hit_full_space_subspace_exits_3(runner, tmp_path):
 
 
 def test_hit_near_singular_survival_exits_5(runner, tmp_path):
-    # irreducible but barely: the survival map contracts too slowly to solve
+    # irreducible but barely: direct and mhtf answer, but the survival map
+    # contracts too slowly for the series of the default method all
     p = 5e-10
     path = write(
         tmp_path,

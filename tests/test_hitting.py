@@ -13,10 +13,12 @@ import golden
 import hittime
 from conftest import complement_basis
 from hittime import (
+    DEFAULT_TOL,
     DimensionError,
     NumericError,
     OrthogonalityError,
     PreconditionError,
+    Tolerance,
     ValidationError,
     condition_first_step,
     from_kraus,
@@ -661,14 +663,23 @@ def test_direct_cross_check_rejects_deviation_beyond_conditioning():
         mean_hitting_time_direct(skewed, start)
 
 
-@pytest.mark.parametrize("p", [1e-3, 1e-5, 1e-7, 1e-8])
+@pytest.mark.parametrize("p", [
+    0.1, 1e-3, 1e-5, 3e-6, 1e-7, 1e-8, 5e-10, 1e-9, 1e-10, 3e-11, 1e-11, 4e-12, 1e-12, 7e-13, 1e-13,
+])
 def test_direct_time_on_two_state_chains_is_exact_to_a_few_ulps(p):
     """From state 1 the walk stays put with probability s = fl(1 - p) each step,
-    so the stored chain's mean time to {2} is exactly 1 / (1 - s)."""
-    hs = solve_hitting(from_stochastic(symmetric_two_state_chain(p)), subspace_from_indices(2, [1]))
+    so the stored chain's mean time to {2} is exactly 1 / (1 - s).
+
+    The default tolerance certifies the chain down to p = 1e-10, 1e-14 below.
+    """
+    tol = DEFAULT_TOL if p >= 1e-10 else Tolerance(1e-14, 1e-14)
+    chain = from_stochastic(symmetric_two_state_chain(p))
+    hs = solve_hitting(chain, subspace_from_indices(2, [1]), tol=tol)
     exact = float(1 / (1 - Fraction(1 - p)))
-    tau = mean_hitting_time_direct(hs, pure_density([1.0, 0.0]))
-    assert abs(tau - exact) <= 4 * np.spacing(exact)
+    start = pure_density([1.0, 0.0])
+    assert abs(mean_hitting_time_direct(hs, start) - exact) <= 4 * np.spacing(exact)
+    unit = hs.condition_estimate * np.finfo(float).eps * exact
+    assert abs(mhtf_orthogonal(hs, start).tau - exact) <= 0.5 * unit
 
 
 def _whitened_kraus(rng, n):
@@ -686,12 +697,13 @@ def gap_map(seed, eps):
     return from_kraus([*np.sqrt(1 - eps) * halves, *np.sqrt(eps) * _whitened_kraus(rng, 8)])
 
 
-@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_direct_time_on_gap_maps_is_the_refined_survival_sum(seed, eps):
+    """The default tolerance certifies the map down to eps = 1e-9, 1e-14 below."""
     channel = gap_map(seed, eps)
     sub = subspace_from_indices(8, [0])
-    hs = solve_hitting(channel, sub)
+    hs = solve_hitting(channel, sub, tol=DEFAULT_TOL if eps >= 1e-9 else Tolerance(1e-14, 1e-14))
     start = pure_density(np.eye(8)[7])
     tau = mean_hitting_time_direct(hs, start)
     # e M^-1 for M = I - QT, refined with residuals in extended precision

@@ -28,7 +28,6 @@ from hittime.hitting import _survival_resolvent, frame_form
 from hittime.cli import main
 from hittime.examples import qudit_demo_channel
 from hittime.linalg import (
-    MIN_SPECTRAL_GAP,
     fixed_space,
     hermitian_form,
     spectral_radius,
@@ -467,23 +466,33 @@ def test_kraus_solve_and_series_take_no_eigvals(monkeypatch, perron_results):
 
 
 def test_perron_route_keeps_the_refusal_messages(perron_results):
-    t = gap_map(np.random.default_rng(0), 12, 1e-12)
+    """The exactly reducible map: its radius is 1 to rounding, on either side of it.
+
+    Below 1 the resolvent is refused on its condition, and the series at its
+    term cap; at 1 or above both refuse on the radius.
+    """
+    t = gap_map(np.random.default_rng(0), 12, 0.0)
     sub = subspace_from_indices(12, [0])
     radius = survival_radius(kept_block(t, sub))  # the eigvals route
-    assert radius >= 1.0 - MIN_SPECTRAL_GAP
+    assert radius == pytest.approx(1.0, abs=1e-13)
+    if radius < 1.0:
+        cond = np.linalg.cond(np.eye(144) - sub.mask(frame_form(t, sub)))
+        messages = (f"survival resolvent is singular to working precision "
+                    f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})",
+                    f"series did not reach the target accuracy in 1000000 terms "
+                    f"(spectral radius {radius:.12g})")
+    else:
+        messages = (f"monitored evolution does not contract: spectral radius of the "
+                    f"survival map is {radius:.12g} (map reducible or subspace trivial)",
+                    f"monitored series does not converge: spectral radius of the "
+                    f"survival map is {radius:.12g} (map not irreducible)")
     with pytest.raises(NumericError) as refused:
         hitting_maps(t, sub)
-    assert str(refused.value) == (
-        f"monitored evolution does not contract: spectral radius of the "
-        f"survival map is {radius:.12g} (map reducible or subspace trivial)"
-    )
+    assert str(refused.value) == messages[0]
     with pytest.raises(NonConvergenceError) as refused:
         tau_series(t, sub, np.eye(12) / 12)
-    assert str(refused.value) == (
-        f"monitored series does not converge: spectral radius of the "
-        f"survival map is {radius:.12g} (map not irreducible)"
-    )
-    assert len(perron_results) == 2
+    assert str(refused.value) == messages[1]
+    assert perron_results == [None, None]
 
 
 def test_hermitian_basis_is_cached_and_read_only():
