@@ -137,10 +137,12 @@ def kac_return_time(mc: MarkovChain, j: int) -> float:
     return float(1.0 / mc.pi[j])
 
 
-def classical_mhtf_distribution(mc: MarkovChain, x, j: int) -> float:
-    """Mean time to reach state j when the start is drawn from distribution x."""
+def classical_mhtf_distribution(
+    mc: MarkovChain, x, j: int, tol: Tolerance = DEFAULT_TOL
+) -> float:
+    """Mean time to reach state j when the start is drawn from distribution x, judged under ``tol``."""
     j = _check_state(mc, "target state", j)
-    dist = start_distribution(x, mc.n)
+    dist = start_distribution(x, mc.n, tol)
     reached = mc.z @ (mc.p @ dist)
     return float(1.0 + (mc.z[j, j] - reached[j]) / mc.pi[j])
 

@@ -412,18 +412,18 @@ _MONTE_CARLO_OPTIONS = (
 def _classical_command(name: str, *options):
     """Register ``classical NAME`` around a body that evaluates one formula.
 
-    The body gets the chain and the values of ``options``, and returns the
-    record fields, the Monte-Carlo start (a 0-based state or a distribution)
-    and the 0-based target states.  The command loads the chain, runs the
-    body and the optional ``--trials`` cross-check under the query exit
-    code, and prints the record.
+    The body gets the chain, the command's tolerance and the values of
+    ``options``, and returns the record fields, the Monte-Carlo start (a
+    0-based state or a distribution) and the 0-based target states.  The
+    command loads the chain, runs the body and the optional ``--trials``
+    cross-check under the query exit code, and prints the record.
     """
     def register(body):
         def command(map_file, tol, as_json, digits, row_stochastic, trials, seed,
                     **values):
             chain = _load_chain(map_file, row_stochastic, tol)
             with _exits(EXIT_QUERY):
-                fields, start, target = body(chain, **values)
+                fields, start, target = body(chain, tol, **values)
                 record = {"command": name, **fields}
                 if trials is not None:
                     record["monte_carlo"] = dataclasses.asdict(
@@ -453,7 +453,7 @@ _TARGET = click.option("-j", "--target", "j", type=int, required=True,
 
 
 @_classical_command("mhtf", _INITIAL, _TARGET)
-def _mhtf(chain, i, j):
+def _mhtf(chain, tol, i, j):
     """Mean time of first visit to state j starting from state i."""
     start, target = _index(chain, "initial state", i), _index(chain, "target state", j)
     return {"i": i, "j": j, "tau": classical_mhtf(chain, start, target)}, start, [target]
@@ -463,7 +463,7 @@ def _mhtf(chain, i, j):
     "kac",
     click.option("-j", "--state", "j", type=int, required=True, help="State (1-based)."),
 )
-def _kac(chain, j):
+def _kac(chain, tol, j):
     """Mean return time of state j, the reciprocal stationary weight."""
     state = _index(chain, "state", j)
     return {"j": j, "tau": kac_return_time(chain, state)}, state, [state]
@@ -475,14 +475,14 @@ def _kac(chain, j):
                  help="Initial distribution, comma-separated (e.g. '0.5,0.5')."),
     _TARGET,
 )
-def _dist(chain, x_spec, j):
+def _dist(chain, tol, x_spec, j):
     """Mean time to reach state j from an initial distribution."""
     try:
         x = np.array([float(part) for part in x_spec.split(",")])
     except ValueError:
         raise ParseError(f"cannot parse distribution {x_spec!r}") from None
     target = _index(chain, "target state", j)
-    tau = classical_mhtf_distribution(chain, x, target)
+    tau = classical_mhtf_distribution(chain, x, target, tol)
     return {"x": x.tolist(), "j": j, "tau": tau}, x, [target]
 
 
@@ -492,7 +492,7 @@ def _dist(chain, x_spec, j):
     click.option("-S", "--subset", "subset_spec", type=str, required=True,
                  help="Target subset, comma-separated 1-based states (e.g. '2,3')."),
 )
-def _subset(chain, i, subset_spec):
+def _subset(chain, tol, i, subset_spec):
     """Mean time to reach a subset of states, with per-state return times."""
     try:
         subset = [int(part) for part in subset_spec.split(",")]

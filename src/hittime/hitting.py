@@ -24,6 +24,7 @@ of the identity and golden checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ from .linalg import (
     COND_CEIL,
     DEFAULT_TOL,
     Tolerance,
+    _from_hermitian_coords,
     _to_hermitian_coords,
     bordered,
     frobenius,
@@ -121,6 +123,10 @@ class HittingSolution:
     - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
     - ``survival_covector``     e QQ T             (weight of the first step)
     - ``first_step_covector``   e K11 Z QQ T       (first-step summand of the mhtf)
+
+    ``condition_estimate`` bounds the condition of M = I - QT: kappa_1 =
+    2 lambda_max(X), X the matrix of the time row, for a positive map, and
+    cond_2(M) for a ``raw`` one.
     """
 
     subspace: ArrivalSubspace
@@ -213,13 +219,34 @@ def frame_form(t: SuperOperator, subspace: ArrivalSubspace) -> np.ndarray:
     return hermitian_form(x.reshape(d, d))
 
 
-def _survival_resolvent(
-    t: SuperOperator, subspace: ArrivalSubspace
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The frame form h, the form of I - QT, the spectral radius of QT and the condition of I - QT.
+def _ill_conditioned(cond: float, radius: float) -> NumericError:
+    return NumericError(
+        f"survival resolvent is singular to working precision "
+        f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
+    )
 
-    Raises :class:`NumericError` unless the monitored evolution contracts and
-    the resolvent is well conditioned.
+
+def _conditioned(cond: float, radius: float) -> float:
+    """``cond``, refused unless it is at most ``COND_CEIL`` (NaN and inf are refused too)."""
+    if not cond <= COND_CEIL:
+        raise _ill_conditioned(cond, radius)
+    return cond
+
+
+def _survival_rows(
+    t: SuperOperator, subspace: ArrivalSubspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """The frame form h, e = coords(I), the rows (e (I - QQ) h, e, e h) M^-1, the radius of QT and a condition estimate of M = I - QT.
+
+    For a positive map (provenance ``kraus`` or ``stochastic``)
+    M^-1 = sum_k (QT)^k is positive, so its trace norm is lambda_max(X), X
+    the Hermitian matrix of the time row e M^-1 (Russo-Dye; Paulsen,
+    *Completely Bounded Maps and Operator Algebras*, 2002, Cor. 2.9); with
+    ||M|| <= 2 the estimate is kappa_1 = 2 lambda_max(X), taken after the
+    solve.  A ``raw`` map takes cond_2(M) from its singular values before
+    it.  Raises :class:`NumericError` unless the monitored evolution
+    contracts, and when the estimate exceeds ``COND_CEIL`` or the solve
+    fails.
     """
     h = frame_form(t, subspace)
     radius = survival_radius(h[np.ix_(subspace.kept, subspace.kept)], t.provenance == "kraus")
@@ -229,13 +256,19 @@ def _survival_resolvent(
             f"survival map is {radius:.12g} (map reducible or subspace trivial)"
         )
     resolvent = np.eye(h.shape[0]) - subspace.mask(h)
-    cond = float(np.linalg.cond(resolvent))
-    if not np.isfinite(cond) or cond > COND_CEIL:
-        raise NumericError(
-            f"survival resolvent is singular to working precision "
-            f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
-        )
-    return h, resolvent, radius, cond
+    raw = t.provenance == "raw"
+    if raw:
+        cond = _conditioned(float(np.linalg.cond(resolvent)), radius)
+    e = _to_hermitian_coords(np.eye(t.dim))
+    try:
+        rows = np.linalg.solve(resolvent.T, np.stack([(e - subspace.mask(e)) @ h, e, e @ h]).T).T
+    except np.linalg.LinAlgError as exc:
+        raise _ill_conditioned(math.inf, radius) from exc
+    if not raw:
+        x = _from_hermitian_coords(rows[1]).reshape(t.dim, t.dim)
+        cond = 2 * float(np.linalg.eigvalsh(x)[-1]) if np.all(np.isfinite(x)) else math.inf
+        cond = _conditioned(cond, radius)
+    return h, e, rows, radius, cond
 
 
 def solve_hitting(
@@ -265,12 +298,9 @@ def solve_hitting(
     if cert is None:
         cert = invariant_state(t, tol)
     pi = cert.fundamental_pi()
-    h, resolvent, radius, cond = _survival_resolvent(t, subspace)
     # Each covector l solves l (I - QT) = r, with e = coords(I) and
     # e (I - QQ) = coords(W* P W), exactly 1 on the target's diagonal.
-    e = _to_hermitian_coords(np.eye(t.dim))
-    rows = np.stack([(e - subspace.mask(e)) @ h, e, e @ h])
-    probability, time, trace = np.linalg.solve(resolvent.T, rows.T).T
+    h, e, (probability, time, trace), radius, cond = _survival_rows(t, subspace)
     # The probability row is e, so e K11 = e (I - QQ) K (I - QQ) is the time
     # row off the mask; x Z solves x A = e K11, A = I - h + coords(W* pi W) e^T.
     a = bordered(h, subspace.coords(pi.matrix), slice(0, t.dim))

@@ -84,13 +84,13 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def start_distribution(x, n: int) -> np.ndarray:
-    """``x`` as a start distribution over n states: entries >= -atol that sum to 1."""
+def start_distribution(x, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """``x`` as a start distribution over n states: entries >= -``tol.atol`` that sum to 1."""
     dist = np.asarray(x, dtype=float).reshape(-1)
     if dist.size != n:
         raise ValidationError(f"distribution has length {dist.size}, chain has {n} states")
     # Written so that NaN and inf entries fail too.
-    if not (dist.min() >= -DEFAULT_TOL.atol and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):
+    if not (dist.min() >= -tol.atol and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):
         raise ValidationError("initial distribution must be non-negative and sum to 1")
     return dist
 

@@ -164,7 +164,7 @@ def classical_monte_carlo(
         states = np.full(trials, s0, dtype=np.int64)
     else:
         # The tolerated entries in [-atol, 0) are clipped, as the chain's are below.
-        dist = np.maximum(start_distribution(start, n), 0.0)
+        dist = np.maximum(start_distribution(start, n, tol), 0.0)
         states = rng.choice(n, size=trials, p=dist / dist.sum()).astype(np.int64)
 
     # Row s holds the cumulative outgoing distribution of state s.  Clipping

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ import golden
 from hittime import (
     NumericError,
     PreconditionError,
+    Tolerance,
     ValidationError,
     build_chain,
     classical_mhtf,
@@ -204,6 +207,18 @@ def test_distribution_validates_input():
         classical_mhtf_distribution(chain, [0.7, 0.7], 1)
     with pytest.raises(ValidationError):
         classical_mhtf_distribution(chain, [0.5, 0.5, 0.0], 1)
+
+
+def test_distribution_entries_are_judged_under_the_given_tolerance():
+    chain = build_chain([[0.2, 0.5, 0.3], [0.3, 0.1, 0.6], [0.5, 0.4, 0.1]])
+    x = [-1e-6, 0.500001, 0.5]
+    with pytest.raises(ValidationError, match="non-negative and sum to 1"):
+        classical_mhtf_distribution(chain, x, 0)
+    loose = Tolerance(1e-3, 1e-3)
+    tau = classical_mhtf_distribution(chain, x, 0, loose)
+    assert tau == pytest.approx(classical_mhtf_distribution(chain, [0, 0.5, 0.5], 0), abs=1e-5)
+    estimate = classical_monte_carlo(chain.p, x, [0], trials=200, seed=1, tol=loose)
+    assert math.isfinite(estimate.mean)
 
 
 # ------------------------------------------------------- classical_mhtf_subset

@@ -679,6 +679,23 @@ def test_classical_dist_command(runner, tmp_path):
     assert json.loads(result.output)["tau"] == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["--tol", "1e-3"], 0),
+    (["--tol", "1e-3", "--trials", "10"], 0),
+    ([], 3),
+])
+def test_classical_dist_judges_the_start_under_the_command_tolerance(runner, tmp_path, argv, code):
+    c3 = [[0.2, 0.5, 0.3], [0.3, 0.1, 0.6], [0.5, 0.4, 0.1]]
+    path = write(tmp_path, "c3.json", {"dim": 3, "stochastic": c3})
+    result = runner.invoke(main, ["classical", "dist", path, "--distribution=-1e-6,0.500001,0.5",
+                                  "-j", "1", *argv, "--json"])
+    assert result.exit_code == code, result.output
+    if code:
+        assert "initial distribution must be non-negative and sum to 1" in result.output
+    else:
+        assert math.isfinite(json.loads(result.output)["tau"])
+
+
 def test_classical_subset_command(runner, tmp_path):
     path = write(
         tmp_path, "cycle.json", {"dim": 3, "stochastic": examples.cycle_chain(3).tolist()}

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import golden
 import hittime
-from conftest import complement_basis
+from conftest import complement_basis, survival_matrix
 from hittime import (
     DEFAULT_TOL,
     DimensionError,
@@ -22,6 +22,7 @@ from hittime import (
     ValidationError,
     condition_first_step,
     from_kraus,
+    from_raw,
     from_stochastic,
     hitting_probability,
     invariant_state,
@@ -38,10 +39,11 @@ from hittime import (
     vec,
 )
 from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
-from hittime.hitting import _survival_resolvent
-from hittime.linalg import _to_hermitian_coords
+from hittime.hitting import _survival_rows
+from hittime.linalg import _from_hermitian_coords, _to_hermitian_coords
 from hittime.examples import qudit_demo_channel, symmetric_two_state_chain
 from hittime.sampling import (
+    random_column_stochastic,
     random_cptp_map,
     random_density,
     random_density_supported,
@@ -553,13 +555,53 @@ def test_solve_hitting_rejects_reducible_map():
 
 def test_solve_hitting_refuses_an_ill_conditioned_resolvent(monkeypatch, qubit_channel):
     sub = subspace_from_indices(2, [0])
-    _, _, radius, cond = _survival_resolvent(qubit_channel, sub)
+    _, _, _, radius, cond = _survival_rows(qubit_channel, sub)
     monkeypatch.setattr(hittime.hitting, "COND_CEIL", cond / 2)
     with pytest.raises(NumericError) as refused:
         solve_hitting(qubit_channel, sub)
     assert str(refused.value) == (
         f"survival resolvent is singular to working precision "
         f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
+    )
+
+
+def test_raw_map_refuses_on_the_2_norm_condition_before_solving(monkeypatch, qubit_channel):
+    raw = from_raw(qubit_channel.rep)
+    sub = subspace_from_indices(2, [0])
+    radius = _survival_rows(raw, sub)[3]
+    cond = np.linalg.cond(survival_matrix(raw, sub))
+    cert = invariant_state(raw)
+    assert solve_hitting(raw, sub, cert).condition_estimate == cond
+    monkeypatch.setattr(hittime.hitting, "COND_CEIL", cond / 2)
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    with pytest.raises(NumericError) as refused:
+        solve_hitting(raw, sub, cert)
+    assert str(refused.value) == (
+        f"survival resolvent is singular to working precision "
+        f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})"
+    )
+    assert not solves
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_a_failed_survival_solve_is_refused_on_its_condition(monkeypatch, qubit_channel, failure):
+    sub = subspace_from_indices(2, [0])
+    radius = _survival_rows(qubit_channel, sub)[3]
+    solve = np.linalg.solve
+
+    def failing(a, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b) * np.nan
+
+    cert = invariant_state(qubit_channel)
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    with pytest.raises(NumericError) as refused:
+        solve_hitting(qubit_channel, sub, cert)
+    assert str(refused.value) == (
+        f"survival resolvent is singular to working precision "
+        f"(condition estimate inf, spectral radius {radius:.12g})"
     )
 
 
@@ -678,7 +720,8 @@ def test_direct_time_on_two_state_chains_is_exact_to_a_few_ulps(p):
     exact = float(1 / (1 - Fraction(1 - p)))
     start = pure_density([1.0, 0.0])
     assert abs(mean_hitting_time_direct(hs, start) - exact) <= 4 * np.spacing(exact)
-    unit = hs.condition_estimate * np.finfo(float).eps * exact
+    cond = np.linalg.cond(survival_matrix(chain, subspace_from_indices(2, [1])))
+    unit = cond * np.finfo(float).eps * exact
     assert abs(mhtf_orthogonal(hs, start).tau - exact) <= 0.5 * unit
 
 
@@ -707,7 +750,8 @@ def test_direct_time_on_gap_maps_is_the_refined_survival_sum(seed, eps):
     start = pure_density(np.eye(8)[7])
     tau = mean_hitting_time_direct(hs, start)
     # e M^-1 for M = I - QT, refined with residuals in extended precision
-    _, m, _, cond = _survival_resolvent(channel, sub)
+    m = survival_matrix(channel, sub)
+    cond = np.linalg.cond(m)
     e = _to_hermitian_coords(np.eye(8))
     x = np.linalg.solve(m.T, e)
     for _ in range(2):
@@ -723,7 +767,7 @@ def test_solve_hitting_factors_the_survival_resolvent_once(monkeypatch):
     channel = from_stochastic(symmetric_two_state_chain(0.3))
     sub = subspace_from_indices(2, [1])
     cert = invariant_state(channel)
-    resolvent = _survival_resolvent(channel, sub)[1]
+    resolvent = survival_matrix(channel, sub)
     matrices = []
     solve = np.linalg.solve
 
@@ -734,3 +778,37 @@ def test_solve_hitting_factors_the_survival_resolvent_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recorded)
     solve_hitting(channel, sub, cert)
     assert sum(np.array_equal(a, resolvent.T) for a in matrices) == 1
+
+
+def kappa_cases():
+    rng = np.random.default_rng(41)
+    for n in (3, 5, 8):
+        channel = random_cptp_map(n, 2, rng=rng)
+        yield f"kraus-{n}-index", channel, subspace_from_indices(n, [0])
+        yield f"kraus-{n}-vectors", channel, random_subspace(n, 2, rng=rng)
+    for p in (0.3, 1e-4):
+        yield f"two-state-{p:g}", from_stochastic(symmetric_two_state_chain(p)), subspace_from_indices(2, [1])
+    chain = random_column_stochastic(5, rng)
+    yield "chain-5-index", from_stochastic(chain), subspace_from_indices(5, [0, 3])
+    yield "chain-5-vectors", from_stochastic(chain), random_subspace(5, 1, rng=rng)
+
+
+@pytest.mark.parametrize(
+    "label,channel,sub", list(kappa_cases()), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_condition_estimate_is_kappa_1_and_its_eigenvector_the_slowest_start(label, channel, sub):
+    """kappa_1 = 2 lambda_max(X), X the matrix of the time row; X's top
+    eigenvector, mapped back through W, is the slowest pure start."""
+    n = channel.dim
+    hs = solve_hitting(channel, sub)
+    x = _from_hermitian_coords(hs.time_covector).reshape(n, n)
+    top = np.linalg.eigvalsh(x)[-1]
+    assert hs.condition_estimate == 2 * top
+    w = np.eye(n) if sub.frame is None else sub.frame
+    slowest = w @ np.linalg.eigh(x)[1][:, -1]
+    unit = hs.condition_estimate * np.finfo(float).eps * top
+    assert abs(mean_hitting_time_direct(hs, pure_density(slowest)) - top) <= unit
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        start = pure_density(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert mean_hitting_time_direct(hs, start) <= top + unit

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -219,8 +220,39 @@ def test_check_complete_positivity_demo(qubit_channel):
     assert check_complete_positivity(qubit_channel).ok
 
 
+def test_kraus_family_below_n_squared_reports_a_zero_least_choi_eigenvalue(linalg_calls):
+    """k < n^2 Kraus operators give a Choi matrix of rank k: its least eigenvalue is 0."""
+    channel = qudit_demo_channel(0.6)
+    assert 0 < channel.kraus_count < 16
+    assert check_complete_positivity(channel) == (True, 0.0)
+    assert not linalg_calls
+    # what the skipped eigvalsh gives: 0 to rounding
+    assert abs(np.linalg.eigvalsh(choi_matrix(channel))[0]) < 1e-14
+
+
+def test_kraus_family_of_n_squared_operators_takes_the_choi_eigenvalues(linalg_calls):
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", g.conj(), g))
+    channel = from_kraus(list(g @ ((v * w**-0.5) @ v.conj().T)))
+    del linalg_calls[:]
+    check = check_complete_positivity(channel)
+    assert linalg_calls == [("complex eigvalsh", (4, 4))]
+    assert check == (True, is_psd(choi_matrix(channel)).min_eigenvalue)
+    assert check.min_choi_eigenvalue > 1e-3  # four independent operators: full rank
+
+
 def test_transpose_map_is_not_completely_positive():
     check = check_complete_positivity(transpose_map(2))
+    assert not check.ok
+    assert check.min_choi_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_kraus_count_of_a_raw_map_does_not_skip_the_choi_eigenvalues(linalg_calls):
+    """Only a map built by from_kraus vouches for its count of operators."""
+    t = transpose_map(2)
+    check = check_complete_positivity(dataclasses.replace(t, kraus_count=1))
+    assert linalg_calls == [("complex eigvalsh", (4, 4))]
     assert not check.ok
     assert check.min_choi_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,10 +25,12 @@ from hittime import (
 )
 from hittime import linalg
 from hittime.blocks import hitting_maps, lift
-from hittime.hitting import _survival_resolvent, frame_form
+from hittime.hitting import _survival_rows, frame_form
 from hittime.cli import main
 from hittime.examples import qudit_demo_channel
 from hittime.linalg import (
+    _from_hermitian_coords,
+    _to_hermitian_coords,
     fixed_space,
     hermitian_form,
     spectral_radius,
@@ -150,24 +153,12 @@ def test_index_target_kept_block_is_the_compression_exactly(n, target):
     np.testing.assert_array_equal(kept_block(t, sub), compression_form(t, sub.complement_basis))
 
 
-def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
+def complex_calls(calls):
+    return [c for c in calls if c[0].startswith("complex")]
+
+
+def test_kraus_kernels_decompose_no_complex_full_size_matrix(linalg_calls):
     """The spectral kernels of a Kraus map run real, and each radius is m^2 x m^2."""
-    calls = []
-    originals = {
-        name: getattr(np.linalg, name) for name in ("eigvals", "svd", "cond", "norm", "solve")
-    }
-
-    def recording(name):
-        def recorder(a, *args, **kwargs):
-            arr = np.asarray(a)
-            order = kwargs.get("ord", args[0] if args else None)
-            if name != "norm" or (arr.ndim == 2 and order in (2, -2)):
-                calls.append((name, arr.shape, np.iscomplexobj(arr)))
-            return originals[name](a, *args, **kwargs)
-        return recorder
-
-    for name in originals:
-        monkeypatch.setattr(np.linalg, name, recording(name))
     n = 4
     d = n * n
     rng = np.random.default_rng(5)
@@ -175,17 +166,54 @@ def test_kraus_kernels_decompose_no_complex_full_size_matrix(monkeypatch):
     cert = invariant_state(t)
     rho = random_density(n, rng)
     for sub in _subspaces(n, 2, rng) + _subspaces(n, 1, rng):
-        del calls[:]
+        del linalg_calls[:]
         hs = solve_hitting(t, sub, cert)
         tau_series(t, hs.subspace, rho)
         m = n - sub.rank
-        assert [shape for name, shape, _ in calls if name == "eigvals"] == [(m * m, m * m)] * 2
-        assert not [c for c in calls if c[1] == (d, d) and c[2]]
-    full_size = [c for c in calls if c[1] == (d, d)]
-    assert full_size  # the condition number of I - QT is still taken at full size
-    calls.clear()
+        assert shapes_of(linalg_calls, "eigvals") == [(m * m, m * m)] * 2
+        # At full size only the two solves, real: kappa_1 replaced the cond of
+        # I - QT, and its eigvalsh is the one complex call, n x n.
+        assert [c for c in linalg_calls if c[1] == (d, d)] == [("solve", (d, d))] * 2
+        assert complex_calls(linalg_calls) == [("complex eigvalsh", (n, n))]
+    del linalg_calls[:]
     invariant_state(t).fundamental_pi()
-    assert calls and not [c for c in calls if c[2]]
+    assert [c for c in linalg_calls if c[1] == (d, d)] == [("solve", (d, d)), ("svd", (d, d), False)]
+    assert complex_calls(linalg_calls) == [("complex eigvalsh", (n, n))]  # is_psd(pi)
+
+
+def test_kraus_map_takes_no_cond_and_no_choi_eigvalsh(tmp_path, linalg_calls):
+    """validate and hit (direct, mhtf) of a rank-2 Kraus map at n = 12: at
+    full size only the values-only SVD that certifies the map, once per
+    command, and solves.  The same map as a raw superoperator still takes
+    the cond of I - QT and the eigvalsh of its Choi matrix."""
+    n, d = 12, 144
+    rng = np.random.default_rng(12)
+    ops = kraus_family(rng, n, 2)
+    vector = [[float(x), 0.0] for x in rng.standard_normal(n)]
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps({"queries": [
+        {"subspace": {"indices": [1]}, "initial": {"index": 5}, "method": "direct"},
+        {"subspace": {"indices": [1]}, "initial": {"index": 5}, "method": "mhtf"},
+        {"subspace": {"vectors": [vector]}, "initial": {"index": 3}, "method": "direct"},
+        {"subspace": {"vectors": [vector]}, "initial": {"index": 3}, "method": "mhtf"},
+    ]}))
+    maps = {
+        "kraus": {"dim": n, "kraus": [[[[z.real, z.imag] for z in row] for row in op] for op in ops]},
+        "raw": {"dim": n, "superoperator": [[[z.real, z.imag] for z in row]
+                                            for row in from_kraus(ops).rep]},
+    }
+    runner = CliRunner()
+    full_size = {}
+    for label, record in maps.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(record))
+        del linalg_calls[:]
+        for argv in (["validate", str(path), "--json"], ["hit", str(path), str(queries), "--json"]):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, result.output
+        full_size[label] = [c for c in linalg_calls if c[1] == (d, d) and c[0] != "solve"]
+    assert full_size["kraus"] == [("svd", (d, d), False)] * 2
+    assert {c[0] for c in full_size["raw"]} == {"svd", "cond", "complex eigvalsh"}
 
 
 # ------------------------------------------------- solves in the Hermitian form
@@ -230,18 +258,21 @@ def test_each_linear_system_is_kept_once_in_its_hermitian_form(monkeypatch):
     assert peak < d * d * 8  # not one d x d array, real or complex
     omega = np.outer(vec(cert.invariant_state.matrix), vec(np.eye(n)))
     assert_allclose(certified[0], hermitian_form(np.eye(d) - t.rep + omega), rtol=0, atol=1e-14)
+    solve = np.linalg.solve
     for sub in _subspaces(n, 2, rng):
-        h, resolvent, _, cond = _survival_resolvent(t, sub)
+        with monkeypatch.context() as patched:
+            solved = []
+            patched.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+            h = _survival_rows(t, sub)[0]
+        resolvent = solved[0].T
         assert (h is form) == (sub.frame is None)
         assert np.isrealobj(resolvent)
-        assert cond == np.linalg.cond(resolvent)
         w = np.eye(n) if sub.frame is None else sub.frame
         k = np.kron(w, w.conj())
         expected = hermitian_form(k.conj().T @ (np.eye(d) - lift(sub.projector_q) @ t.rep) @ k)
         assert_allclose(resolvent, expected, rtol=0, atol=1e-14)
     # An index target's Z solve is against the certificate's own A, bit for bit.
     solved = []
-    solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
     solve_hitting(t, subspace_from_indices(n, [1, 4]), cert)
     np.testing.assert_array_equal(solved[-1].T, certified[0])
@@ -404,33 +435,22 @@ def test_perron_route_falls_back_to_eigvals_exactly(label, perron_results):
         assert radius == survival_radius(kept_block(t, sub))
 
 
-def test_stalled_perron_bracket_falls_back_after_one_solve(monkeypatch, perron_results):
+def shapes_of(calls, name):
+    return [c[1] for c in calls if c[0] == name]
+
+
+def test_stalled_perron_bracket_falls_back_after_one_solve(linalg_calls, perron_results):
     """On the reducible n = 20 map the bracket keeps its width 0.2 under the
     target {0, 1}, so the first solve that fails to halve it ends the route."""
     t = gap_map(np.random.default_rng(4), 20, 0.0)
     block = kept_block(t, subspace_from_indices(20, [0, 1]))
-    solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
     radius = survival_radius(block, positive=True)
     assert perron_results == [None]
-    assert solves == [(324, 324)]
+    assert shapes_of(linalg_calls, "solve") == [(324, 324)]
     assert radius == survival_radius(block)  # the eigvals route
 
 
-def _recording_eigvals(monkeypatch):
-    shapes = []
-    original = np.linalg.eigvals
-
-    def recorder(a):
-        shapes.append(np.asarray(a).shape)
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", recorder)
-    return shapes
-
-
-def test_raw_map_that_is_not_positive_takes_eigvals(monkeypatch, perron_results):
+def test_raw_map_that_is_not_positive_takes_eigvals(linalg_calls, perron_results):
     n = 12
     rng = np.random.default_rng(6)
     # Half a channel and half of X -> Tr(X) I / n - X: trace preserving and
@@ -441,28 +461,26 @@ def test_raw_map_that_is_not_positive_takes_eigvals(monkeypatch, perron_results)
     e00[0, 0] = 1.0
     assert np.linalg.eigvalsh(unvec(t.rep @ vec(e00)))[0] < 0
     assert np.isrealobj(hermitian_form(t.rep))
-    shapes = _recording_eigvals(monkeypatch)
     sub = subspace_from_indices(n, [0, 1])
-    _, _, radius, _ = _survival_resolvent(t, sub)  # the route solve_hitting and hitting_maps share
+    radius = _survival_rows(t, sub)[3]  # the route solve_hitting and hitting_maps share
     tau_series(t, sub, np.eye(n) / n)
     assert perron_results == []
-    assert shapes == [(100, 100)] * 2
+    assert shapes_of(linalg_calls, "eigvals") == [(100, 100)] * 2
     assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-12)
 
 
-def test_kraus_solve_and_series_take_no_eigvals(monkeypatch, perron_results):
+def test_kraus_solve_and_series_take_no_eigvals(linalg_calls, perron_results):
     n = 12
     rng = np.random.default_rng(7)
     t = from_kraus(kraus_family(rng, n, 2))
     cert = invariant_state(t)
-    shapes = _recording_eigvals(monkeypatch)
     for sub in _subspaces(n, 2, rng):
         del perron_results[:]
         hs = solve_hitting(t, sub, cert)
         tau_series(t, hs.subspace, random_density(n, rng))
         assert len(perron_results) == 2 and None not in perron_results
         assert perron_results[0] == hs.spectral_radius_qphi
-    assert shapes == []
+    assert shapes_of(linalg_calls, "eigvals") == []
 
 
 def test_perron_route_keeps_the_refusal_messages(perron_results):
@@ -476,9 +494,14 @@ def test_perron_route_keeps_the_refusal_messages(perron_results):
     radius = survival_radius(kept_block(t, sub))  # the eigvals route
     assert radius == pytest.approx(1.0, abs=1e-13)
     if radius < 1.0:
-        cond = np.linalg.cond(np.eye(144) - sub.mask(frame_form(t, sub)))
-        messages = (f"survival resolvent is singular to working precision "
-                    f"(condition estimate {cond:.3e}, spectral radius {radius:.12g})",
+        # kappa_1 = 2 lambda_max(X), X the matrix of the time row e M^-1.
+        m = np.eye(144) - sub.mask(frame_form(t, sub))
+        time = np.linalg.solve(m.T, _to_hermitian_coords(np.eye(12)))
+        cond = 2 * np.linalg.eigvalsh(_from_hermitian_coords(time).reshape(12, 12))[-1]
+        assert cond > 1e14
+        messages = (re.compile(r"survival resolvent is singular to working precision "
+                               r"\(condition estimate (\S+), spectral radius "
+                               + re.escape(f"{radius:.12g})")),
                     f"series did not reach the target accuracy in 1000000 terms "
                     f"(spectral radius {radius:.12g})")
     else:
@@ -488,7 +511,13 @@ def test_perron_route_keeps_the_refusal_messages(perron_results):
                     f"survival map is {radius:.12g} (map not irreducible)")
     with pytest.raises(NumericError) as refused:
         hitting_maps(t, sub)
-    assert str(refused.value) == messages[0]
+    if radius < 1.0:
+        # The solve against M has three right-hand sides, so the estimate
+        # agrees with this one to rounding, not bit for bit.
+        match = messages[0].fullmatch(str(refused.value))
+        assert match and float(match.group(1)) == pytest.approx(cond, rel=1e-3)
+    else:
+        assert str(refused.value) == messages[0]
     with pytest.raises(NonConvergenceError) as refused:
         tau_series(t, sub, np.eye(12) / 12)
     assert str(refused.value) == messages[1]
