@@ -92,7 +92,8 @@ def build_chain(p, tol: Tolerance = DEFAULT_TOL) -> MarkovChain:
     try:
         pi = bordered_solve(arr, every)
         a = bordered(arr, pi, every)
-        certified = isolates_fixed_vector(np.linalg.svd(a, compute_uv=False), arr, tol)
+        sing = np.linalg.svd(a, compute_uv=False)
+        certified = isolates_fixed_vector(sing[-1], sing[0], arr, tol)
     except np.linalg.LinAlgError:
         certified = False
     if not certified:

@@ -37,13 +37,14 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _from_hermitian_coords,
+    _gamma,
     _to_hermitian_coords,
     bordered,
     frobenius,
     hermitian_block,
     hermitian_form,
     hermitize,
-    survival_radius,
+    spectral_radius,
     unvec,
     vec,
 )
@@ -126,7 +127,10 @@ class HittingSolution:
 
     ``condition_estimate`` bounds the condition of M = I - QT: kappa_1 =
     2 lambda_max(X), X the matrix of the time row, for a positive map, and
-    cond_2(M) for a ``raw`` one.
+    cond_2(M) for a ``raw`` one.  ``spectral_radius_qphi`` is, for a
+    positive map, the upper bound on the radius of QT that the time row
+    proves, and the radius itself for a ``raw`` map or where no bound is
+    proved.
     """
 
     subspace: ArrivalSubspace
@@ -233,42 +237,86 @@ def _conditioned(cond: float, radius: float) -> float:
     return cond
 
 
-def _survival_rows(
-    t: SuperOperator, subspace: ArrivalSubspace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """The frame form h, e = coords(I), the rows (e (I - QQ) h, e, e h) M^-1, the radius of QT and a condition estimate of M = I - QT.
+def _contracting(h: np.ndarray, subspace: ArrivalSubspace) -> float:
+    """The spectral radius of QT, from the kept block of its frame form h; refused unless below 1.
 
-    For a positive map (provenance ``kraus`` or ``stochastic``)
-    M^-1 = sum_k (QT)^k is positive, so its trace norm is lambda_max(X), X
-    the Hermitian matrix of the time row e M^-1 (Russo-Dye; Paulsen,
-    *Completely Bounded Maps and Operator Algebras*, 2002, Cor. 2.9); with
-    ||M|| <= 2 the estimate is kappa_1 = 2 lambda_max(X), taken after the
-    solve.  A ``raw`` map takes cond_2(M) from its singular values before
-    it.  Raises :class:`NumericError` unless the monitored evolution
-    contracts, and when the estimate exceeds ``COND_CEIL`` or the solve
-    fails.
+    QT is h with the rows outside the kept coordinates zeroed, so its nonzero
+    spectrum is that of h[kept][:, kept], the form of X -> B* T(B X B*) B on
+    M_m, B the complement's basis.
     """
-    h = frame_form(t, subspace)
-    radius = survival_radius(h[np.ix_(subspace.kept, subspace.kept)], t.provenance == "kraus")
+    radius = spectral_radius(h[np.ix_(subspace.kept, subspace.kept)])
     if not radius < 1.0:
         raise NumericError(
             f"monitored evolution does not contract: spectral radius of the "
             f"survival map is {radius:.12g} (map reducible or subspace trivial)"
         )
+    return radius
+
+
+def _time_row_bounds(resolvent: np.ndarray, e: np.ndarray, time: np.ndarray) -> tuple[float, float | None]:
+    """kappa_1 = 2 lambda_max(X), X the Hermitian matrix of the time row y = e M^-1,
+    and the radius bound the row proves, or None.
+
+    With r = y M - e and R its matrix, X - Phi*(X) = I + R for Phi = QT.  If
+    X is positive definite and ||R|| < 1, then Phi*(X) <= X - (1 - ||R||) I
+    <= (1 - (1 - ||R||) / lambda_max(X)) X, and for a positive map that
+    bounds the radius of Phi (Collatz-Wielandt; Evans & Hoegh-Krohn,
+    *J. London Math. Soc.* 17, 1978).  ||R||_op is bounded by
+    ||R||_F = ||r||_2, with gamma_{d+1} |y| |M| added for the rounding of r,
+    and the eigenvalues of X are widened by d eps lambda_max(X) for their
+    own.
+    """
+    n = math.isqrt(e.size)
+    x = _from_hermitian_coords(time).reshape(n, n)
+    if not np.all(np.isfinite(x)):
+        return math.inf, None
+    eig = np.linalg.eigvalsh(x)
+    cond = 2 * float(eig[-1])
+    d = e.size
+    slack = d * _EPS * float(eig[-1])
+    if not (np.isrealobj(time) and eig[0] > slack):
+        return cond, None
+    residual = frobenius(time @ resolvent - e) + _gamma(d + 1) * frobenius(np.abs(time) @ np.abs(resolvent))
+    if not residual < 1.0:
+        return cond, None
+    return cond, 1.0 - (1.0 - residual) / (float(eig[-1]) + slack)
+
+
+def _survival_rows(
+    t: SuperOperator, subspace: ArrivalSubspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """The frame form h, e = coords(I), the rows (e (I - QQ) h, e, e h) M^-1, the radius of QT and a condition estimate of M = I - QT.
+
+    For a positive map (provenance ``kraus`` or ``stochastic``) the solve
+    comes first.  M^-1 = sum_k (QT)^k is positive, so its trace norm is
+    lambda_max(X), X the Hermitian matrix of the time row e M^-1 (Russo-Dye;
+    Paulsen, *Completely Bounded Maps and Operator Algebras*, 2002,
+    Cor. 2.9); with ||M|| <= 2 the estimate is kappa_1 = 2 lambda_max(X).
+    The radius is the bound the time row proves (:func:`_time_row_bounds`),
+    and the kept block's ``spectral_radius`` only where it proves none.  A
+    ``raw`` map takes the spectral radius and cond_2(M), from its singular
+    values, before the solve.  Raises :class:`NumericError` unless the
+    monitored evolution contracts, and when the estimate exceeds
+    ``COND_CEIL`` or the solve fails.
+    """
+    h = frame_form(t, subspace)
     resolvent = np.eye(h.shape[0]) - subspace.mask(h)
+    e = _to_hermitian_coords(np.eye(t.dim))
     raw = t.provenance == "raw"
     if raw:
+        radius = _contracting(h, subspace)
         cond = _conditioned(float(np.linalg.cond(resolvent)), radius)
-    e = _to_hermitian_coords(np.eye(t.dim))
     try:
         rows = np.linalg.solve(resolvent.T, np.stack([(e - subspace.mask(e)) @ h, e, e @ h]).T).T
-    except np.linalg.LinAlgError as exc:
-        raise _ill_conditioned(math.inf, radius) from exc
+    except np.linalg.LinAlgError:
+        rows = None
     if not raw:
-        x = _from_hermitian_coords(rows[1]).reshape(t.dim, t.dim)
-        cond = 2 * float(np.linalg.eigvalsh(x)[-1]) if np.all(np.isfinite(x)) else math.inf
-        cond = _conditioned(cond, radius)
-    return h, e, rows, radius, cond
+        cond, radius = (math.inf, None) if rows is None else _time_row_bounds(resolvent, e, rows[1])
+        if radius is None:
+            radius = _contracting(h, subspace)
+    if rows is None:
+        raise _ill_conditioned(math.inf, radius)
+    return h, e, rows, radius, _conditioned(cond, radius)
 
 
 def solve_hitting(

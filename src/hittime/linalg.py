@@ -46,27 +46,13 @@ __all__ = [
     "spectral_radius",
     "hermitian_form",
     "hermitian_block",
-    "survival_radius",
+    "sigma_min_floor",
 ]
 
 # Solves whose 2-norm condition number exceeds this are singular to working
 # precision.
 COND_CEIL = 1e14
-# How far a start distribution's sum may stray from 1.
-DISTRIBUTION_SUM_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
-# The Perron route of survival_radius: the smallest compression size m^2
-# that takes it, its power steps, and its budget of Collatz-Wielandt
-# brackets, one inverse-iteration solve between two.  Against a full eigvals
-# (one BLAS thread, 2-vCPU Xeon, random rank-2 Kraus maps) it costs 0.66
-# against 1.3 ms at m^2 = 64, 1.0 against 4.0 ms at 100 and 6.6 against
-# 56 ms at 324; below 81 the saving is under a millisecond, so eigvals stays.
-_PERRON_MIN_DIM = 81
-_PERRON_POWER_STEPS = 16
-_PERRON_BRACKETS = 10
-# Each solve must shrink the bracket width by this factor; a stalled bracket
-# (a reducible map's tied Perron eigenvalues) falls back to eigvals at once.
-_PERRON_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,12 +71,15 @@ DEFAULT_TOL = Tolerance()
 
 
 def start_distribution(x, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """``x`` as a start distribution over n states: entries >= -``tol.atol`` that sum to 1."""
+    """``x`` as a start distribution over n states: entries >= -``tol.atol`` that sum to 1.
+
+    The sum may miss 1 by ``tol.atol + tol.rtol``, as a chain's column may.
+    """
     dist = np.asarray(x, dtype=float).reshape(-1)
     if dist.size != n:
         raise ValidationError(f"distribution has length {dist.size}, chain has {n} states")
     # Written so that NaN and inf entries fail too.
-    if not (dist.min() >= -tol.atol and abs(dist.sum() - 1.0) <= DISTRIBUTION_SUM_TOL):
+    if not (dist.min() >= -tol.atol and abs(dist.sum() - 1.0) <= tol.atol + tol.rtol):
         raise ValidationError("initial distribution must be non-negative and sum to 1")
     return dist
 
@@ -282,19 +271,54 @@ def bordered_solve(m, cols) -> np.ndarray:
     return np.linalg.solve(bordered(m, r, cols), r)
 
 
-def isolates_fixed_vector(sing: np.ndarray, m, tol: Tolerance) -> bool:
-    """Whether the singular values of ``bordered(m, x, cols)`` leave m one fixed vector.
+def isolates_fixed_vector(low: float, high: float, m, tol: Tolerance) -> bool:
+    """Whether sigma_min >= ``low`` and sigma_max <= ``high`` of ``bordered(m, x, cols)`` leave m one fixed vector.
 
     Rank-one interlacing gives sigma_min <= sigma_{d-1}(I - m), so
     sigma_min > atol + rtol * min(||m||_F, sqrt(||m||_1 ||m||_inf)) leaves it
     one vector at most: both bound ||m||_2, so this is at least the threshold
     of :func:`fixed_space` (the Hoelder bound is the tighter for maps on M_n).
     Below d * eps * sigma_max (numpy's ``matrix_rank`` cut) sigma_min is
-    rounding, and x need not be a fixed point at all.
+    rounding, and x need not be a fixed point at all.  The bounds may be the
+    singular values themselves or those of :func:`sigma_min_floor`.
     """
     a = np.abs(m)
     threshold = tol.atol + tol.rtol * min(frobenius(m), math.sqrt(a.sum(0).max() * a.sum(1).max()))
-    return bool(sing[-1] > max(threshold, sing.size * _EPS * sing[0]))
+    return bool(low > max(threshold, m.shape[0] * _EPS * high))
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = eps / 2: the relative error of a k-term dot product."""
+    return k * _EPS / 2 / (1 - k * _EPS / 2)
+
+
+def sigma_min_floor(a: np.ndarray) -> float:
+    """A lower bound on the least singular value of a real square ``a``, or 0.0.
+
+    One Cholesky factorization of fl(G - s I), G = fl(A^T A), at a fixed
+    shift.  delta = gamma_d ||A||_F^2 bounds ||G - A^T A||_2, because
+    |G - A^T A| <= gamma_d |A|^T |A|; c = 2 gamma_{d+1} tr(G) bounds the
+    backward error of a floating-point Cholesky factorization that runs to
+    completion (Rump, "Verification of positive definiteness", *BIT* 46,
+    2006), together with the rounding of the shift.  If it succeeds at
+    s = 2 (delta + c), then lambda_min(A^T A) >= s - delta - c, so
+    sigma_min(A) >= sqrt(delta + c).  The shift does not depend on ``a``
+    beyond its scale, so a certified A has sigma_max / sigma_min <=
+    ||A||_F / sqrt(delta + c), about 1 / sqrt(4 d u).
+    """
+    d = a.shape[0]
+    g = a.T @ a
+    trace = float(np.trace(g))
+    if not 0.0 < trace < math.inf:
+        return 0.0
+    # delta + c, with delta <= 2 gamma_d tr(G): tr(G) is ||A||_F^2 to within gamma_d.
+    margin = 2 * (_gamma(d) + _gamma(d + 1)) * trace
+    g.flat[:: d + 1] -= 2 * margin
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return 0.0
+    return math.sqrt(margin)
 
 
 class PsdCheck(NamedTuple):
@@ -323,80 +347,3 @@ def spectral_radius(m) -> float:
     if mm.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(mm))))
-
-
-def _rescaled(x: np.ndarray) -> np.ndarray:
-    """x over its largest entry modulus; a zero or non-finite x is a failed iteration."""
-    scale = float(np.abs(x).max())
-    if not 0.0 < scale < math.inf:
-        raise np.linalg.LinAlgError("zero or non-finite iterate")
-    return x / scale
-
-
-def _collatz_wielandt(h: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """[alpha, beta] with alpha X <= Phi(X) <= beta X, X the matrix of coordinates x.
-
-    Phi is the map whose real Hermitian form is h.  With L the Cholesky
-    factor of X (``LinAlgError`` unless X is positive definite), alpha and
-    beta are the extreme eigenvalues of L^-1 Phi(X) L^-*.
-    """
-    m = math.isqrt(x.size)
-    w = np.linalg.inv(np.linalg.cholesky(_from_hermitian_coords(x).reshape(m, m)))
-    y = _from_hermitian_coords(h @ x).reshape(m, m)
-    eig = np.linalg.eigvalsh(w @ y @ w.conj().T)
-    return float(eig[0]), float(eig[-1])
-
-
-def _perron_radius(h: np.ndarray) -> float | None:
-    """Spectral radius of a positive map from its real Hermitian form h, or None.
-
-    Every positive definite iterate X brackets the radius (Collatz-Wielandt):
-    Phi(X) <= beta X gives r <= beta and Phi(X) >= alpha X gives r >= alpha.
-    Power steps from I precede shifted inverse iteration with
-    sigma = beta + (beta - alpha) > r.  Then (sigma - Phi)^-1 =
-    sum_k Phi^k / sigma^(k+1) is positive, so the iterates stay positive
-    definite, and |sigma - mu| >= sigma - r for every eigenvalue mu, so the
-    Perron eigenvector wins even against a peripheral spectrum.  Returns the
-    midpoint once beta - alpha <= m^2 eps beta; None when an iterate is not
-    positive definite (a singular Perron vector), a solve is singular, a
-    solve leaves the width above ``_PERRON_SHRINK`` times the last one, or
-    the budget runs out.
-    """
-    d = h.shape[0]
-    x = _to_hermitian_coords(np.eye(math.isqrt(d)))
-    width = math.inf
-    try:
-        for _ in range(_PERRON_POWER_STEPS):
-            x = _rescaled(h @ x)
-        for _ in range(_PERRON_BRACKETS):
-            lo, hi = _collatz_wielandt(h, x)
-            if hi - lo <= d * _EPS * hi:
-                return (lo + hi) / 2
-            if hi - lo > _PERRON_SHRINK * width:
-                break
-            width = hi - lo
-            shifted = -h
-            shifted.flat[:: d + 1] += 2 * hi - lo
-            x = _rescaled(np.linalg.solve(shifted, x))
-    except np.linalg.LinAlgError:
-        pass
-    return None
-
-
-def survival_radius(block: np.ndarray, positive: bool = False) -> float:
-    """Spectral radius of the survival map QT from ``block``, the kept block of a frame form.
-
-    QT is the frame form h with the rows outside the kept coordinates zeroed,
-    so its nonzero spectrum is that of ``block`` = h[kept][:, kept], the form
-    of X -> B* T(B X B*) B on M_m, B the complement's basis.
-
-    ``positive`` asserts that the map, and so the compression, is positive (a
-    Kraus map is).  A real block with m^2 >= ``_PERRON_MIN_DIM`` then takes
-    the Collatz-Wielandt bracket of :func:`_perron_radius`; when it cannot
-    close, and for every other map, the radius is the block's :func:`spectral_radius`.
-    """
-    if positive and block.shape[0] >= _PERRON_MIN_DIM and np.isrealobj(block):
-        radius = _perron_radius(block)
-        if radius is not None:
-            return radius
-    return spectral_radius(block)

@@ -34,6 +34,7 @@ from .linalg import (
     is_psd,
     isolates_fixed_vector,
     scaled_norm,
+    sigma_min_floor,
     unvec,
     vec,
 )
@@ -121,9 +122,11 @@ class IrreducibilityCertificate:
 
     ``certified_irreducible`` requires a one-dimensional fixed space whose
     normalized fixed point is a strictly positive state.  A certified
-    certificate carries the 2-norm condition number of
-    A = I - T + vec(pi) vec(I)^T, whose singular values certified it (the
-    inverse of A is the fundamental map Z); it is NaN otherwise.
+    certificate carries an upper bound on the 2-norm condition number of
+    A = I - T + vec(pi) vec(I)^T, from the singular value bounds that
+    certified it (the inverse of A is the fundamental map Z): ||A||_F over
+    the Cholesky floor of :func:`~hittime.linalg.sigma_min_floor`, or
+    cond_2(A) itself where the SVD decided; it is NaN otherwise.
     """
 
     invariant_state: DensityMatrix | None
@@ -362,12 +365,15 @@ def invariant_state(
     The map must be trace preserving.  In the map's
     :attr:`SuperOperator.hermitian_form` (real when the map preserves
     Hermiticity), with e = vec(I), the candidate pi comes from one bordered
-    solve (:func:`bordered_solve`), and the values-only SVD of
-    A = I - T + vec(pi) e^T certifies a one-dimensional fixed space
-    (:func:`isolates_fixed_vector`).  A certified map keeps the condition
-    number the same SVD gives, the gate of the fundamental map Z = A^{-1}
-    (:meth:`IrreducibilityCertificate.fundamental_pi`).  When the
-    certificate fails, :func:`fixed_space` decides and reports the
+    solve (:func:`bordered_solve`), and bounds on the extreme singular values
+    of A = I - T + vec(pi) e^T certify a one-dimensional fixed space
+    (:func:`isolates_fixed_vector`): for a real form one shifted Cholesky
+    factorization (:func:`sigma_min_floor`, with ||A||_F above), and the
+    values-only SVD of A when that fails, does not clear the threshold, or
+    the form is complex.  A certified map keeps the condition bound
+    sigma_max / sigma_min the same bounds give, the gate of the fundamental
+    map Z = A^{-1} (:meth:`IrreducibilityCertificate.fundamental_pi`).  When
+    the certificate fails, :func:`fixed_space` decides and reports the
     dimension.  A one-dimensional fixed space whose Hermitized,
     trace-normalized fixed point is a strictly positive state yields the
     verdict ``certified_irreducible``; a larger fixed space yields
@@ -381,19 +387,29 @@ def invariant_state(
     h = t.hermitian_form
     head = slice(0, t.dim)  # vec(I) in the Hermitian basis
 
-    def fundamental_svd(pi: np.ndarray) -> np.ndarray:
-        return np.linalg.svd(bordered(h, _to_hermitian_coords(pi), head), compute_uv=False)
+    def singular_bounds(pi: np.ndarray, judged: bool) -> tuple[float, float] | None:
+        """(low, high) with low <= sigma_min(A) and sigma_max(A) <= high: the
+        Cholesky floor and ||A||_F, else the values-only SVD.  With
+        ``judged``, bounds that leave more than one fixed vector fall to the
+        SVD, and give None when it leaves more too."""
+        a = bordered(h, _to_hermitian_coords(pi), head)
+        if np.isrealobj(a):
+            low, high = sigma_min_floor(a), frobenius(a)
+            if low > 0 and (not judged or isolates_fixed_vector(low, high, h, tol)):
+                return low, high
+        sing = np.linalg.svd(a, compute_uv=False)
+        low, high = float(sing[-1]), float(sing[0])
+        return None if judged and not isolates_fixed_vector(low, high, h, tol) else (low, high)
 
-    sing = None
+    bounds = None
     try:
         candidate = hermitize(unvec(_from_hermitian_coords(bordered_solve(h, head))))
         tr = float(np.trace(candidate).real)
         if abs(tr) >= _TRACE_FLOOR:
-            sing = fundamental_svd(candidate / tr)
+            bounds = singular_bounds(candidate / tr, True)
     except np.linalg.LinAlgError:
         pass
-    if sing is None or not isolates_fixed_vector(sing, h, tol):
-        sing = None
+    if bounds is None:
         basis = fixed_space(h, tol)
         dim = len(basis)
         if dim == 0:
@@ -413,9 +429,8 @@ def invariant_state(
         return IrreducibilityCertificate(
             DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE
         )
-    if sing is None:
-        sing = fundamental_svd(pi)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
+    low, high = bounds or singular_bounds(pi, False)
+    cond = high / low if low > 0 else math.inf
     return IrreducibilityCertificate(
         DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond
     )

@@ -21,13 +21,16 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .hitting import ArrivalSubspace, frame_form
-from .linalg import DEFAULT_TOL, Tolerance, start_distribution, survival_radius
-from .linalg import _EPS, _to_hermitian_coords
+from .linalg import DEFAULT_TOL, Tolerance, spectral_radius, start_distribution
+from .linalg import _EPS, _from_hermitian_coords, _to_hermitian_coords
 from .maps import SuperOperator, as_density, validate_column_stochastic
 
 __all__ = ["MonteCarloEstimate", "tau_series", "classical_monte_carlo"]
 
 _MAX_SERIES_TERMS = 1_000_000
+# The largest B whose c_B the tail rule of a positive map tries: B row
+# products of d^2 each, about 3 ms at d = 400 (one BLAS thread).
+_MAX_TAIL_POWER = 128
 _MC_STEP_CAP = 10_000_000
 # Gathered cumulative entries per Monte-Carlo block, so one step needs
 # O(trials) memory whatever the number of states.
@@ -45,17 +48,41 @@ class MonteCarloEstimate:
 
 
 def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance):
-    """Frame coordinates of rho, QT and e PP T = coords(P) h; the radius of QT."""
+    """Frame coordinates of rho, QT, e PP T = coords(P) h, and e = coords(I)."""
     sigma = subspace.coords(as_density(rho, tol).matrix)
     h = frame_form(t, subspace)
-    radius = survival_radius(h[np.ix_(subspace.kept, subspace.kept)], t.provenance == "kraus")
-    if not radius < 1.0:
-        raise NonConvergenceError(
-            f"monitored series does not converge: spectral radius of the "
-            f"survival map is {radius:.12g} (map not irreducible)"
-        )
     e = _to_hermitian_coords(np.eye(t.dim))
-    return sigma, subspace.mask(h), (e - subspace.mask(e)) @ h, radius
+    return sigma, subspace.mask(h), (e - subspace.mask(e)) @ h, e
+
+
+def _radius(step: np.ndarray, subspace: ArrivalSubspace) -> float:
+    """The spectral radius of QT, from the kept block of its form ``step``."""
+    return spectral_radius(step[np.ix_(subspace.kept, subspace.kept)])
+
+
+def _contraction(step: np.ndarray, e: np.ndarray) -> tuple[int, float] | None:
+    """(B, c_B) with the least B / (1 - c_B) over B = 1, 2, 4, ... up to ``_MAX_TAIL_POWER``.
+
+    c_B = lambda_max(((QT)^B)*(I)) is the top eigenvalue of the matrix of the
+    row e (QT)^B, taken by row products.  For a positive map and a positive
+    X it gives Tr (QT)^B X <= c_B Tr X.  Every B' has B' / (1 - c_B') >= B',
+    so the search stops once the best ratio is at most the next B.  None
+    when no c_B is below 1.
+    """
+    n = math.isqrt(e.size)
+    best, row, steps = None, e, 0
+    b = 1
+    while b <= _MAX_TAIL_POWER:
+        for _ in range(b - steps):
+            row = row @ step
+        steps = b
+        c = float(np.linalg.eigvalsh(_from_hermitian_coords(row).reshape(n, n))[-1])
+        if c < 1.0 and (best is None or b / (1.0 - c) < best[0] / (1.0 - best[1])):
+            best = (b, c)
+        if best is not None and best[0] / (1.0 - best[1]) <= 2 * b:
+            break
+        b *= 2
+    return best
 
 
 def _block_size(d: int, terms: float) -> int:
@@ -72,22 +99,16 @@ def _block_size(d: int, terms: float) -> int:
 
 
 def _blocks(sigma, step, arrival, b: int, terms: int):
-    """Yield (r, p, bound) per block of at most b terms, up to ``terms`` terms.
+    """Yield (r, p, sigma) per block of at most b terms, up to ``terms`` terms.
 
     p holds the block's probabilities from the rows a M^k, k < b, r the terms
-    taken so far and bound an upper bound on ||vec W* X W||_1, X = (QT)^r rho
-    in the frame W, which bounds the survival mass Tr X of a positive X.
-    A full block advances by M^b, a partial last one by single steps.
+    taken so far and sigma the coordinates of (QT)^r rho in the frame.  A
+    full block advances by M^b, a partial last one by single steps.
     """
     power, rows = step, arrival[None, :]
     while rows.shape[0] < b:
         rows = np.concatenate([rows, rows @ power])
         power = power @ power
-    # In the Hermitian basis (diagonal first) x_ij, x_ji = (s +- i a) / sqrt(2),
-    # so |x_ij| + |x_ji| <= sqrt(2) (|s| + |a|), complex s, a too: |c| @ weights
-    # bounds ||vec X||_1, on real coordinates by at most sqrt(2) times it.
-    weights = np.full(sigma.size, math.sqrt(2))
-    weights[: math.isqrt(sigma.size)] = 1.0
     for r in range(0, terms, b):
         k = min(b, terms - r)
         p = (rows[:k] @ sigma).real
@@ -96,7 +117,19 @@ def _blocks(sigma, step, arrival, b: int, terms: int):
         else:
             for _ in range(k):
                 sigma = step @ sigma
-        yield r + k, p, np.abs(sigma) @ weights
+        yield r + k, p, sigma
+
+
+def _l1_bound(sigma: np.ndarray) -> float:
+    """An upper bound on ||vec W* X W||_1, X the matrix of frame coordinates sigma.
+
+    In the Hermitian basis (diagonal first) x_ij, x_ji = (s +- i a) / sqrt(2),
+    so |x_ij| + |x_ji| <= sqrt(2) (|s| + |a|), complex s, a too: the bound
+    exceeds the norm by at most sqrt(2) on real coordinates.  It bounds the
+    survival mass Tr X of a positive X.
+    """
+    n = math.isqrt(sigma.size)
+    return float(np.abs(sigma[:n]).sum() + math.sqrt(2) * np.abs(sigma[n:]).sum())
 
 
 def tau_series(
@@ -107,25 +140,49 @@ def tau_series(
 ) -> float:
     """Mean hitting time by direct summation of r * pi_r.
 
-    Truncates at the first block end where the geometric tail estimate of the
-    remaining sum drops below atol / 10, so the series error is dominated by
-    any comparison tolerance down to atol.  The target is floored at
-    4 eps times the running total, its rounding level, so atol = 0 ends too.
+    Truncates at the first block end where a bound on the remaining sum
+    drops below atol / 10, so the series error is dominated by any
+    comparison tolerance down to atol.  The target is floored at 4 eps times
+    the running total, its rounding level, so atol = 0 ends too.
+
+    For a positive map (provenance ``kraus`` or ``stochastic``) the survival
+    mass m_r = Tr (QT)^r rho = e x_r is non-increasing and sums the
+    remaining probabilities, so the rest of the sum after r terms is
+    (r + 1) m_r + sum_{k > r} m_k <= m_r (r + 1 + B / (1 - c_B)), with
+    (B, c_B) from :func:`_contraction`.  A ``raw`` map, or a positive one
+    with no c_B below 1, takes the geometric estimate
+    ||x_r||_1 ((r + 1) g + rho) / g^2 from the spectral radius rho = 1 - g.
     """
-    sigma, step, arrival, radius = _survival_data(t, subspace, rho, tol)
-    gap = 1.0 - radius
+    sigma, step, arrival, e = _survival_data(t, subspace, rho, tol)
     target = tol.atol / 10.0
-    terms = math.log(max(target, _EPS)) / math.log(radius) if radius > 0 else 1.0
+    rate = _contraction(step, e) if t.provenance != "raw" else None
+    if rate is None:
+        radius = _radius(step, subspace)
+        if not radius < 1.0:
+            raise NonConvergenceError(
+                f"monitored series does not converge: spectral radius of the "
+                f"survival map is {radius:.12g} (map not irreducible)"
+            )
+        gap = 1.0 - radius
+        terms = math.log(max(target, _EPS)) / math.log(radius) if radius > 0 else 1.0
+
+        def tail(r, x):
+            return _l1_bound(x) * ((r + 1) * gap + radius) / (gap * gap)
+    else:
+        power, c = rate
+        terms = power * math.log(max(target, _EPS)) / math.log(c) if c > 0 else power
+
+        def tail(r, x):
+            return float(np.real(e @ x)) * (r + 1 + power / (1.0 - c))
     b = _block_size(sigma.size, min(terms, _MAX_SERIES_TERMS))
     total = 0.0
-    for r, p, norm in _blocks(sigma, step, arrival, b, _MAX_SERIES_TERMS):
+    for r, p, x in _blocks(sigma, step, arrival, b, _MAX_SERIES_TERMS):
         total += np.arange(r - p.size + 1.0, r + 1.0) @ p
-        tail = norm * ((r + 1) * gap + radius) / (gap * gap)
-        if tail < max(target, 4 * _EPS * abs(total)):
+        if tail(r, x) < max(target, 4 * _EPS * abs(total)):
             return float(total)
     raise NonConvergenceError(
         f"series did not reach the target accuracy in {_MAX_SERIES_TERMS} terms "
-        f"(spectral radius {radius:.12g})"
+        f"(spectral radius {_radius(step, subspace):.12g})"
     )
 
 

@@ -1,5 +1,6 @@
 """The bordered certificate: pi from one solve, the dimension from one values-only SVD."""
 
+import math
 import os
 import subprocess
 import sys
@@ -18,13 +19,22 @@ from hittime import (
     SuperOperator,
     build_chain,
     from_kraus,
+    from_stochastic,
     hermitize,
     invariant_state,
     solve_hitting,
     subspace_from_indices,
     unvec,
 )
-from hittime.linalg import _to_hermitian_coords, bordered, bordered_solve, fixed_space
+from hittime.examples import symmetric_two_state_chain
+from hittime.linalg import (
+    _to_hermitian_coords,
+    bordered,
+    bordered_solve,
+    fixed_space,
+    isolates_fixed_vector,
+    sigma_min_floor,
+)
 from hittime.sampling import random_column_stochastic
 
 EPSILONS = [1e-1, 1e-3, 1e-6, 1e-9, 1e-11, 1e-13, 0.0]
@@ -67,7 +77,9 @@ def test_bordered_verdict_matches_the_svd_rule(label, t):
     assert cert.verdict == CERTIFIED_IRREDUCIBLE
     candidate = hermitize(unvec(basis[0]))
     reference = candidate / np.trace(candidate).real
-    if cert.condition_estimate < 1e6:
+    # The certificate's estimate is an upper bound; the agreement owed is
+    # set by cond_2(A) itself.
+    if np.linalg.cond(certified_a(t, cert)) < 1e6:
         assert_allclose(cert.invariant_state.matrix, reference, rtol=0, atol=1e-12)
 
 
@@ -104,20 +116,34 @@ def svd_calls(calls):
     return [c for c in calls if c[0] in ("svd", "cond", "norm")]
 
 
-def test_certified_map_takes_one_values_only_svd(linalg_calls, fixed_space_calls):
-    """The values-only SVD certifies; the gate decomposes nothing."""
-    n = 5
+def test_certified_map_takes_one_cholesky_and_no_svd(linalg_calls, fixed_space_calls):
+    """A rank-2 Kraus map at n = 12: one Cholesky factorization certifies,
+    and the gate decomposes nothing."""
+    n = 12
     t = from_kraus(kraus_family(np.random.default_rng(2), n, 2))
     cert = invariant_state(t)
-    assert svd_calls(linalg_calls) == [("svd", (n * n, n * n), False)]
+    assert svd_calls(linalg_calls) == []
+    assert [c for c in linalg_calls if c[0] == "cholesky"] == [("cholesky", (n * n, n * n))]
     del linalg_calls[:]
     assert cert.fundamental_pi() is cert.invariant_state
     assert not linalg_calls
     assert cert.verdict == CERTIFIED_IRREDUCIBLE
     assert not fixed_space_calls
-    assert cert.condition_estimate == pytest.approx(
-        np.linalg.cond(certified_a(t, cert)), rel=1e-10
-    )
+    a = certified_a(t, cert)
+    assert cert.condition_estimate == np.linalg.norm(a) / sigma_min_floor(a)
+    # An upper bound on cond_2(A), about 1 / sqrt(4 d u) whatever the map.
+    assert np.linalg.cond(a) <= cert.condition_estimate < 1e7
+
+
+def test_nearly_reducible_chain_takes_the_values_only_svd(linalg_calls):
+    """At p = 1e-9 sigma_min(A) is about 2e-9, below the Cholesky floor, so
+    the values-only SVD certifies, as it did before the floor existed."""
+    t = from_stochastic(symmetric_two_state_chain(1e-9))
+    cert = invariant_state(t)
+    assert cert.verdict == CERTIFIED_IRREDUCIBLE
+    assert [c for c in linalg_calls if c[0] == "cholesky"] == [("cholesky", (4, 4))]
+    assert svd_calls(linalg_calls) == [("svd", (4, 4), False)]
+    assert cert.condition_estimate == pytest.approx(np.linalg.cond(certified_a(t, cert)), rel=1e-10)
 
 
 def test_reducible_map_still_reports_its_fixed_space_dimension(fixed_space_calls):
@@ -204,3 +230,51 @@ def test_rescued_chain_matches_the_bordered_one(monkeypatch):
     bound = np.linalg.cond(np.eye(6) - p + np.outer(mc.pi, np.ones(6))) * EPS
     assert_allclose(rescued.pi, mc.pi, rtol=0, atol=bound)
     assert_allclose(rescued.z, mc.z, rtol=0, atol=bound * np.abs(mc.z).max())
+
+
+# ------------------------------------------ the Cholesky floor against the SVD
+
+def parity_maps():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4, 6, 8, 12, 16):
+        yield f"kraus-{n}", from_kraus(kraus_family(rng, n, 2))
+    for k in range(1, 14, 2):
+        yield f"gap-8-1e-{k}", block_map(rng, 8, 10.0**-k)
+    for eps in (1e-9, 0.0):
+        yield f"block-12-{eps:g}", block_map(rng, 12, eps)
+    for k in range(3, 17):
+        yield f"two-state-1e-{k}", from_stochastic(symmetric_two_state_chain(10.0**-k))
+
+
+PARITY_MAPS = list(parity_maps())
+PARITY_TOLS = {"default": hittime.DEFAULT_TOL, "1e-3": hittime.Tolerance(1e-3, 1e-3),
+               "1e-14": hittime.Tolerance(1e-14, 1e-14)}
+
+
+@pytest.mark.parametrize("tol", list(PARITY_TOLS))
+@pytest.mark.parametrize("label,t", PARITY_MAPS, ids=[label for label, _ in PARITY_MAPS])
+def test_cholesky_certificate_matches_the_svd_route(monkeypatch, label, t, tol):
+    """Verdict, dimension and pi are those of the values-only SVD route,
+    and wherever the Cholesky floor holds, sigma_min(A) is at least it."""
+    tol = PARITY_TOLS[tol]
+    cert = invariant_state(t, tol)
+    with monkeypatch.context() as patched:
+        patched.setattr(hittime.maps, "sigma_min_floor", lambda a: 0.0)
+        reference = invariant_state(t, tol)
+    assert (cert.verdict, cert.fixed_space_dim) == (reference.verdict, reference.fixed_space_dim)
+    if reference.invariant_state is None:
+        assert cert.invariant_state is None
+        return
+    np.testing.assert_array_equal(cert.invariant_state.matrix, reference.invariant_state.matrix)
+    a = certified_a(t, cert)
+    floor = sigma_min_floor(a)
+    if floor > 0:
+        assert np.linalg.svd(a, compute_uv=False)[-1] >= floor
+    if floor > 0 and isolates_fixed_vector(floor, np.linalg.norm(a), t.hermitian_form, tol):
+        assert cert.condition_estimate == np.linalg.norm(a) / floor
+    if cert.verdict == CERTIFIED_IRREDUCIBLE:
+        # The SVD's cond_2(A), or the Cholesky bound above it where the
+        # floor holds (also when fixed_space decided the dimension).
+        bound = np.linalg.norm(a) / floor if floor > 0 else math.nan
+        assert cert.condition_estimate in (bound, reference.condition_estimate)
+        assert cert.condition_estimate >= reference.condition_estimate * (1 - 1e-12)

@@ -16,6 +16,7 @@ from hittime import (
     DEFAULT_TOL,
     DimensionError,
     NumericError,
+    SuperOperator,
     OrthogonalityError,
     PreconditionError,
     Tolerance,
@@ -39,8 +40,8 @@ from hittime import (
     vec,
 )
 from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
-from hittime.hitting import _survival_rows
-from hittime.linalg import _from_hermitian_coords, _to_hermitian_coords
+from hittime.hitting import _survival_rows, frame_form
+from hittime.linalg import _from_hermitian_coords, _to_hermitian_coords, spectral_radius
 from hittime.examples import qudit_demo_channel, symmetric_two_state_chain
 from hittime.sampling import (
     random_column_stochastic,
@@ -587,7 +588,8 @@ def test_raw_map_refuses_on_the_2_norm_condition_before_solving(monkeypatch, qub
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
 def test_a_failed_survival_solve_is_refused_on_its_condition(monkeypatch, qubit_channel, failure):
     sub = subspace_from_indices(2, [0])
-    radius = _survival_rows(qubit_channel, sub)[3]
+    # Without a time row the radius is the kept block's own.
+    radius = spectral_radius(frame_form(qubit_channel, sub)[np.ix_(sub.kept, sub.kept)])
     solve = np.linalg.solve
 
     def failing(a, b):
@@ -812,3 +814,60 @@ def test_condition_estimate_is_kappa_1_and_its_eigenvector_the_slowest_start(lab
     for _ in range(20):
         start = pure_density(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         assert mean_hitting_time_direct(hs, start) <= top + unit
+
+
+# ------------------------------------- the radius bound the time row proves
+
+def radius_bound_cases():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 5, 8):
+        channel = random_cptp_map(n, 2, rng=rng)
+        yield f"kraus-{n}-index", channel, subspace_from_indices(n, [0])
+        yield f"kraus-{n}-vectors", channel, random_subspace(n, max(1, n // 3), rng=rng)
+    for k in range(1, 10, 2):
+        yield f"gap-1e-{k}-index", gap_map(3, 10.0**-k), subspace_from_indices(8, [0])
+        yield f"gap-1e-{k}-vectors", gap_map(3, 10.0**-k), random_subspace(8, 1, rng=rng)
+
+
+@pytest.mark.parametrize(
+    "label,channel,sub", list(radius_bound_cases()), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_time_row_bounds_the_survival_radius(label, channel, sub):
+    """rho_hat = 1 - (1 - ||R||) / lambda_max(X) lies between the eigvals
+    radius of QT and 1, and keeps most of the gap."""
+    hs = solve_hitting(channel, sub)
+    exact = float(np.max(np.abs(np.linalg.eigvals(lift(sub.projector_q) @ channel.rep))))
+    assert exact <= hs.spectral_radius_qphi < 1.0
+    assert 1.0 - hs.spectral_radius_qphi >= (1.0 - exact) / 4
+
+
+def test_an_unproved_radius_is_the_kept_block_radius(monkeypatch, qubit_channel):
+    """Where the time row proves no bound, the radius is the eigvals one, and
+    the answer does not change."""
+    sub = subspace_from_indices(2, [0])
+    proved = solve_hitting(qubit_channel, sub)
+    bounds = hittime.hitting._time_row_bounds
+    monkeypatch.setattr(hittime.hitting, "_time_row_bounds",
+                        lambda *args: (bounds(*args)[0], None))
+    fallback = solve_hitting(qubit_channel, sub)
+    exact = spectral_radius(lift(sub.projector_q) @ qubit_channel.rep)
+    assert fallback.spectral_radius_qphi == pytest.approx(exact, abs=1e-14)
+    assert proved.spectral_radius_qphi > fallback.spectral_radius_qphi
+    np.testing.assert_array_equal(fallback.time_covector, proved.time_covector)
+    assert fallback.condition_estimate == proved.condition_estimate
+
+
+@pytest.mark.parametrize("scale", [
+    1.0,  # M is exactly singular, so the solve fails
+    1.5,  # the solve succeeds, but the time row's matrix is not positive definite
+])
+def test_a_non_contracting_survival_takes_the_fallback_and_keeps_the_message(scale):
+    """The stay-put chain, scaled: QT keeps the start with weight ``scale``."""
+    t = SuperOperator(2, scale * from_stochastic(np.eye(2)).rep, "stochastic")
+    sub = subspace_from_indices(2, [1])
+    with pytest.raises(NumericError) as refused:
+        _survival_rows(t, sub)
+    assert str(refused.value) == (
+        f"monitored evolution does not contract: spectral radius of the "
+        f"survival map is {scale:.12g} (map reducible or subspace trivial)"
+    )

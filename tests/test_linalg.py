@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +14,7 @@ from hittime import (
     vec,
 )
 from hittime.blocks import lift
+from hittime.linalg import sigma_min_floor
 from hittime.examples import qubit_demo_kraus
 
 
@@ -156,3 +158,26 @@ def test_spectral_radius_survival_map_contracts(qubit_channel, qubit_solution):
     radius = spectral_radius(lift(qubit_solution.subspace.projector_q) @ qubit_channel.rep)
     assert radius == pytest.approx(5.0 / 6.0, abs=1e-12)
     assert radius < 1.0
+
+
+@pytest.mark.parametrize("d", [4, 64, 400])
+def test_sigma_min_floor_never_exceeds_the_least_singular_value(d):
+    """A = diag(1, ..., 1, t), permuted, has sigma_min = t exactly.  The floor
+    is 0.0 (no certificate) or at most t, and certifies once t clears the
+    shift, about sqrt(8 d u) ||A||_F."""
+    rng = np.random.default_rng(d)
+    floors = []
+    for t in np.logspace(-10, -4, 61):
+        a = np.diag(np.r_[np.ones(d - 1), t])[rng.permutation(d)]
+        floor = sigma_min_floor(a)
+        assert floor == 0.0 or 0.0 < floor <= t
+        floors.append(floor)
+    assert floors[0] == 0.0 and floors[-1] > 0.0
+    edge = np.logspace(-10, -4, 61)[np.flatnonzero(floors)[0]]
+    assert edge <= 2 * math.sqrt(8 * d * np.finfo(float).eps / 2 * d)
+
+
+def test_sigma_min_floor_refuses_what_it_cannot_factor():
+    assert sigma_min_floor(np.zeros((3, 3))) == 0.0
+    assert sigma_min_floor(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0.0
+    assert sigma_min_floor(np.full((2, 2), np.nan)) == 0.0

@@ -33,10 +33,11 @@ def chain_setup(p_matrix, target_indices):
 def block_terms(t, sp, rho, r_max):
     """pi_1 .. pi_r_max from the series' block kernel, the term count it reached, its
     bound on ||vec W* X W||_1 for X = (QT)^r_max rho, and the spectral radius of QT."""
-    sigma, step, arrival, radius = hittime.oracle._survival_data(t, sp, rho, DEFAULT_TOL)
+    sigma, step, arrival, _ = hittime.oracle._survival_data(t, sp, rho, DEFAULT_TOL)
     b = hittime.oracle._block_size(sigma.size, r_max)
     blocks = list(hittime.oracle._blocks(sigma, step, arrival, b, r_max))
-    return np.concatenate([p for _, p, _ in blocks]), blocks[-1][0], blocks[-1][2], radius
+    bound = hittime.oracle._l1_bound(blocks[-1][2])
+    return np.concatenate([p for _, p, _ in blocks]), blocks[-1][0], bound, hittime.oracle._radius(step, sp)
 
 
 def test_series_sums_to_one(qubit_channel, qubit_solution, qubit_states):
@@ -303,3 +304,52 @@ def test_monte_carlo_pinned_output(monkeypatch, case, block_entries):
         monkeypatch.setattr(hittime.oracle, "_MC_BLOCK_ENTRIES", block_entries)
     estimate = classical_monte_carlo(make(), start, target, trials, seed)
     assert (estimate.mean, estimate.std_error) == (mean, std_error)
+
+
+# ------------------------------------------------ the tail bound of a positive map
+
+def drift_chain(n, a):
+    """A walk on a path of n states that steps towards state 0 with probability
+    a and away with 1 - a, held at both ends."""
+    p = np.zeros((n, n))
+    for k in range(n):
+        p[max(k - 1, 0), k] += a
+        p[min(k + 1, n - 1), k] += 1 - a
+    return p
+
+
+@pytest.mark.parametrize("b", [1, 16])
+def test_tail_bound_covers_the_true_tail_of_a_far_from_normal_survival(b):
+    """Target {0}, start at the far end of a 12-state path with drift 0.8 towards
+    the target: the survival block is far from normal, and its mass stays near
+    1 for about 12 steps before it decays.  At every block end r the rest of
+    the sum, sum_{j > r} j pi_j from a long sum, is at most m_r (r + 1 + B / (1 - c_B))."""
+    n = 12
+    p = drift_chain(n, 0.8)
+    kept = p[1:, 1:]
+    departure = np.linalg.norm(kept @ kept.T - kept.T @ kept)
+    assert departure > 0.5 * np.linalg.norm(kept, 2) ** 2
+    # The true first-visit probabilities, one step at a time, until the mass is negligible.
+    x = np.zeros(n - 1)
+    x[-1] = 1.0
+    probs = []
+    while x.sum() > 1e-30:
+        probs.append(p[0, 1:] @ x)
+        x = kept @ x
+    probs = np.array(probs)
+    weighted = np.arange(1, probs.size + 1) * probs
+    rest = np.concatenate([np.cumsum(weighted[::-1])[::-1], [0.0]])  # rest[r] = sum_{j > r} j pi_j
+    t = from_stochastic(p)
+    sp = subspace_from_indices(n, [0])
+    sigma, step, arrival, e = hittime.oracle._survival_data(t, sp, pure_density(np.eye(n)[-1]), DEFAULT_TOL)
+    power, c = hittime.oracle._contraction(step, e)
+    assert power > 1 and 0.0 < c < 1.0  # no single step contracts every start
+    ends = 0
+    for r, _, x in hittime.oracle._blocks(sigma, step, arrival, b, 50 * b):
+        mass = e @ x
+        assert mass == pytest.approx(probs[r:].sum(), rel=1e-10, abs=1e-15)
+        assert rest[min(r, rest.size - 1)] <= mass * (r + 1 + power / (1.0 - c)) * (1 + 1e-12)
+        ends += 1
+    assert ends == 50
+    tau = tau_series(t, sp, pure_density(np.eye(n)[-1]))
+    assert tau == pytest.approx(weighted.sum(), rel=1e-12, abs=1e-11)

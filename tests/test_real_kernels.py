@@ -23,6 +23,7 @@ from hittime import (
     unvec,
     vec,
 )
+import hittime.maps
 from hittime import linalg
 from hittime.blocks import hitting_maps, lift
 from hittime.hitting import _survival_rows, frame_form
@@ -34,7 +35,6 @@ from hittime.linalg import (
     fixed_space,
     hermitian_form,
     spectral_radius,
-    survival_radius,
 )
 from hittime.sampling import random_cptp_map, random_density
 from test_bordered import kraus_family
@@ -136,7 +136,7 @@ def test_compressed_radius_matches_full_survival_spectrum(n, kraus_rank):
         for sub in _subspaces(n, rank, rng):
             assert sub.complement_basis.shape == (n, n - rank)
             full = float(np.max(np.abs(np.linalg.eigvals(lift(sub.projector_q) @ t.rep))))
-            assert survival_radius(kept_block(t, sub)) == pytest.approx(full, abs=1e-12)
+            assert spectral_radius(kept_block(t, sub)) == pytest.approx(full, abs=1e-12)
 
 
 def compression_form(t, basis):
@@ -158,7 +158,7 @@ def complex_calls(calls):
 
 
 def test_kraus_kernels_decompose_no_complex_full_size_matrix(linalg_calls):
-    """The spectral kernels of a Kraus map run real, and each radius is m^2 x m^2."""
+    """The kernels of a Kraus map run real, and no radius is decomposed."""
     n = 4
     d = n * n
     rng = np.random.default_rng(5)
@@ -169,23 +169,24 @@ def test_kraus_kernels_decompose_no_complex_full_size_matrix(linalg_calls):
         del linalg_calls[:]
         hs = solve_hitting(t, sub, cert)
         tau_series(t, hs.subspace, rho)
-        m = n - sub.rank
-        assert shapes_of(linalg_calls, "eigvals") == [(m * m, m * m)] * 2
-        # At full size only the two solves, real: kappa_1 replaced the cond of
-        # I - QT, and its eigvalsh is the one complex call, n x n.
+        assert shapes_of(linalg_calls, "eigvals") == []
+        # At full size only the two solves, real: the time row bounds the
+        # radius and gives kappa_1, and the series' c_B are n x n.
         assert [c for c in linalg_calls if c[1] == (d, d)] == [("solve", (d, d))] * 2
-        assert complex_calls(linalg_calls) == [("complex eigvalsh", (n, n))]
+        assert {c for c in complex_calls(linalg_calls)} == {("complex eigvalsh", (n, n))}
     del linalg_calls[:]
     invariant_state(t).fundamental_pi()
-    assert [c for c in linalg_calls if c[1] == (d, d)] == [("solve", (d, d)), ("svd", (d, d), False)]
+    assert [c for c in linalg_calls if c[1] == (d, d)] == [("solve", (d, d)), ("cholesky", (d, d))]
     assert complex_calls(linalg_calls) == [("complex eigvalsh", (n, n))]  # is_psd(pi)
 
 
 def test_kraus_map_takes_no_cond_and_no_choi_eigvalsh(tmp_path, linalg_calls):
-    """validate and hit (direct, mhtf) of a rank-2 Kraus map at n = 12: at
-    full size only the values-only SVD that certifies the map, once per
-    command, and solves.  The same map as a raw superoperator still takes
-    the cond of I - QT and the eigvalsh of its Choi matrix."""
+    """validate and hit (direct, mhtf, all) of a rank-2 Kraus map at n = 12:
+    at full size only the Cholesky factorization that certifies the map,
+    once per command, and solves; no radius, and no eigvalsh beyond n x n.
+    The same map as a raw superoperator, whose form is real too, is
+    certified the same way, but still takes the cond of I - QT, the eigvals
+    of the radius and the eigvalsh of its Choi matrix."""
     n, d = 12, 144
     rng = np.random.default_rng(12)
     ops = kraus_family(rng, n, 2)
@@ -195,7 +196,7 @@ def test_kraus_map_takes_no_cond_and_no_choi_eigvalsh(tmp_path, linalg_calls):
         {"subspace": {"indices": [1]}, "initial": {"index": 5}, "method": "direct"},
         {"subspace": {"indices": [1]}, "initial": {"index": 5}, "method": "mhtf"},
         {"subspace": {"vectors": [vector]}, "initial": {"index": 3}, "method": "direct"},
-        {"subspace": {"vectors": [vector]}, "initial": {"index": 3}, "method": "mhtf"},
+        {"subspace": {"vectors": [vector]}, "initial": {"index": 3}, "method": "all"},
     ]}))
     maps = {
         "kraus": {"dim": n, "kraus": [[[[z.real, z.imag] for z in row] for row in op] for op in ops]},
@@ -203,7 +204,7 @@ def test_kraus_map_takes_no_cond_and_no_choi_eigvalsh(tmp_path, linalg_calls):
                                             for row in from_kraus(ops).rep]},
     }
     runner = CliRunner()
-    full_size = {}
+    full_size, spectral = {}, {}
     for label, record in maps.items():
         path = tmp_path / f"{label}.json"
         path.write_text(json.dumps(record))
@@ -212,8 +213,11 @@ def test_kraus_map_takes_no_cond_and_no_choi_eigvalsh(tmp_path, linalg_calls):
             result = runner.invoke(main, argv)
             assert result.exit_code == 0, result.output
         full_size[label] = [c for c in linalg_calls if c[1] == (d, d) and c[0] != "solve"]
-    assert full_size["kraus"] == [("svd", (d, d), False)] * 2
-    assert {c[0] for c in full_size["raw"]} == {"svd", "cond", "complex eigvalsh"}
+        spectral[label] = {c for c in linalg_calls if "eig" in c[0] or c[0] in ("svd", "cond")}
+    assert full_size["kraus"] == [("cholesky", (d, d))] * 2
+    assert spectral["kraus"] == {("complex eigvalsh", (n, n))}
+    assert {c[0] for c in full_size["raw"]} == {"cond", "complex eigvalsh", "cholesky"}
+    assert {c[0] for c in spectral["raw"]} >= {"eigvals"}
 
 
 # ------------------------------------------------- solves in the Hermitian form
@@ -246,8 +250,8 @@ def test_each_linear_system_is_kept_once_in_its_hermitian_form(monkeypatch):
     assert t.hermitian_form is form and not form.flags.writeable
     assert np.isrealobj(form)
     certified = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: certified.append(a) or svd(a, **kw))
+    floor = hittime.maps.sigma_min_floor
+    monkeypatch.setattr(hittime.maps, "sigma_min_floor", lambda a: certified.append(a) or floor(a))
     cert = invariant_state(t)
     tracemalloc.start()
     try:
@@ -357,9 +361,10 @@ def test_non_hermiticity_preserving_raw_map_keeps_complex_results(tmp_path):
         _close(got["diagnostics"], diagnostics)
 
 
-# The Perron route of survival_radius: a Kraus map's compression with
-# m^2 >= 81 gets its radius from a Collatz-Wielandt bracket closed by
-# inverse iteration, and falls back to eigvals when the bracket cannot close.
+# The spectral radius of a positive survival map is its Perron eigenvalue.
+# solve_hitting reports, for a Kraus map, the upper bound on it that the
+# time row proves (hitting._time_row_bounds); the kept block's eigvals
+# remain the fallback, and the radius of raw maps.
 def gap_map(rng, n, eps):
     """A Kraus map that keeps the two halves of C^n apart, mixed with a random one at eps."""
     half = n // 2
@@ -374,83 +379,43 @@ def full_survival_radius(t, sub):
     return float(np.max(np.abs(np.linalg.eigvals(lift(sub.projector_q) @ t.rep))))
 
 
-@pytest.fixture
-def perron_results(monkeypatch):
-    """What each call of linalg._perron_radius returned, None for a fallback."""
-    results = []
-    original = linalg._perron_radius
-
-    def recorder(h):
-        results.append(original(h))
-        return results[-1]
-
-    monkeypatch.setattr(linalg, "_perron_radius", recorder)
-    return results
+def assert_bounds_the_perron_radius(t, sub):
+    """The kept block's radius is the full survival spectrum's, and the time
+    row's bound lies between it and 1."""
+    full = full_survival_radius(t, sub)
+    assert spectral_radius(kept_block(t, sub)) == pytest.approx(full, rel=1e-12, abs=0)
+    bound = _survival_rows(t, sub)[3]
+    assert full <= bound < 1.0
+    return full, bound
 
 
 @pytest.mark.parametrize("n", [10, 12, 14, 16])
 @pytest.mark.parametrize("kraus_rank", [2, 3])
-def test_perron_radius_matches_full_survival_spectrum(n, kraus_rank, perron_results):
+def test_perron_radius_matches_full_survival_spectrum(n, kraus_rank):
     rng = np.random.default_rng(1000 + 10 * n + kraus_rank)
     t = from_kraus(kraus_family(rng, n, kraus_rank))
     for rank in (1, 2, 3):
         for sub in _subspaces(n, rank, rng):
-            del perron_results[:]
-            radius = survival_radius(kept_block(t, sub), positive=True)
-            # Compressions up to m^2 = 64 keep eigvals.
-            assert perron_results == ([radius] if (n - rank) ** 2 > 64 else [])
-            assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-13, abs=0)
+            full, bound = assert_bounds_the_perron_radius(t, sub)
+            # Random maps: the bound keeps at least half of the gap 1 - radius.
+            assert 1.0 - bound >= (1.0 - full) / 2
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
-def test_perron_radius_matches_on_nearly_reducible_maps(eps, perron_results):
+def test_perron_radius_matches_on_nearly_reducible_maps(eps):
     rng = np.random.default_rng(3)
     t = gap_map(rng, 12, eps)
     subspaces = [subspace_from_indices(12, [0]), subspace_from_indices(12, [0, 7])]
     subspaces += _subspaces(12, 2, rng)
     for sub in subspaces:
-        radius = survival_radius(kept_block(t, sub), positive=True)
-        assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-13, abs=0)
-    assert len(perron_results) == len(subspaces)
-
-
-@pytest.mark.parametrize("label", ["kraus-rank-1", "reducible"])
-def test_perron_route_falls_back_to_eigvals_exactly(label, perron_results):
-    """A singular Perron vector leaves the bracket open: the radius is eigvals' own.
-
-    A unitary's is rank one; the reducible map's lives on one half of C^12,
-    which index targets keep apart (a generic subspace would couple them).
-    """
-    rng = np.random.default_rng(4)
-    if label == "kraus-rank-1":
-        t = from_kraus(kraus_family(rng, 12, 1))
-        subspaces = _subspaces(12, 2, rng)
-    else:
-        t = gap_map(rng, 12, 0.0)
-        subspaces = [subspace_from_indices(12, [0, 1]), subspace_from_indices(12, [0, 6])]
-    for sub in subspaces:
-        del perron_results[:]
-        radius = survival_radius(kept_block(t, sub), positive=True)
-        assert perron_results == [None]
-        assert radius == survival_radius(kept_block(t, sub))
+        assert_bounds_the_perron_radius(t, sub)
 
 
 def shapes_of(calls, name):
     return [c[1] for c in calls if c[0] == name]
 
 
-def test_stalled_perron_bracket_falls_back_after_one_solve(linalg_calls, perron_results):
-    """On the reducible n = 20 map the bracket keeps its width 0.2 under the
-    target {0, 1}, so the first solve that fails to halve it ends the route."""
-    t = gap_map(np.random.default_rng(4), 20, 0.0)
-    block = kept_block(t, subspace_from_indices(20, [0, 1]))
-    radius = survival_radius(block, positive=True)
-    assert perron_results == [None]
-    assert shapes_of(linalg_calls, "solve") == [(324, 324)]
-    assert radius == survival_radius(block)  # the eigvals route
-
-
-def test_raw_map_that_is_not_positive_takes_eigvals(linalg_calls, perron_results):
+def test_raw_map_that_is_not_positive_takes_eigvals(linalg_calls):
     n = 12
     rng = np.random.default_rng(6)
     # Half a channel and half of X -> Tr(X) I / n - X: trace preserving and
@@ -464,34 +429,33 @@ def test_raw_map_that_is_not_positive_takes_eigvals(linalg_calls, perron_results
     sub = subspace_from_indices(n, [0, 1])
     radius = _survival_rows(t, sub)[3]  # the route solve_hitting and hitting_maps share
     tau_series(t, sub, np.eye(n) / n)
-    assert perron_results == []
     assert shapes_of(linalg_calls, "eigvals") == [(100, 100)] * 2
     assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-12)
 
 
-def test_kraus_solve_and_series_take_no_eigvals(linalg_calls, perron_results):
+def test_kraus_solve_and_series_take_no_eigvals(linalg_calls):
     n = 12
     rng = np.random.default_rng(7)
     t = from_kraus(kraus_family(rng, n, 2))
     cert = invariant_state(t)
     for sub in _subspaces(n, 2, rng):
-        del perron_results[:]
         hs = solve_hitting(t, sub, cert)
         tau_series(t, hs.subspace, random_density(n, rng))
-        assert len(perron_results) == 2 and None not in perron_results
-        assert perron_results[0] == hs.spectral_radius_qphi
+        assert full_survival_radius(t, sub) <= hs.spectral_radius_qphi < 1.0
     assert shapes_of(linalg_calls, "eigvals") == []
 
 
-def test_perron_route_keeps_the_refusal_messages(perron_results):
+def test_perron_route_keeps_the_refusal_messages(linalg_calls):
     """The exactly reducible map: its radius is 1 to rounding, on either side of it.
 
-    Below 1 the resolvent is refused on its condition, and the series at its
-    term cap; at 1 or above both refuse on the radius.
+    The time row proves no bound there, so both routes fall back to the kept
+    block's eigvals and refuse with its radius.  Below 1 the resolvent is
+    refused on its condition, and the series at its term cap; at 1 or above
+    both refuse on the radius.
     """
     t = gap_map(np.random.default_rng(0), 12, 0.0)
     sub = subspace_from_indices(12, [0])
-    radius = survival_radius(kept_block(t, sub))  # the eigvals route
+    radius = spectral_radius(kept_block(t, sub))
     assert radius == pytest.approx(1.0, abs=1e-13)
     if radius < 1.0:
         # kappa_1 = 2 lambda_max(X), X the matrix of the time row e M^-1.
@@ -509,6 +473,7 @@ def test_perron_route_keeps_the_refusal_messages(perron_results):
                     f"survival map is {radius:.12g} (map reducible or subspace trivial)",
                     f"monitored series does not converge: spectral radius of the "
                     f"survival map is {radius:.12g} (map not irreducible)")
+    del linalg_calls[:]
     with pytest.raises(NumericError) as refused:
         hitting_maps(t, sub)
     if radius < 1.0:
@@ -521,7 +486,7 @@ def test_perron_route_keeps_the_refusal_messages(perron_results):
     with pytest.raises(NonConvergenceError) as refused:
         tau_series(t, sub, np.eye(12) / 12)
     assert str(refused.value) == messages[1]
-    assert perron_results == [None, None]
+    assert shapes_of(linalg_calls, "eigvals")[:2] == [(121, 121)] * 2
 
 
 def test_hermitian_basis_is_cached_and_read_only():
