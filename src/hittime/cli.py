@@ -236,6 +236,9 @@ def validate(map_file: str, tol: Tolerance, as_json: bool, digits: int,
                 _echo("  invariant state:")
                 for line in _matrix_lines(cert.invariant_state.matrix, digits):
                     _echo(line)
+    if cert is not None and not certified:
+        with _exits(EXIT_MAP):
+            cert.fundamental_pi()  # refuses, naming the tolerance
     if not (tp.ok and certified):
         sys.exit(EXIT_MAP)
 

@@ -44,6 +44,7 @@ from .linalg import (
     hermitian_block,
     hermitian_form,
     hermitize,
+    kraus_form,
     spectral_radius,
     unvec,
     vec,
@@ -211,12 +212,16 @@ def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
 def frame_form(t: SuperOperator, subspace: ArrivalSubspace) -> np.ndarray:
     """The Hermitian form of ``t`` in the frame of ``subspace``: the map's own for an index target.
 
-    A frame W takes K* rep K, K = kron(W, conj(W)), the map X -> W* T(W X W*) W,
-    contracted one matrix index of rep at a time: columns, then rows.
+    A frame W takes the map X -> W* T(W X W*) W: for a Kraus map the form of
+    the family W* V_i W (:func:`~hittime.linalg.kraus_form`), otherwise
+    K* rep K, K = kron(W, conj(W)), contracted one matrix index of rep at a
+    time: columns, then rows.
     """
     w = subspace.frame
     if w is None:
         return t.hermitian_form
+    if t.kraus is not None:
+        return kraus_form(w.conj().T @ t.kraus @ w)
     n, d, wc = t.dim, t.dim * t.dim, w.conj()
     x = w.T @ (t.rep.reshape(d * n, n) @ wc).reshape(d, n, n)
     x = w.T @ (wc.T @ x.reshape(n, n * d)).reshape(n, n, d)

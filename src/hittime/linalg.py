@@ -12,7 +12,8 @@ which is pinned by the test suite.
 
 A map that preserves Hermiticity (every positive map does) has a real
 representation in the Hilbert-Schmidt-orthonormal Hermitian basis;
-:func:`hermitian_form` changes to that basis, where the kernels of such maps
+:func:`hermitian_form` changes to that basis (:func:`kraus_form` builds the
+form of a Kraus map from its operators), where the kernels of such maps
 (solves, the fixed space, condition numbers, the survival radius) run in
 real arithmetic and a compression X -> CXC is a mask (:func:`hermitian_block`).
 """
@@ -45,6 +46,7 @@ __all__ = [
     "PsdCheck",
     "spectral_radius",
     "hermitian_form",
+    "kraus_form",
     "hermitian_block",
     "sigma_min_floor",
 ]
@@ -190,6 +192,44 @@ def hermitian_form(a) -> np.ndarray:
     if imag <= d * _EPS * scale:
         return w.real.copy()
     return w
+
+
+def kraus_form(ops) -> np.ndarray:
+    """The real :func:`hermitian_form` of X -> sum_i V_i X V_i*, straight from the (k, n, n) family.
+
+    Row (k, l) of the representation, as a matrix over the columns (a, b),
+    is O = sum_i V_i[k, :]^T conj(V_i[l, :]), the (k, l) entry of T(E_ab).
+    Its real and imaginary parts come from one batched real product per
+    pair k <= l, [[X_k, Y_k], [Y_k, -X_k]] [X_l, Y_l]^T with V = X + iY,
+    whose inner dimension is twice the Kraus rank: memory O(k n^3 + n^4)
+    and no complex d x d array.  The diagonal, symmetric and antisymmetric
+    combinations of O are the columns.  T(E) is Hermitian for a Hermitian
+    basis element E, so row (k, k) is Re T(E)_kk and the pair k < l gives
+    sqrt(2) Re T(E)_kl and sqrt(2) Im T(E)_kl.
+    """
+    ops = np.asarray(ops)
+    n = ops.shape[-1]
+    diag, upper, lower = _hermitian_basis(n)
+    k, l = divmod(np.concatenate([diag, upper]), n)  # the pairs k <= l in the basis order
+    rows = ops.transpose(1, 2, 0)  # rows[k, a, s] = V_s[k, a]
+    x, y = rows.real, rows.imag
+    left = np.concatenate([np.concatenate([x, y], 2), np.concatenate([y, -x], 2)], 1)
+    right = np.concatenate([x, y], 2).transpose(0, 2, 1)
+    o = (left[k] @ right[l]).reshape(k.size, 2, n * n)  # row-stacked Re O, Im O
+    r, q = math.sqrt(0.5), math.sqrt(2)
+
+    def columns(a, b, diag_scale, pair_scale):
+        """Re of the columns for (a, b) = (Re O, Im O), Im for (Im O, -Re O), scaled."""
+        sym, anti = a[:, upper] + a[:, lower], b[:, lower] - b[:, upper]
+        return np.concatenate([a[:, diag] * diag_scale, sym * pair_scale, anti * pair_scale], axis=1)
+
+    # sqrt(2) r = 1 on the rows of the pairs k < l.
+    re, im = o[:, 0], o[:, 1]
+    return np.concatenate([
+        columns(re[:n], im[:n], 1.0, r),
+        columns(re[n:], im[n:], q, 1.0),
+        columns(im[n:], -re[n:], q, 1.0),
+    ])
 
 
 def _from_hermitian_coords(c: np.ndarray) -> np.ndarray:

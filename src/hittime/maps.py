@@ -1,10 +1,12 @@
 """Positive trace-preserving maps on M_n and their matrix representations.
 
-A map T on n x n matrices is stored through its n^2 x n^2 matrix
-representation ``rep`` acting on row-stacked vectorizations:
-``T(X) = unvec(rep @ vec(X))``.  Constructors are provided for Kraus
-families (``rep = sum_i kron(V_i, V_i.conj())``), for classical
-column-stochastic matrices, and for raw representation matrices.
+A map T on n x n matrices acts through its n^2 x n^2 matrix representation
+``rep`` on row-stacked vectorizations: ``T(X) = unvec(rep @ vec(X))``.
+Constructors are provided for Kraus families, for classical
+column-stochastic matrices, and for raw representation matrices.  A Kraus
+map keeps its family V_i, from which its real form, its action, its trace
+check and its Choi matrix are computed; it builds
+``rep = sum_i kron(V_i, V_i.conj())`` only when ``rep`` is read.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .linalg import (
     hermitize,
     is_psd,
     isolates_fixed_vector,
+    kraus_form,
     scaled_norm,
     sigma_min_floor,
     unvec,
@@ -74,33 +77,47 @@ _TRACE_FLOOR = 1e-8
 _FIXED_RESIDUAL_CEIL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
 class SuperOperator:
-    """Matrix representation of a linear map on M_n.
+    """A linear map on M_n, given by its Kraus family or by its matrix representation.
 
     Attributes
     ----------
     dim : int
         Dimension n of the underlying pure-state space.
     rep : ndarray, shape (n^2, n^2)
-        Representation matrix acting on row-stacked vectorizations.
+        Representation matrix acting on row-stacked vectorizations.  A map
+        built from its Kraus family builds it on first access, as
+        sum_i kron(V_i, conj(V_i)); nothing on the answer path reads it.
     provenance : str
         One of ``"kraus"``, ``"stochastic"``, ``"raw"``.  ``"kraus"`` asserts
         complete positivity, which the survival radius relies on.
-    kraus_count : int
-        The number k of Kraus operators the map was built from, which bounds
-        the rank of its Choi matrix; 0 for other provenances.
+    kraus : ndarray, shape (k, n, n), or None
+        The Kraus family V_i of X -> sum_i V_i X V_i*, read-only; None for
+        other provenances.
     """
 
-    dim: int
-    rep: np.ndarray
-    provenance: str
-    kraus_count: int = 0
+    def __init__(self, dim: int, rep: np.ndarray | None, provenance: str,
+                 kraus: np.ndarray | None = None):
+        self.dim = dim
+        self.provenance = provenance
+        self.kraus = kraus
+        if rep is not None:
+            self.__dict__["rep"] = rep
+
+    @functools.cached_property
+    def rep(self) -> np.ndarray:
+        rep = np.zeros((self.dim * self.dim,) * 2, dtype=complex)
+        for v in self.kraus:
+            rep += np.kron(v, v.conj())
+        return rep
 
     @functools.cached_property
     def hermitian_form(self) -> np.ndarray:
-        """The :func:`~hittime.linalg.hermitian_form` of ``rep``, computed once; read-only."""
-        h = hermitian_form(self.rep)
+        """The :func:`~hittime.linalg.hermitian_form` of ``rep``, computed once; read-only.
+
+        A Kraus map takes it from its family (:func:`~hittime.linalg.kraus_form`).
+        """
+        h = hermitian_form(self.rep) if self.kraus is None else kraus_form(self.kraus)
         h.flags.writeable = False
         return h
 
@@ -126,7 +143,8 @@ class IrreducibilityCertificate:
     A = I - T + vec(pi) vec(I)^T, from the singular value bounds that
     certified it (the inverse of A is the fundamental map Z): ||A||_F over
     the Cholesky floor of :func:`~hittime.linalg.sigma_min_floor`, or
-    cond_2(A) itself where the SVD decided; it is NaN otherwise.
+    cond_2(A) itself where the SVD decided; it is NaN otherwise.  ``tol`` is
+    the tolerance the verdict was judged under.
     """
 
     invariant_state: DensityMatrix | None
@@ -134,13 +152,20 @@ class IrreducibilityCertificate:
     min_eigenvalue_of_pi: float
     verdict: str
     condition_estimate: float = math.nan
+    tol: Tolerance = DEFAULT_TOL
 
     def fundamental_pi(self) -> DensityMatrix:
         """pi, once the certificate admits Z = A^{-1}: the map is certified
-        irreducible, and A is not singular to working precision."""
+        irreducible, and A is not singular to working precision.
+
+        A refusal names the tolerance: a nearly reducible map, whose
+        coupling or least eigenvalue of pi falls below it, may certify
+        under a smaller one."""
         if self.verdict != CERTIFIED_IRREDUCIBLE:
             raise PreconditionError(
-                f"map is not certified irreducible (verdict: {self.verdict})"
+                f"map is not certified irreducible (verdict: {self.verdict} under "
+                f"atol {self.tol.atol:g} and rtol {self.tol.rtol:g}); a smaller "
+                f"tolerance (--tol) may certify a nearly reducible map"
             )
         cond = self.condition_estimate
         if not np.isfinite(cond) or cond > COND_CEIL:
@@ -235,10 +260,9 @@ def from_kraus(kraus_ops: Sequence) -> SuperOperator:
             raise DimensionError(
                 f"Kraus operators have mixed dimensions {v.shape[0]} vs {n}"
             )
-    rep = np.zeros((n * n, n * n), dtype=complex)
-    for v in ops:
-        rep += np.kron(v, v.conj())
-    return SuperOperator(n, rep, "kraus", len(ops))
+    family = np.stack(ops)
+    family.flags.writeable = False
+    return SuperOperator(n, None, "kraus", family)
 
 
 def validate_column_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -296,25 +320,42 @@ def from_raw(rep) -> SuperOperator:
 
 
 def apply(t: SuperOperator, x) -> np.ndarray:
-    """Apply the map to a matrix: unvec(rep @ vec(X))."""
+    """Apply the map to a matrix: sum_i V_i X V_i* for a Kraus map, else unvec(rep @ vec(X))."""
     m = _finite_square(x, "map argument")
     if m.shape[0] != t.dim:
         raise DimensionError(f"expected a {t.dim} x {t.dim} matrix, got {m.shape}")
-    return unvec(t.rep @ vec(m))
+    if t.kraus is None:
+        return unvec(t.rep @ vec(m))
+    return (t.kraus @ m @ t.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def choi_matrix(t: SuperOperator) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) T(|i><j|), PSD iff T is completely positive."""
+    """Choi matrix sum_ij |i><j| (x) T(|i><j|), PSD iff T is completely positive.
+
+    For a Kraus map it is G G*, G the n^2 x k matrix whose columns are the
+    column-stacked V_i.
+    """
     n = t.dim
+    if t.kraus is not None:
+        g = t.kraus.transpose(0, 2, 1).reshape(len(t.kraus), n * n).T
+        return g @ g.conj().T
     rep4 = t.rep.reshape(n, n, n, n)
     return np.einsum("klij->ikjl", rep4).reshape(n * n, n * n)
 
 
 def check_trace_preserving(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> TraceCheck:
-    """Check T*(I) = I; returns the verdict and the Frobenius residual."""
+    """Check T*(I) = I; returns the verdict and the Frobenius residual.
+
+    T*(I) is sum_i V_i* V_i for a Kraus map.
+    """
     n = t.dim
-    # T*(I) = conj(rep)^T vec(I) = conj(vec(I) rep), without a conjugated copy of rep.
-    residual = frobenius(unvec((vec(np.eye(n)) @ t.rep).conj()) - np.eye(n))
+    if t.kraus is None:
+        # T*(I) = conj(rep)^T vec(I) = conj(vec(I) rep), without a conjugated copy of rep.
+        adjoint = unvec((vec(np.eye(n)) @ t.rep).conj())
+    else:
+        stacked = t.kraus.reshape(-1, n)  # [V_1; ...; V_k]
+        adjoint = stacked.conj().T @ stacked
+    residual = frobenius(adjoint - np.eye(n))
     return TraceCheck(residual <= tol.atol + tol.rtol * math.sqrt(n), residual)
 
 
@@ -322,11 +363,11 @@ def check_complete_positivity(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) ->
     """PSD test on the Choi matrix; certifies complete positivity.
 
     The Choi matrix of k Kraus operators V_i is sum_i vec(V_i) vec(V_i)*,
-    positive semidefinite of rank at most k: for a map built by
-    :func:`from_kraus` from k < n^2 of them its least eigenvalue is exactly
-    0, reported without building it.
+    positive semidefinite of rank at most k: for a Kraus map of k < n^2
+    operators its least eigenvalue is exactly 0, reported without building
+    it.
     """
-    if t.provenance == "kraus" and 0 < t.kraus_count < t.dim * t.dim:
+    if t.kraus is not None and len(t.kraus) < t.dim * t.dim:
         return CpCheck(True, 0.0)
     check: PsdCheck = is_psd(choi_matrix(t), tol)
     return CpCheck(check.ok, check.min_eigenvalue)
@@ -413,24 +454,24 @@ def invariant_state(
         basis = fixed_space(h, tol)
         dim = len(basis)
         if dim == 0:
-            return IrreducibilityCertificate(None, 0, float("nan"), INCONCLUSIVE)
+            return IrreducibilityCertificate(None, 0, math.nan, INCONCLUSIVE, tol=tol)
         if dim > 1:
-            return IrreducibilityCertificate(None, dim, float("nan"), NOT_IRREDUCIBLE)
+            return IrreducibilityCertificate(None, dim, math.nan, NOT_IRREDUCIBLE, tol=tol)
         candidate = hermitize(unvec(_from_hermitian_coords(basis[0])))
         tr = float(np.trace(candidate).real)
     if abs(tr) < _TRACE_FLOOR:
-        return IrreducibilityCertificate(None, 1, float("nan"), INCONCLUSIVE)
+        return IrreducibilityCertificate(None, 1, math.nan, INCONCLUSIVE, tol=tol)
     pi = candidate / tr
     check = is_psd(pi, tol)
     fixed_residual = frobenius(apply(t, pi) - pi)
     if not check.ok or fixed_residual > _FIXED_RESIDUAL_CEIL:
-        return IrreducibilityCertificate(None, 1, check.min_eigenvalue, INCONCLUSIVE)
+        return IrreducibilityCertificate(None, 1, check.min_eigenvalue, INCONCLUSIVE, tol=tol)
     if check.min_eigenvalue <= tol.atol:
         return IrreducibilityCertificate(
-            DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE
+            DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE, tol=tol
         )
     low, high = bounds or singular_bounds(pi, False)
     cond = high / low if low > 0 else math.inf
     return IrreducibilityCertificate(
-        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond
+        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond, tol
     )

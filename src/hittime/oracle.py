@@ -66,8 +66,9 @@ def _contraction(step: np.ndarray, e: np.ndarray) -> tuple[int, float] | None:
     c_B = lambda_max(((QT)^B)*(I)) is the top eigenvalue of the matrix of the
     row e (QT)^B, taken by row products.  For a positive map and a positive
     X it gives Tr (QT)^B X <= c_B Tr X.  Every B' has B' / (1 - c_B') >= B',
-    so the search stops once the best ratio is at most the next B.  None
-    when no c_B is below 1.
+    so the search stops once the best ratio is at most the next B.  Each
+    c_B is widened by B d eps for the rounding of its B row products, so a
+    c_B within rounding of 1 proves nothing.  None when no c_B is below 1.
     """
     n = math.isqrt(e.size)
     best, row, steps = None, e, 0
@@ -76,7 +77,7 @@ def _contraction(step: np.ndarray, e: np.ndarray) -> tuple[int, float] | None:
         for _ in range(b - steps):
             row = row @ step
         steps = b
-        c = float(np.linalg.eigvalsh(_from_hermitian_coords(row).reshape(n, n))[-1])
+        c = float(np.linalg.eigvalsh(_from_hermitian_coords(row).reshape(n, n))[-1]) + b * e.size * _EPS
         if c < 1.0 and (best is None or b / (1.0 - c) < best[0] / (1.0 - best[1])):
             best = (b, c)
         if best is not None and best[0] / (1.0 - best[1]) <= 2 * b:

@@ -22,6 +22,7 @@ import hittime.linalg
 import hittime.maps
 import hittime.oracle
 from hittime.cli import main
+from test_bordered import kraus_family
 
 
 @pytest.fixture()
@@ -133,7 +134,8 @@ def test_validate_amplitude_damping_reports_a_singular_invariant_state(runner, t
     path = write(tmp_path, "damping.json", {"dim": 2, "kraus": kraus})
     result = runner.invoke(main, ["validate", path, "--json"])
     assert result.exit_code == 2
-    record = json.loads(result.output)
+    assert result.stderr.startswith("error: map is not certified irreducible (verdict: not_irreducible")
+    record = json.loads(result.stdout)
     assert record["irreducibility"]["verdict"] == "not_irreducible"
     assert record["irreducibility"]["fixed_space_dim"] == 1
     assert record["invariant_state"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -154,7 +156,8 @@ def test_validate_reports_positivity_sampling_for_non_cp_map(runner, tmp_path):
     path = write(tmp_path, "transpose.json", {"dim": 2, "superoperator": swap.tolist()})
     result = runner.invoke(main, ["validate", path, "--json"])
     assert result.exit_code == 2
-    record = json.loads(result.output)
+    assert result.stderr.startswith("error: map is not certified irreducible (verdict: not_irreducible")
+    record = json.loads(result.stdout)
     assert record["trace_preserving"]["ok"] is True
     assert record["completely_positive"]["ok"] is False
     assert record["positivity_sampling"]["ok"] is True
@@ -353,11 +356,13 @@ def test_hit_batch_solves_once_per_subspace(runner, tmp_path, monkeypatch):
 def test_hit_answer_path_takes_one_form_per_frame_and_route(
     runner, tmp_path, monkeypatch, count, forms
 ):
-    """Index targets read the map's one Hermitian form; a vector target adds one
-    per route (solve_hitting and the series).  Past building the map from its
-    Kraus operators, nothing calls kron or decomposes a complex d x d matrix."""
-    built = [_count_calls(monkeypatch, module, "hermitian_form")
-             for module in (hittime.linalg, hittime.maps, hittime.hitting)]
+    """Index targets read the map's one Hermitian form, built from its Kraus
+    family; a vector target adds one per route (solve_hitting and the series),
+    from the conjugated family.  Nothing calls kron or the dense
+    hermitian_form, or decomposes a complex d x d matrix."""
+    modules = (hittime.linalg, hittime.maps, hittime.hitting)
+    built = [_count_calls(monkeypatch, module, "kraus_form") for module in modules]
+    dense = [_count_calls(monkeypatch, module, "hermitian_form") for module in modules]
     decomposed = []
     for name in ("solve", "svd", "cond", "eigvals", "eig", "eigh", "eigvalsh", "inv", "qr", "lstsq"):
         original = getattr(np.linalg, name)
@@ -376,8 +381,44 @@ def test_hit_answer_path_takes_one_form_per_frame_and_route(
     result = runner.invoke(main, ["hit", qudit_map_file(tmp_path), query, "--json"])
     assert result.exit_code == 0, result.output
     assert sum(map(len, built)) == forms
-    assert set(kron_callers) == {"from_kraus"}
+    assert not any(dense)
+    assert kron_callers == []
     assert decomposed and not [c for c in decomposed if c[1] == (16, 16) and c[2]]
+
+
+def test_kraus_map_validates_and_answers_from_its_family(runner, tmp_path, monkeypatch):
+    """validate, then hit --method all on an index and a vector target, of a rank-2
+    Kraus map at n = 12: neither builds the map's rep, calls kron or runs the dense
+    hermitian_form.  The rep read afterwards is sum_i kron(V_i, conj(V_i)) bit for bit."""
+    n = 12
+    ops = kraus_family(np.random.default_rng(12), n, 2)
+    path = write(tmp_path, "kraus.json", {
+        "dim": n, "kraus": [[[[z.real, z.imag] for z in row] for row in op] for op in ops],
+    })
+    r = 1 / math.sqrt(2)
+    query = write(tmp_path, "q.json", {"queries": [
+        {"subspace": {"indices": [1, 5]}, "initial": {"index": 3}, "method": "all"},
+        {"subspace": {"vectors": [[[r, 0], [0, r]] + [[0, 0]] * (n - 2)]}, "initial": {"index": 4},
+         "method": "all"},
+    ]})
+    built = []
+    build = hittime.cli.build_superoperator
+    monkeypatch.setattr(hittime.cli, "build_superoperator",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    dense = [_count_calls(monkeypatch, module, "hermitian_form")
+             for module in (hittime.linalg, hittime.maps, hittime.hitting)]
+    kron_calls = _count_calls(monkeypatch, np, "kron")
+    for argv in (["validate", path, "--json"], ["hit", path, query, "--json"]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    assert len(built) == 2
+    assert all(t.kraus is not None and "rep" not in t.__dict__ for t in built)
+    assert not any(dense) and kron_calls == []
+    for t in built:
+        expected = np.zeros((n * n, n * n), dtype=complex)
+        for v in t.kraus:
+            expected += np.kron(v, v.conj())
+        np.testing.assert_array_equal(t.rep, expected)
 
 
 def test_hit_routes_build_their_own_frame_forms(runner, tmp_path, monkeypatch):
@@ -480,7 +521,31 @@ def test_hit_refuses_a_chain_coupled_below_the_tolerance_at_the_certificate(
     query = write(tmp_path, "q.json", {"subspace": {"indices": [2]}, "initial": {"index": 1}})
     result = runner.invoke(main, ["hit", chain_file(tmp_path, p), query, *flags])
     assert result.exit_code == 2
-    assert result.stderr == "error: map is not certified irreducible (verdict: not_irreducible)\n"
+    tol = flags[1] if flags else "1e-10"
+    assert result.stderr == (
+        f"error: map is not certified irreducible (verdict: not_irreducible under atol {tol} "
+        f"and rtol {tol}); a smaller tolerance (--tol) may certify a nearly reducible map\n"
+    )
+
+
+def test_nearly_reducible_chain_refusal_names_the_tolerance_that_certifies_it(runner, tmp_path):
+    """p = 1e-11 leaves sigma_min(A) about 2p, below the default atol: validate and hit
+    refuse with exit 2 and name the tolerance, and a smaller --tol certifies the chain."""
+    chain = chain_file(tmp_path, 1e-11)
+    query = write(tmp_path, "q.json", {"subspace": {"indices": [2]}, "initial": {"index": 1},
+                                       "method": "direct"})
+    refusal = ("error: map is not certified irreducible (verdict: not_irreducible under "
+               "atol 1e-10 and rtol 1e-10); a smaller tolerance (--tol) may certify a "
+               "nearly reducible map\n")
+    for argv in (["validate", chain], ["hit", chain, query]):
+        refused = runner.invoke(main, argv)
+        assert (refused.exit_code, refused.stderr) == (2, refusal)
+    certified = runner.invoke(main, ["validate", chain, "--tol", "1e-14", "--json"])
+    assert certified.exit_code == 0 and certified.stderr == ""
+    assert json.loads(certified.stdout)["irreducibility"]["verdict"] == "certified_irreducible"
+    answered = runner.invoke(main, ["hit", chain, query, "--tol", "1e-14", "--json"])
+    assert answered.exit_code == 0, answered.output
+    assert json.loads(answered.stdout)["tau"] == pytest.approx(1e11, rel=1e-4)
 
 
 def test_trace_preservation_refusal_is_one_error_line_under_warnings_as_errors(tmp_path):
@@ -502,7 +567,7 @@ def test_trace_preservation_refusal_is_one_error_line_under_warnings_as_errors(t
     validated = run("validate", map_path)
     assert validated.returncode == 2
     assert validated.stderr == ""
-    assert "trace preserving     no (residual 5.65704312864e-12)" in validated.stdout
+    assert "trace preserving     no (residual 5.65704312868e-12)" in validated.stdout
     refused = run("hit", map_path, query_path)
     assert refused.returncode == 2
     assert refused.stderr == "error: map is not trace preserving (residual 5.657e-12)\n"

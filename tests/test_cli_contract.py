@@ -172,7 +172,8 @@ def _raise(error):
      "broken.json: invalid JSON at line 1, column 3: "
      "Expecting property name enclosed in double quotes"),
     (("hit", "red.json", "q_index.json"), None, 2,
-     "map is not certified irreducible (verdict: not_irreducible)"),
+     "map is not certified irreducible (verdict: not_irreducible under atol 1e-10 and rtol "
+     "1e-10); a smaller tolerance (--tol) may certify a nearly reducible map"),
     (("hit", "chain2.json", "q_inside.json"), None, 3,
      "initial state violates its support precondition (residual 1.000e+00)"),
     # direct and mhtf answer p = 5e-10; the series of method all refuses at its cap

@@ -92,7 +92,10 @@ def test_fundamental_map_rejects_reducible_map():
     assert cert.fixed_space_dim == 4
     with pytest.raises(PreconditionError) as refused:
         cert.fundamental_pi()
-    assert str(refused.value) == "map is not certified irreducible (verdict: not_irreducible)"
+    assert str(refused.value) == (
+        "map is not certified irreducible (verdict: not_irreducible under atol 1e-10 and "
+        "rtol 1e-10); a smaller tolerance (--tol) may certify a nearly reducible map"
+    )
     with pytest.raises(PreconditionError, match="not certified irreducible"):
         solve_hitting(identity_channel, subspace_from_indices(2, [0]))
 
@@ -213,6 +216,7 @@ def test_answer_path_builds_no_dense_omega_or_z(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
+    t.rep  # condition_first_step reads the dense rep, built from the family with kron
     monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args))
     cert.fundamental_pi()
     rho = random_density(n, rng)

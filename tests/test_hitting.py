@@ -184,6 +184,7 @@ def test_queries_and_series_never_build_dense_lift(monkeypatch):
     channel, cert = random_irreducible_cptp(4, rng=rng)
     sub = random_subspace(4, 2, rng=rng)
     kron_calls = []
+    channel.rep  # condition_first_step reads the dense rep, built from the family with kron
     monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args))
     hs = solve_hitting(channel, sub, cert)
     rho = random_density(4, rng=rng)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -223,7 +222,7 @@ def test_check_complete_positivity_demo(qubit_channel):
 def test_kraus_family_below_n_squared_reports_a_zero_least_choi_eigenvalue(linalg_calls):
     """k < n^2 Kraus operators give a Choi matrix of rank k: its least eigenvalue is 0."""
     channel = qudit_demo_channel(0.6)
-    assert 0 < channel.kraus_count < 16
+    assert 0 < len(channel.kraus) < 16
     assert check_complete_positivity(channel) == (True, 0.0)
     assert not linalg_calls
     # what the skipped eigvalsh gives: 0 to rounding
@@ -248,10 +247,11 @@ def test_transpose_map_is_not_completely_positive():
     assert check.min_choi_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_kraus_count_of_a_raw_map_does_not_skip_the_choi_eigenvalues(linalg_calls):
-    """Only a map built by from_kraus vouches for its count of operators."""
+def test_raw_map_has_no_family_and_takes_the_choi_eigenvalues(linalg_calls):
+    """Only a Kraus family vouches for the rank of its Choi matrix; a raw map has none."""
     t = transpose_map(2)
-    check = check_complete_positivity(dataclasses.replace(t, kraus_count=1))
+    assert t.kraus is None
+    check = check_complete_positivity(t)
     assert linalg_calls == [("complex eigvalsh", (4, 4))]
     assert not check.ok
     assert check.min_choi_eigenvalue == pytest.approx(-1.0, abs=1e-12)

@@ -93,6 +93,40 @@ def test_hermitian_form_keeps_singular_values_and_eigenvalues(n):
         assert spectra_match(form, a, 1e-11)
 
 
+def kraus_form_bound(k, dense):
+    """4 eps max|h|, grown with sqrt(k / 2): both routes sum k products per entry, and the
+    rounding of such sums grows like sqrt(k) (Higham & Mary, SIAM J. Sci. Comput. 41, 2019)."""
+    return 4 * math.sqrt(max(k, 2) / 2) * np.finfo(float).eps * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("rank", ["1", "2", "n^2", "n^2+1"])
+def test_kraus_form_is_the_form_of_the_summed_krons(n, rank):
+    """The family's form, trace preserving or not, is hermitian_form(sum kron(V_i, conj V_i))."""
+    k = {"1": 1, "2": 2, "n^2": n * n, "n^2+1": n * n + 1}[rank]
+    rng = np.random.default_rng(1000 * n + k)
+    gaussian = 0.7 * (rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
+    for ops in (np.stack(kraus_family(rng, n, k)), gaussian):
+        form = linalg.kraus_form(ops)
+        dense = hermitian_form(sum(np.kron(v, v.conj()) for v in ops))
+        assert form.dtype == np.float64 and form.shape == (n * n, n * n)
+        assert np.abs(form - dense).max() <= kraus_form_bound(k, dense)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+@pytest.mark.parametrize("rank", ["2", "n^2+1"])
+def test_vector_frame_form_conjugates_the_family(n, rank):
+    """A vector target's frame form, from W* V_i W, is that of the dense contraction of rep."""
+    k = 2 if rank == "2" else n * n + 1
+    rng = np.random.default_rng(2000 * n + k)
+    t = from_kraus(kraus_family(rng, n, k))
+    dense = SuperOperator(n, t.rep, "raw")
+    for sub in (_subspaces(n, 1, rng)[1], _subspaces(n, n - 1, rng)[1]):
+        form, reference = frame_form(t, sub), frame_form(dense, sub)
+        assert form.dtype == np.float64
+        assert np.abs(form - reference).max() <= kraus_form_bound(k, reference)
+
+
 def test_hermitian_form_rejects_non_square_dimension():
     with pytest.raises(Exception, match="n\\^2 x n\\^2"):
         hermitian_form(np.eye(5))
@@ -139,18 +173,15 @@ def test_compressed_radius_matches_full_survival_spectrum(n, kraus_rank):
             assert spectral_radius(kept_block(t, sub)) == pytest.approx(full, abs=1e-12)
 
 
-def compression_form(t, basis):
-    """The Hermitian form of X -> B* T(B X B*) B, contracted densely as K* rep K, K = kron(B, conj(B))."""
-    k = np.kron(basis, basis.conj())
-    return hermitian_form(k.conj().T @ t.rep @ k)
-
-
 @pytest.mark.parametrize("n,target", [(6, [0]), (6, [1, 3]), (9, [2, 4, 8]), (20, [0, 1])])
 def test_index_target_kept_block_is_the_compression_exactly(n, target):
+    """The kept block of the map's form is the form of the compressed family V_i[rest][:, rest]."""
     t = from_kraus(kraus_family(np.random.default_rng(n), n, 2))
     sub = subspace_from_indices(n, target)
     assert sub.frame is None
-    np.testing.assert_array_equal(kept_block(t, sub), compression_form(t, sub.complement_basis))
+    rest = np.setdiff1d(np.arange(n), target)
+    compressed = t.kraus[:, rest][:, :, rest]
+    np.testing.assert_array_equal(kept_block(t, sub), linalg.kraus_form(compressed))
 
 
 def complex_calls(calls):
