@@ -37,7 +37,7 @@ from .linalg import (
     bordered,
     bordered_solve,
     fixed_space,
-    isolates_fixed_vector,
+    singular_bounds,
     start_distribution,
 )
 from .maps import validate_column_stochastic
@@ -79,9 +79,9 @@ def build_chain(p, tol: Tolerance = DEFAULT_TOL) -> MarkovChain:
 
     The chain must be irreducible: the eigenvalue-1 eigenspace of P must be
     one-dimensional with a strictly positive stationary vector.  pi comes
-    from one bordered solve (:func:`~hittime.linalg.bordered_solve`), and the
-    values-only SVD of A = I - P + pi 1^T certifies the dimension
-    (:func:`~hittime.linalg.isolates_fixed_vector`); otherwise
+    from one bordered solve (:func:`~hittime.linalg.bordered_solve`), and
+    :func:`~hittime.linalg.singular_bounds` of A = I - P + pi 1^T certify
+    the dimension, as for maps; otherwise
     :func:`~hittime.linalg.fixed_space` decides.  Z is the inverse of A.
     """
     # A C-ordered copy: the chain owns its matrix, and a transposed view (a
@@ -92,8 +92,7 @@ def build_chain(p, tol: Tolerance = DEFAULT_TOL) -> MarkovChain:
     try:
         pi = bordered_solve(arr, every)
         a = bordered(arr, pi, every)
-        sing = np.linalg.svd(a, compute_uv=False)
-        certified = isolates_fixed_vector(sing[-1], sing[0], arr, tol)
+        certified = singular_bounds(a, arr, tol, True) is not None
     except np.linalg.LinAlgError:
         certified = False
     if not certified:

@@ -16,7 +16,7 @@ and :func:`mhtf_general`.
 Every answer is a linear functional of the start state.  In the Hermitian
 basis of a frame W that splits V off (:class:`ArrivalSubspace`), Q is a
 coordinate mask, so :func:`solve_hitting` keeps covectors in frame
-coordinates, solved against the frame form of T (:func:`frame_form`), and
+coordinates, solved against the frame form of T (:func:`~hittime.maps.frame_form`), and
 each query pairs them with the coordinates of W* rho W.  The dense H, K,
 their blocks and D, N, L live in :mod:`hittime.blocks`, the reference route
 of the identity and golden checks.
@@ -42,19 +42,17 @@ from .linalg import (
     bordered,
     frobenius,
     hermitian_block,
-    hermitian_form,
     hermitize,
-    kraus_form,
     spectral_radius,
-    unvec,
-    vec,
 )
 from .maps import (
     DensityMatrix,
     IrreducibilityCertificate,
     SuperOperator,
+    apply,
     as_density,
     density,
+    frame_form,
     invariant_state,
 )
 
@@ -209,25 +207,6 @@ def subspace_from_indices(n: int, indices) -> ArrivalSubspace:
     return ArrivalSubspace(n, len(idx), p, np.eye(n) - p, eye[:, idx], eye[:, rest], None, kept)
 
 
-def frame_form(t: SuperOperator, subspace: ArrivalSubspace) -> np.ndarray:
-    """The Hermitian form of ``t`` in the frame of ``subspace``: the map's own for an index target.
-
-    A frame W takes the map X -> W* T(W X W*) W: for a Kraus map the form of
-    the family W* V_i W (:func:`~hittime.linalg.kraus_form`), otherwise
-    K* rep K, K = kron(W, conj(W)), contracted one matrix index of rep at a
-    time: columns, then rows.
-    """
-    w = subspace.frame
-    if w is None:
-        return t.hermitian_form
-    if t.kraus is not None:
-        return kraus_form(w.conj().T @ t.kraus @ w)
-    n, d, wc = t.dim, t.dim * t.dim, w.conj()
-    x = w.T @ (t.rep.reshape(d * n, n) @ wc).reshape(d, n, n)
-    x = w.T @ (wc.T @ x.reshape(n, n * d)).reshape(n, n, d)
-    return hermitian_form(x.reshape(d, d))
-
-
 def _ill_conditioned(cond: float, radius: float) -> NumericError:
     return NumericError(
         f"survival resolvent is singular to working precision "
@@ -292,7 +271,7 @@ def _survival_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """The frame form h, e = coords(I), the rows (e (I - QQ) h, e, e h) M^-1, the radius of QT and a condition estimate of M = I - QT.
 
-    For a positive map (provenance ``kraus`` or ``stochastic``) the solve
+    For a :attr:`~hittime.maps.SuperOperator.positive` map the solve
     comes first.  M^-1 = sum_k (QT)^k is positive, so its trace norm is
     lambda_max(X), X the Hermitian matrix of the time row e M^-1 (Russo-Dye;
     Paulsen, *Completely Bounded Maps and Operator Algebras*, 2002,
@@ -304,18 +283,17 @@ def _survival_rows(
     monitored evolution contracts, and when the estimate exceeds
     ``COND_CEIL`` or the solve fails.
     """
-    h = frame_form(t, subspace)
+    h = frame_form(t, subspace.frame)
     resolvent = np.eye(h.shape[0]) - subspace.mask(h)
     e = _to_hermitian_coords(np.eye(t.dim))
-    raw = t.provenance == "raw"
-    if raw:
+    if not t.positive:
         radius = _contracting(h, subspace)
         cond = _conditioned(float(np.linalg.cond(resolvent)), radius)
     try:
         rows = np.linalg.solve(resolvent.T, np.stack([(e - subspace.mask(e)) @ h, e, e @ h]).T).T
     except np.linalg.LinAlgError:
         rows = None
-    if not raw:
+    if t.positive:
         cond, radius = (math.inf, None) if rows is None else _time_row_bounds(resolvent, e, rows[1])
         if radius is None:
             radius = _contracting(h, subspace)
@@ -480,7 +458,7 @@ def condition_first_step(
     """
     state = as_density(rho, tol)
     q = subspace.projector_q
-    sigma = q @ unvec(t.rep @ vec(state.matrix)) @ q
+    sigma = q @ apply(t, state.matrix) @ q
     if frobenius(sigma) <= tol.atol:
         return FirstStep(True, 0.0, None)
     weight = float(np.trace(sigma).real)

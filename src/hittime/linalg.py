@@ -42,6 +42,7 @@ __all__ = [
     "bordered",
     "bordered_solve",
     "isolates_fixed_vector",
+    "singular_bounds",
     "is_psd",
     "PsdCheck",
     "spectral_radius",
@@ -262,7 +263,7 @@ def hermitian_block(n: int, cols) -> np.ndarray:
     """
     inside = np.zeros(n, dtype=bool)
     inside[cols] = True
-    i, j = np.triu_indices(n, 1)
+    i, j = divmod(_hermitian_basis(n)[1], n)
     pair = inside[i] & inside[j]
     return np.flatnonzero(np.concatenate([inside, pair, pair]))
 
@@ -325,6 +326,22 @@ def isolates_fixed_vector(low: float, high: float, m, tol: Tolerance) -> bool:
     a = np.abs(m)
     threshold = tol.atol + tol.rtol * min(frobenius(m), math.sqrt(a.sum(0).max() * a.sum(1).max()))
     return bool(low > max(threshold, m.shape[0] * _EPS * high))
+
+
+def singular_bounds(a: np.ndarray, m, tol: Tolerance, judged: bool) -> tuple[float, float] | None:
+    """(low, high) with low <= sigma_min(a), sigma_max(a) <= high, for a = ``bordered(m, x, cols)``.
+
+    The :func:`sigma_min_floor` and ||a||_F for a real ``a``, else the values-only SVD.  With
+    ``judged``, bounds that leave m more than one fixed vector (:func:`isolates_fixed_vector`) fall
+    to the SVD, and None when it leaves more too: the SVD isolates it wherever the floor does.
+    """
+    if np.isrealobj(a):
+        low, high = sigma_min_floor(a), frobenius(a)
+        if low > 0 and (not judged or isolates_fixed_vector(low, high, m, tol)):
+            return low, high
+    sing = np.linalg.svd(a, compute_uv=False)
+    low, high = float(sing[-1]), float(sing[0])
+    return None if judged and not isolates_fixed_vector(low, high, m, tol) else (low, high)
 
 
 def _gamma(k: int) -> float:

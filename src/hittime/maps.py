@@ -4,8 +4,8 @@ A map T on n x n matrices acts through its n^2 x n^2 matrix representation
 ``rep`` on row-stacked vectorizations: ``T(X) = unvec(rep @ vec(X))``.
 Constructors are provided for Kraus families, for classical
 column-stochastic matrices, and for raw representation matrices.  A Kraus
-map keeps its family V_i, from which its real form, its action, its trace
-check and its Choi matrix are computed; it builds
+map keeps its family V_i, from which its real and frame forms, its action,
+its trace check and its Choi matrix are computed; it builds
 ``rep = sum_i kron(V_i, V_i.conj())`` only when ``rep`` is read.
 """
 
@@ -34,10 +34,9 @@ from .linalg import (
     hermitian_form,
     hermitize,
     is_psd,
-    isolates_fixed_vector,
     kraus_form,
     scaled_norm,
-    sigma_min_floor,
+    singular_bounds,
     unvec,
     vec,
 )
@@ -89,8 +88,8 @@ class SuperOperator:
         built from its Kraus family builds it on first access, as
         sum_i kron(V_i, conj(V_i)); nothing on the answer path reads it.
     provenance : str
-        One of ``"kraus"``, ``"stochastic"``, ``"raw"``.  ``"kraus"`` asserts
-        complete positivity, which the survival radius relies on.
+        One of ``"kraus"``, ``"stochastic"``, ``"raw"``; all but ``"raw"``
+        assert positivity (:attr:`positive`).
     kraus : ndarray, shape (k, n, n), or None
         The Kraus family V_i of X -> sum_i V_i X V_i*, read-only; None for
         other provenances.
@@ -110,6 +109,11 @@ class SuperOperator:
         for v in self.kraus:
             rep += np.kron(v, v.conj())
         return rep
+
+    @property
+    def positive(self) -> bool:
+        """Whether the map is known to be positive: a Kraus or stochastic map, not a ``raw`` one."""
+        return self.provenance != "raw"
 
     @functools.cached_property
     def hermitian_form(self) -> np.ndarray:
@@ -329,6 +333,22 @@ def apply(t: SuperOperator, x) -> np.ndarray:
     return (t.kraus @ m @ t.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
+def frame_form(t: SuperOperator, w: np.ndarray | None) -> np.ndarray:
+    """The Hermitian form of X -> W* T(W X W*) W for the unitary frame ``w``; the map's own for None.
+
+    For a Kraus map it is the form of the family W* V_i W (:func:`~hittime.linalg.kraus_form`),
+    otherwise that of K* rep K, K = kron(W, conj(W)), contracted one index of rep at a time.
+    """
+    if w is None:
+        return t.hermitian_form
+    if t.kraus is not None:
+        return kraus_form(w.conj().T @ t.kraus @ w)
+    n, d, wc = t.dim, t.dim * t.dim, w.conj()
+    x = w.T @ (t.rep.reshape(d * n, n) @ wc).reshape(d, n, n)
+    x = w.T @ (wc.T @ x.reshape(n, n * d)).reshape(n, n, d)
+    return hermitian_form(x.reshape(d, d))
+
+
 def choi_matrix(t: SuperOperator) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) T(|i><j|), PSD iff T is completely positive.
 
@@ -408,10 +428,10 @@ def invariant_state(
     Hermiticity), with e = vec(I), the candidate pi comes from one bordered
     solve (:func:`bordered_solve`), and bounds on the extreme singular values
     of A = I - T + vec(pi) e^T certify a one-dimensional fixed space
-    (:func:`isolates_fixed_vector`): for a real form one shifted Cholesky
-    factorization (:func:`sigma_min_floor`, with ||A||_F above), and the
-    values-only SVD of A when that fails, does not clear the threshold, or
-    the form is complex.  A certified map keeps the condition bound
+    (:func:`~hittime.linalg.singular_bounds`): for a real form one shifted
+    Cholesky factorization, with ||A||_F above, and the values-only SVD of
+    A when that fails, does not clear the threshold, or the form is
+    complex.  A certified map keeps the condition bound
     sigma_max / sigma_min the same bounds give, the gate of the fundamental
     map Z = A^{-1} (:meth:`IrreducibilityCertificate.fundamental_pi`).  When
     the certificate fails, :func:`fixed_space` decides and reports the
@@ -427,27 +447,12 @@ def invariant_state(
         )
     h = t.hermitian_form
     head = slice(0, t.dim)  # vec(I) in the Hermitian basis
-
-    def singular_bounds(pi: np.ndarray, judged: bool) -> tuple[float, float] | None:
-        """(low, high) with low <= sigma_min(A) and sigma_max(A) <= high: the
-        Cholesky floor and ||A||_F, else the values-only SVD.  With
-        ``judged``, bounds that leave more than one fixed vector fall to the
-        SVD, and give None when it leaves more too."""
-        a = bordered(h, _to_hermitian_coords(pi), head)
-        if np.isrealobj(a):
-            low, high = sigma_min_floor(a), frobenius(a)
-            if low > 0 and (not judged or isolates_fixed_vector(low, high, h, tol)):
-                return low, high
-        sing = np.linalg.svd(a, compute_uv=False)
-        low, high = float(sing[-1]), float(sing[0])
-        return None if judged and not isolates_fixed_vector(low, high, h, tol) else (low, high)
-
     bounds = None
     try:
         candidate = hermitize(unvec(_from_hermitian_coords(bordered_solve(h, head))))
         tr = float(np.trace(candidate).real)
         if abs(tr) >= _TRACE_FLOOR:
-            bounds = singular_bounds(candidate / tr, True)
+            bounds = singular_bounds(bordered(h, _to_hermitian_coords(candidate / tr), head), h, tol, True)
     except np.linalg.LinAlgError:
         pass
     if bounds is None:
@@ -470,7 +475,7 @@ def invariant_state(
         return IrreducibilityCertificate(
             DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE, tol=tol
         )
-    low, high = bounds or singular_bounds(pi, False)
+    low, high = bounds or singular_bounds(bordered(h, _to_hermitian_coords(pi), head), h, tol, False)
     cond = high / low if low > 0 else math.inf
     return IrreducibilityCertificate(
         DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond, tol

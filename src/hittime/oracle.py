@@ -7,7 +7,7 @@ from their definition,
 
 by iterating the survival map, b terms per step, without touching the
 resolvent solves used by the hitting module: the series builds its own frame
-form of the map (:func:`~hittime.hitting.frame_form`), in whose Hermitian
+form of the map (:func:`~hittime.maps.frame_form`), in whose Hermitian
 basis QT of a positive map is real and Q a coordinate mask.  A Monte-Carlo
 trajectory estimator provides a second, statistical oracle for classical chains.
 """
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .hitting import ArrivalSubspace, frame_form
+from .hitting import ArrivalSubspace
 from .linalg import DEFAULT_TOL, Tolerance, spectral_radius, start_distribution
 from .linalg import _EPS, _from_hermitian_coords, _to_hermitian_coords
-from .maps import SuperOperator, as_density, validate_column_stochastic
+from .maps import SuperOperator, as_density, frame_form, validate_column_stochastic
 
 __all__ = ["MonteCarloEstimate", "tau_series", "classical_monte_carlo"]
 
@@ -50,7 +50,7 @@ class MonteCarloEstimate:
 def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolerance):
     """Frame coordinates of rho, QT, e PP T = coords(P) h, and e = coords(I)."""
     sigma = subspace.coords(as_density(rho, tol).matrix)
-    h = frame_form(t, subspace)
+    h = frame_form(t, subspace.frame)
     e = _to_hermitian_coords(np.eye(t.dim))
     return sigma, subspace.mask(h), (e - subspace.mask(e)) @ h, e
 
@@ -146,7 +146,7 @@ def tau_series(
     comparison tolerance down to atol.  The target is floored at 4 eps times
     the running total, its rounding level, so atol = 0 ends too.
 
-    For a positive map (provenance ``kraus`` or ``stochastic``) the survival
+    For a :attr:`~hittime.maps.SuperOperator.positive` map the survival
     mass m_r = Tr (QT)^r rho = e x_r is non-increasing and sums the
     remaining probabilities, so the rest of the sum after r terms is
     (r + 1) m_r + sum_{k > r} m_k <= m_r (r + 1 + B / (1 - c_B)), with
@@ -156,7 +156,7 @@ def tau_series(
     """
     sigma, step, arrival, e = _survival_data(t, subspace, rho, tol)
     target = tol.atol / 10.0
-    rate = _contraction(step, e) if t.provenance != "raw" else None
+    rate = _contraction(step, e) if t.positive else None
     if rate is None:
         radius = _radius(step, subspace)
         if not radius < 1.0:

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hittime import invariant_state, pure_density, solve_hitting
-from hittime.hitting import frame_form
+from hittime.maps import frame_form
 from hittime.examples import (
     qubit_demo_channel,
     qubit_demo_states,
@@ -79,7 +79,7 @@ def linalg_calls(monkeypatch):
 
 def survival_matrix(t, sub) -> np.ndarray:
     """M = I - QT in the frame form of ``sub``, built as ``solve_hitting`` builds it."""
-    h = frame_form(t, sub)
+    h = frame_form(t, sub.frame)
     return np.eye(h.shape[0]) - sub.mask(h)
 
 

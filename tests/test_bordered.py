@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hittime
-import hittime.classical
+import hittime.linalg
 import hittime.maps
 from conftest import survival_matrix
 from hittime import (
@@ -152,10 +152,11 @@ def test_reducible_map_still_reports_its_fixed_space_dimension(fixed_space_calls
     assert len(fixed_space_calls) == 1
 
 
-def test_build_chain_takes_one_values_only_svd(linalg_calls):
+def test_build_chain_takes_one_cholesky_and_no_svd(linalg_calls):
     p = random_column_stochastic(9, np.random.default_rng(4))
     mc = build_chain(p)
-    assert svd_calls(linalg_calls) == [("svd", (9, 9), False)]
+    assert [c for c in linalg_calls if c[0] == "cholesky"] == [("cholesky", (9, 9))]
+    assert svd_calls(linalg_calls) == []
     assert_allclose(p @ mc.pi, mc.pi, atol=1e-15)
     assert_allclose(mc.z @ (np.eye(9) - p + np.outer(mc.pi, np.ones(9))), np.eye(9), atol=1e-12)
 
@@ -204,7 +205,7 @@ def test_rescued_kraus_certificate_matches_the_bordered_one(monkeypatch):
     n = 4
     t = from_kraus(kraus_family(np.random.default_rng(3), n, 2))
     cert = invariant_state(t)
-    monkeypatch.setattr(hittime.maps, "isolates_fixed_vector", lambda *args: False)
+    monkeypatch.setattr(hittime.linalg, "isolates_fixed_vector", lambda *args: False)
     rescued = invariant_state(t)
     bound = cert.condition_estimate * EPS
     assert rescued.verdict == cert.verdict == CERTIFIED_IRREDUCIBLE
@@ -222,10 +223,47 @@ def test_rescued_kraus_certificate_matches_the_bordered_one(monkeypatch):
     )
 
 
+def parity_chains():
+    rng = np.random.default_rng(23)
+    for n in (3, 5, 10, 25, 50, 100):
+        yield f"random-{n}", random_column_stochastic(n, rng)
+    for k in range(3, 13):
+        yield f"two-state-1e-{k}", symmetric_two_state_chain(10.0**-k)
+    block = np.zeros((6, 6))
+    block[:3, :3] = random_column_stochastic(3, rng)
+    block[3:, 3:] = random_column_stochastic(3, rng)
+    yield "reducible-block-6", block
+
+
+PARITY_CHAINS = list(parity_chains())
+
+
+def _chain_or_refusal(p):
+    try:
+        return build_chain(p)
+    except hittime.ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("label,p", PARITY_CHAINS, ids=[label for label, _ in PARITY_CHAINS])
+def test_chain_certificate_matches_the_svd_route(monkeypatch, label, p):
+    """The Cholesky floor leaves build_chain's verdict, pi and Z bit for bit
+    those of the values-only SVD route."""
+    mc = _chain_or_refusal(p)
+    with monkeypatch.context() as patched:
+        patched.setattr(hittime.linalg, "sigma_min_floor", lambda a: 0.0)
+        reference = _chain_or_refusal(p)
+    if isinstance(reference, str):
+        assert mc == reference
+        return
+    np.testing.assert_array_equal(mc.pi, reference.pi)
+    np.testing.assert_array_equal(mc.z, reference.z)
+
+
 def test_rescued_chain_matches_the_bordered_one(monkeypatch):
     p = random_column_stochastic(6, np.random.default_rng(5))
     mc = build_chain(p)
-    monkeypatch.setattr(hittime.classical, "isolates_fixed_vector", lambda *args: False)
+    monkeypatch.setattr(hittime.linalg, "isolates_fixed_vector", lambda *args: False)
     rescued = build_chain(p)
     bound = np.linalg.cond(np.eye(6) - p + np.outer(mc.pi, np.ones(6))) * EPS
     assert_allclose(rescued.pi, mc.pi, rtol=0, atol=bound)
@@ -259,7 +297,7 @@ def test_cholesky_certificate_matches_the_svd_route(monkeypatch, label, t, tol):
     tol = PARITY_TOLS[tol]
     cert = invariant_state(t, tol)
     with monkeypatch.context() as patched:
-        patched.setattr(hittime.maps, "sigma_min_floor", lambda a: 0.0)
+        patched.setattr(hittime.linalg, "sigma_min_floor", lambda a: 0.0)
         reference = invariant_state(t, tol)
     assert (cert.verdict, cert.fixed_space_dim) == (reference.verdict, reference.fixed_space_dim)
     if reference.invariant_state is None:

@@ -360,7 +360,7 @@ def test_hit_answer_path_takes_one_form_per_frame_and_route(
     family; a vector target adds one per route (solve_hitting and the series),
     from the conjugated family.  Nothing calls kron or the dense
     hermitian_form, or decomposes a complex d x d matrix."""
-    modules = (hittime.linalg, hittime.maps, hittime.hitting)
+    modules = (hittime.linalg, hittime.maps)
     built = [_count_calls(monkeypatch, module, "kraus_form") for module in modules]
     dense = [_count_calls(monkeypatch, module, "hermitian_form") for module in modules]
     decomposed = []
@@ -406,7 +406,7 @@ def test_kraus_map_validates_and_answers_from_its_family(runner, tmp_path, monke
     monkeypatch.setattr(hittime.cli, "build_superoperator",
                         lambda *args: built.append(build(*args)) or built[-1])
     dense = [_count_calls(monkeypatch, module, "hermitian_form")
-             for module in (hittime.linalg, hittime.maps, hittime.hitting)]
+             for module in (hittime.linalg, hittime.maps)]
     kron_calls = _count_calls(monkeypatch, np, "kron")
     for argv in (["validate", path, "--json"], ["hit", path, query, "--json"]):
         result = runner.invoke(main, argv)

@@ -216,7 +216,6 @@ def test_answer_path_builds_no_dense_omega_or_z(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
-    t.rep  # condition_first_step reads the dense rep, built from the family with kron
     monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args))
     cert.fundamental_pi()
     rho = random_density(n, rng)

@@ -40,8 +40,9 @@ from hittime import (
     vec,
 )
 from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
-from hittime.hitting import _survival_rows, frame_form
+from hittime.hitting import _survival_rows
 from hittime.linalg import _from_hermitian_coords, _to_hermitian_coords, spectral_radius
+from hittime.maps import frame_form
 from hittime.examples import qudit_demo_channel, symmetric_two_state_chain
 from hittime.sampling import (
     random_column_stochastic,
@@ -184,7 +185,6 @@ def test_queries_and_series_never_build_dense_lift(monkeypatch):
     channel, cert = random_irreducible_cptp(4, rng=rng)
     sub = random_subspace(4, 2, rng=rng)
     kron_calls = []
-    channel.rep  # condition_first_step reads the dense rep, built from the family with kron
     monkeypatch.setattr(np, "kron", lambda *args: kron_calls.append(args))
     hs = solve_hitting(channel, sub, cert)
     rho = random_density(4, rng=rng)
@@ -399,10 +399,11 @@ def test_first_step_demo(qubit_channel, qubit_solution, qubit_states):
 
 
 def test_first_step_qudit(qudit_solution_06, qudit_states):
+    """A Kraus map takes its step from the family, without building its rep."""
     a, b = 0.6, 0.8
-    step = condition_first_step(
-        qudit_demo_channel(0.6), qudit_solution_06.subspace, qudit_states["chi"]
-    )
+    channel = qudit_demo_channel(0.6)
+    step = condition_first_step(channel, qudit_solution_06.subspace, qudit_states["chi"])
+    assert "rep" not in channel.__dict__
     assert not step.absorbed
     assert step.weight == pytest.approx(1.0, abs=1e-12)
     expected = np.diag([0.5 + a * b, 0.5 - a * b, 0.0, 0.0])
@@ -590,7 +591,7 @@ def test_raw_map_refuses_on_the_2_norm_condition_before_solving(monkeypatch, qub
 def test_a_failed_survival_solve_is_refused_on_its_condition(monkeypatch, qubit_channel, failure):
     sub = subspace_from_indices(2, [0])
     # Without a time row the radius is the kept block's own.
-    radius = spectral_radius(frame_form(qubit_channel, sub)[np.ix_(sub.kept, sub.kept)])
+    radius = spectral_radius(frame_form(qubit_channel, sub.frame)[np.ix_(sub.kept, sub.kept)])
     solve = np.linalg.solve
 
     def failing(a, b):

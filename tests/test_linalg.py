@@ -14,7 +14,7 @@ from hittime import (
     vec,
 )
 from hittime.blocks import lift
-from hittime.linalg import sigma_min_floor
+from hittime.linalg import hermitian_block, sigma_min_floor
 from hittime.examples import qubit_demo_kraus
 
 
@@ -175,6 +175,20 @@ def test_sigma_min_floor_never_exceeds_the_least_singular_value(d):
     assert floors[0] == 0.0 and floors[-1] > 0.0
     edge = np.logspace(-10, -4, 61)[np.flatnonzero(floors)[0]]
     assert edge <= 2 * math.sqrt(8 * d * np.finfo(float).eps / 2 * d)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hermitian_block_keeps_the_pairs_of_the_triu_reference(n):
+    rng = np.random.default_rng(50 + n)
+    i, j = np.triu_indices(n, 1)
+    for size in range(n + 1):
+        for _ in range(3):
+            cols = rng.choice(n, size=size, replace=False)
+            inside = np.zeros(n, dtype=bool)
+            inside[cols] = True
+            pair = inside[i] & inside[j]
+            reference = np.flatnonzero(np.concatenate([inside, pair, pair]))
+            np.testing.assert_array_equal(hermitian_block(n, cols), reference)
 
 
 def test_sigma_min_floor_refuses_what_it_cannot_factor():

@@ -44,6 +44,15 @@ def transpose_map(n: int):
 
 # ---------------------------------------------------------------- from_kraus
 
+def test_positive_follows_the_constructor_and_is_read_only(qubit_channel):
+    assert qubit_channel.positive is True
+    assert from_stochastic(symmetric_two_state_chain(0.3)).positive is True
+    assert from_raw(qubit_channel.rep).positive is False
+    assert transpose_map(2).positive is False  # positive, but nothing asserts it
+    with pytest.raises(AttributeError):
+        qubit_channel.positive = False
+
+
 def test_from_kraus_identity():
     assert_allclose(from_kraus([np.eye(2)]).rep, np.eye(4))
 

@@ -23,10 +23,9 @@ from hittime import (
     unvec,
     vec,
 )
-import hittime.maps
 from hittime import linalg
 from hittime.blocks import hitting_maps, lift
-from hittime.hitting import _survival_rows, frame_form
+from hittime.hitting import _survival_rows
 from hittime.cli import main
 from hittime.examples import qudit_demo_channel
 from hittime.linalg import (
@@ -36,6 +35,7 @@ from hittime.linalg import (
     hermitian_form,
     spectral_radius,
 )
+from hittime.maps import frame_form
 from hittime.sampling import random_cptp_map, random_density
 from test_bordered import kraus_family
 
@@ -122,7 +122,7 @@ def test_vector_frame_form_conjugates_the_family(n, rank):
     t = from_kraus(kraus_family(rng, n, k))
     dense = SuperOperator(n, t.rep, "raw")
     for sub in (_subspaces(n, 1, rng)[1], _subspaces(n, n - 1, rng)[1]):
-        form, reference = frame_form(t, sub), frame_form(dense, sub)
+        form, reference = frame_form(t, sub.frame), frame_form(dense, sub.frame)
         assert form.dtype == np.float64
         assert np.abs(form - reference).max() <= kraus_form_bound(k, reference)
 
@@ -152,7 +152,7 @@ def test_fixed_space_and_radius_keep_real_input_real(monkeypatch):
 
 def kept_block(t, sub):
     """The kept rows and columns of the map's form in the target's frame."""
-    return frame_form(t, sub)[np.ix_(sub.kept, sub.kept)]
+    return frame_form(t, sub.frame)[np.ix_(sub.kept, sub.kept)]
 
 
 def _subspaces(n, rank, rng):
@@ -281,8 +281,8 @@ def test_each_linear_system_is_kept_once_in_its_hermitian_form(monkeypatch):
     assert t.hermitian_form is form and not form.flags.writeable
     assert np.isrealobj(form)
     certified = []
-    floor = hittime.maps.sigma_min_floor
-    monkeypatch.setattr(hittime.maps, "sigma_min_floor", lambda a: certified.append(a) or floor(a))
+    floor = linalg.sigma_min_floor
+    monkeypatch.setattr(linalg, "sigma_min_floor", lambda a: certified.append(a) or floor(a))
     cert = invariant_state(t)
     tracemalloc.start()
     try:
@@ -490,7 +490,7 @@ def test_perron_route_keeps_the_refusal_messages(linalg_calls):
     assert radius == pytest.approx(1.0, abs=1e-13)
     if radius < 1.0:
         # kappa_1 = 2 lambda_max(X), X the matrix of the time row e M^-1.
-        m = np.eye(144) - sub.mask(frame_form(t, sub))
+        m = np.eye(144) - sub.mask(frame_form(t, sub.frame))
         time = np.linalg.solve(m.T, _to_hermitian_coords(np.eye(12)))
         cond = 2 * np.linalg.eigvalsh(_from_hermitian_coords(time).reshape(12, 12))[-1]
         assert cond > 1e14
