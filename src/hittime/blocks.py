@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .hitting import ArrivalSubspace, _survival_rows
+from .hitting import ArrivalSubspace, survival_rows
 from .linalg import frobenius, vec
 from .maps import SuperOperator, as_density
 
@@ -56,7 +56,7 @@ def hitting_maps(
     path's refusals apply: the monitored evolution must contract and the
     resolvent be well conditioned.
     """
-    _survival_rows(t, subspace)
+    survival_rows(t, subspace)
     m = np.eye(t.rep.shape[0]) - lift(subspace.projector_q) @ t.rep
     h = np.linalg.solve(m.T, t.rep.T).T
     k = np.linalg.solve(m.T, h.T).T

@@ -52,6 +52,7 @@ __all__ = [
     "classical_mhtf_subset",
 ]
 
+# Relative to the largest summand |Z[k, j] tau(k -> S)| of the anchor sums.
 _J_INDEPENDENCE_TOL = 1e-9
 
 
@@ -88,10 +89,10 @@ def build_chain(p, tol: Tolerance = DEFAULT_TOL) -> MarkovChain:
     # row-oriented file) gives bit for bit the products a column file gives.
     arr = validate_column_stochastic(p, tol).copy()
     n = arr.shape[0]
-    every = slice(None)
+    e = np.ones(n)
     try:
-        pi = bordered_solve(arr, every)
-        a = bordered(arr, pi, every)
+        pi = bordered_solve(arr, e)
+        a = bordered(arr, pi, e)
         certified = singular_bounds(a, arr, tol, True) is not None
     except np.linalg.LinAlgError:
         certified = False
@@ -102,7 +103,7 @@ def build_chain(p, tol: Tolerance = DEFAULT_TOL) -> MarkovChain:
                 f"chain is not irreducible: stationary space has dimension {len(basis)}"
             )
         pi = basis[0] / basis[0].sum()
-        a = bordered(arr, pi, every)
+        a = bordered(arr, pi, e)
     if pi.min() <= tol.atol:
         raise ValidationError(
             f"chain is not irreducible: stationary distribution has a "

@@ -32,16 +32,16 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, OrthogonalityError, ValidationError
 from .linalg import (
-    _EPS,
     COND_CEIL,
     DEFAULT_TOL,
+    EPS,
     Tolerance,
-    _from_hermitian_coords,
-    _gamma,
-    _to_hermitian_coords,
     bordered,
     frobenius,
+    gamma,
     hermitian_block,
+    hermitian_coords,
+    hermitian_matrix,
     hermitize,
     spectral_radius,
 )
@@ -100,13 +100,18 @@ class ArrivalSubspace:
         """Hermitian-basis coordinates of W* X W, for an n x n Hermitian X."""
         if self.frame is not None:
             x = self.frame.conj().T @ x @ self.frame
-        return _to_hermitian_coords(x)
+        return hermitian_coords(x)
 
     def mask(self, x: np.ndarray) -> np.ndarray:
         """QQ x, or l QQ for a covector l, in frame coordinates: x outside ``kept`` zeroed."""
         y = np.zeros_like(x)
         y[self.kept] = x[self.kept]
         return y
+
+    def radius(self, h: np.ndarray) -> float:
+        """The spectral radius of QT, the frame form h (or QT's) with the rows outside ``kept`` zeroed:
+        that of h[kept][:, kept], the form of X -> B* T(B X B*) B on M_m, B the complement's basis."""
+        return spectral_radius(h[np.ix_(self.kept, self.kept)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +227,8 @@ def _conditioned(cond: float, radius: float) -> float:
 
 
 def _contracting(h: np.ndarray, subspace: ArrivalSubspace) -> float:
-    """The spectral radius of QT, from the kept block of its frame form h; refused unless below 1.
-
-    QT is h with the rows outside the kept coordinates zeroed, so its nonzero
-    spectrum is that of h[kept][:, kept], the form of X -> B* T(B X B*) B on
-    M_m, B the complement's basis.
-    """
-    radius = spectral_radius(h[np.ix_(subspace.kept, subspace.kept)])
+    """The spectral radius of QT (:meth:`ArrivalSubspace.radius`), refused unless below 1."""
+    radius = subspace.radius(h)
     if not radius < 1.0:
         raise NumericError(
             f"monitored evolution does not contract: spectral radius of the "
@@ -250,23 +250,22 @@ def _time_row_bounds(resolvent: np.ndarray, e: np.ndarray, time: np.ndarray) -> 
     and the eigenvalues of X are widened by d eps lambda_max(X) for their
     own.
     """
-    n = math.isqrt(e.size)
-    x = _from_hermitian_coords(time).reshape(n, n)
+    x = hermitian_matrix(time)
     if not np.all(np.isfinite(x)):
         return math.inf, None
     eig = np.linalg.eigvalsh(x)
     cond = 2 * float(eig[-1])
     d = e.size
-    slack = d * _EPS * float(eig[-1])
+    slack = d * EPS * float(eig[-1])
     if not (np.isrealobj(time) and eig[0] > slack):
         return cond, None
-    residual = frobenius(time @ resolvent - e) + _gamma(d + 1) * frobenius(np.abs(time) @ np.abs(resolvent))
+    residual = frobenius(time @ resolvent - e) + gamma(d + 1) * frobenius(np.abs(time) @ np.abs(resolvent))
     if not residual < 1.0:
         return cond, None
     return cond, 1.0 - (1.0 - residual) / (float(eig[-1]) + slack)
 
 
-def _survival_rows(
+def survival_rows(
     t: SuperOperator, subspace: ArrivalSubspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """The frame form h, e = coords(I), the rows (e (I - QQ) h, e, e h) M^-1, the radius of QT and a condition estimate of M = I - QT.
@@ -277,15 +276,15 @@ def _survival_rows(
     Paulsen, *Completely Bounded Maps and Operator Algebras*, 2002,
     Cor. 2.9); with ||M|| <= 2 the estimate is kappa_1 = 2 lambda_max(X).
     The radius is the bound the time row proves (:func:`_time_row_bounds`),
-    and the kept block's ``spectral_radius`` only where it proves none.  A
-    ``raw`` map takes the spectral radius and cond_2(M), from its singular
+    and :meth:`ArrivalSubspace.radius` only where it proves none.  A
+    ``raw`` map takes that radius and cond_2(M), from its singular
     values, before the solve.  Raises :class:`NumericError` unless the
     monitored evolution contracts, and when the estimate exceeds
     ``COND_CEIL`` or the solve fails.
     """
     h = frame_form(t, subspace.frame)
     resolvent = np.eye(h.shape[0]) - subspace.mask(h)
-    e = _to_hermitian_coords(np.eye(t.dim))
+    e = hermitian_coords(np.eye(t.dim))
     if not t.positive:
         radius = _contracting(h, subspace)
         cond = _conditioned(float(np.linalg.cond(resolvent)), radius)
@@ -331,10 +330,10 @@ def solve_hitting(
     pi = cert.fundamental_pi()
     # Each covector l solves l (I - QT) = r, with e = coords(I) and
     # e (I - QQ) = coords(W* P W), exactly 1 on the target's diagonal.
-    h, e, (probability, time, trace), radius, cond = _survival_rows(t, subspace)
+    h, e, (probability, time, trace), radius, cond = survival_rows(t, subspace)
     # The probability row is e, so e K11 = e (I - QQ) K (I - QQ) is the time
     # row off the mask; x Z solves x A = e K11, A = I - h + coords(W* pi W) e^T.
-    a = bordered(h, subspace.coords(pi.matrix), slice(0, t.dim))
+    a = bordered(h, subspace.coords(pi.matrix), e)
     try:
         kz = np.linalg.solve(a.T, time - subspace.mask(time))
     except np.linalg.LinAlgError as exc:
@@ -387,7 +386,7 @@ def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
     # A solve with condition number c loses about c unit roundoffs (eps / 2)
     # of relative accuracy (Higham, Accuracy and Stability of Numerical
     # Algorithms, ch. 7).
-    rel = max(hs.tol.atol, hs.condition_estimate * (_EPS / 2))
+    rel = max(hs.tol.atol, hs.condition_estimate * (EPS / 2))
     if abs(tau - cross) > rel * max(1.0, abs(tau)):
         raise NumericError(
             f"mean hitting time cross-check failed: {tau!r} vs {cross!r}"

@@ -16,6 +16,8 @@ representation in the Hilbert-Schmidt-orthonormal Hermitian basis;
 form of a Kraus map from its operators), where the kernels of such maps
 (solves, the fixed space, condition numbers, the survival radius) run in
 real arithmetic and a compression X -> CXC is a mask (:func:`hermitian_block`).
+Only this module spells that basis: other modules use :func:`hermitian_coords`,
+:func:`hermitian_matrix` and :func:`l1_bound`, and border with e = coords(I).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "vec",
     "unvec",
     "hermitize",
+    "finite_square",
     "frobenius",
     "scaled_norm",
     "fixed_space",
@@ -49,13 +52,17 @@ __all__ = [
     "hermitian_form",
     "kraus_form",
     "hermitian_block",
+    "hermitian_coords",
+    "hermitian_matrix",
+    "l1_bound",
     "sigma_min_floor",
+    "gamma",
 ]
 
 # Solves whose 2-norm condition number exceeds this are singular to working
 # precision.
 COND_CEIL = 1e14
-_EPS = float(np.finfo(float).eps)
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,14 @@ def _as_square(a, name: str = "matrix", keep_real: bool = False) -> np.ndarray:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
+def finite_square(a, name: str) -> np.ndarray:
+    """``a`` as a complex square matrix, refused unless every entry is finite."""
+    m = _as_square(a, name)
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
@@ -190,7 +205,7 @@ def hermitian_form(a) -> np.ndarray:
         y *= phase * r
     scale = max(w.real.max(), -w.real.min(), 0.0)
     imag = max(w.imag.max(), -w.imag.min(), 0.0)
-    if imag <= d * _EPS * scale:
+    if imag <= d * EPS * scale:
         return w.real.copy()
     return w
 
@@ -233,25 +248,36 @@ def kraus_form(ops) -> np.ndarray:
     ])
 
 
-def _from_hermitian_coords(c: np.ndarray) -> np.ndarray:
-    """U c: the row-stacked vec of the matrix with Hermitian-basis coordinates c (each column)."""
-    n = math.isqrt(c.shape[0])
+def hermitian_matrix(c: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose coordinates in the basis of :func:`hermitian_form` are ``c``."""
+    n = math.isqrt(c.size)
     diag, upper, lower = _hermitian_basis(n)
-    half = upper.size
-    sym, anti = c[n:n + half], c[n + half:]
+    sym, anti = c[n:n + upper.size], c[n + upper.size:]
     x = np.empty(c.shape, dtype=complex)
     x[diag] = c[:n]
     x[upper] = (sym + 1j * anti) * math.sqrt(0.5)
     x[lower] = (sym - 1j * anti) * math.sqrt(0.5)
-    return x
+    return x.reshape(n, n)
 
 
-def _to_hermitian_coords(h) -> np.ndarray:
+def hermitian_coords(h) -> np.ndarray:
     """Real coordinates U* vec(H) of a Hermitian H in the basis of :func:`hermitian_form`."""
     flat = np.asarray(h).reshape(-1)
     diag, upper, _ = _hermitian_basis(math.isqrt(flat.size))
     off = flat[upper] * math.sqrt(2)
     return np.concatenate([flat[diag].real, off.real, off.imag])
+
+
+def l1_bound(c: np.ndarray) -> float:
+    """An upper bound on ||vec X||_1, X the matrix of coordinates ``c``.
+
+    In the Hermitian basis (diagonal first) x_ij, x_ji = (s +- i a) / sqrt(2),
+    so |x_ij| + |x_ji| <= sqrt(2) (|s| + |a|), complex s, a too: the bound
+    exceeds the norm by at most sqrt(2) on real coordinates.  It bounds the
+    trace of a positive X.
+    """
+    n = math.isqrt(c.size)
+    return float(np.abs(c[:n]).sum() + math.sqrt(2) * np.abs(c[n:]).sum())
 
 
 def hermitian_block(n: int, cols) -> np.ndarray:
@@ -285,20 +311,20 @@ def fixed_space(m, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return [vh[i].conj() for i in range(d) if sing[i] <= threshold]
 
 
-def bordered(m, x, cols) -> np.ndarray:
-    """I - m + x e^T, where e is 1 on the coordinates ``cols`` and 0 elsewhere.
+def bordered(m, x, e) -> np.ndarray:
+    """I - m + x e^T for a 0/1 covector e.
 
-    For e^T m = e^T (e = vec(I) for a trace-preserving map, all ones for a
-    column-stochastic matrix) and x the fixed point, its inverse is the
+    For e^T m = e^T (e = coords(I) for a trace-preserving map, all ones for
+    a column-stochastic matrix) and x the fixed point, its inverse is the
     fundamental map.  It is singular exactly when a fixed vector has e^T v = 0,
     that is, when the fixed space has dimension 2 or more.
     """
     a = np.eye(m.shape[0], dtype=np.result_type(m, x)) - m
-    a[:, cols] += x[:, None]
+    a[:, e != 0] += x[:, None]
     return a
 
 
-def bordered_solve(m, cols) -> np.ndarray:
+def bordered_solve(m, e) -> np.ndarray:
     """The fixed vector x of ``m`` with e^T x = 1, from one solve.
 
     With r = e / e^T e and e^T m = e^T, (I - m + r e^T) x = r forces
@@ -306,14 +332,12 @@ def bordered_solve(m, cols) -> np.ndarray:
     ``numpy.linalg.LinAlgError``; a nearly singular one gives an inaccurate
     x, which :func:`isolates_fixed_vector` detects.
     """
-    r = np.zeros(m.shape[0])
-    r[cols] = 1.0
-    r /= r.sum()
-    return np.linalg.solve(bordered(m, r, cols), r)
+    r = e / e.sum()
+    return np.linalg.solve(bordered(m, r, e), r)
 
 
 def isolates_fixed_vector(low: float, high: float, m, tol: Tolerance) -> bool:
-    """Whether sigma_min >= ``low`` and sigma_max <= ``high`` of ``bordered(m, x, cols)`` leave m one fixed vector.
+    """Whether sigma_min >= ``low`` and sigma_max <= ``high`` of ``bordered(m, x, e)`` leave m one fixed vector.
 
     Rank-one interlacing gives sigma_min <= sigma_{d-1}(I - m), so
     sigma_min > atol + rtol * min(||m||_F, sqrt(||m||_1 ||m||_inf)) leaves it
@@ -325,11 +349,11 @@ def isolates_fixed_vector(low: float, high: float, m, tol: Tolerance) -> bool:
     """
     a = np.abs(m)
     threshold = tol.atol + tol.rtol * min(frobenius(m), math.sqrt(a.sum(0).max() * a.sum(1).max()))
-    return bool(low > max(threshold, m.shape[0] * _EPS * high))
+    return bool(low > max(threshold, m.shape[0] * EPS * high))
 
 
 def singular_bounds(a: np.ndarray, m, tol: Tolerance, judged: bool) -> tuple[float, float] | None:
-    """(low, high) with low <= sigma_min(a), sigma_max(a) <= high, for a = ``bordered(m, x, cols)``.
+    """(low, high) with low <= sigma_min(a), sigma_max(a) <= high, for a = ``bordered(m, x, e)``.
 
     The :func:`sigma_min_floor` and ||a||_F for a real ``a``, else the values-only SVD.  With
     ``judged``, bounds that leave m more than one fixed vector (:func:`isolates_fixed_vector`) fall
@@ -344,9 +368,9 @@ def singular_bounds(a: np.ndarray, m, tol: Tolerance, judged: bool) -> tuple[flo
     return None if judged and not isolates_fixed_vector(low, high, m, tol) else (low, high)
 
 
-def _gamma(k: int) -> float:
+def gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), u = eps / 2: the relative error of a k-term dot product."""
-    return k * _EPS / 2 / (1 - k * _EPS / 2)
+    return k * EPS / 2 / (1 - k * EPS / 2)
 
 
 def sigma_min_floor(a: np.ndarray) -> float:
@@ -369,7 +393,7 @@ def sigma_min_floor(a: np.ndarray) -> float:
     if not 0.0 < trace < math.inf:
         return 0.0
     # delta + c, with delta <= 2 gamma_d tr(G): tr(G) is ||A||_F^2 to within gamma_d.
-    margin = 2 * (_gamma(d) + _gamma(d + 1)) * trace
+    margin = 2 * (gamma(d) + gamma(d + 1)) * trace
     g.flat[:: d + 1] -= 2 * margin
     try:
         np.linalg.cholesky(g)

@@ -24,14 +24,14 @@ from .linalg import (
     DEFAULT_TOL,
     PsdCheck,
     Tolerance,
-    _as_square,
-    _from_hermitian_coords,
-    _to_hermitian_coords,
     bordered,
     bordered_solve,
+    finite_square,
     fixed_space,
     frobenius,
+    hermitian_coords,
     hermitian_form,
+    hermitian_matrix,
     hermitize,
     is_psd,
     kraus_form,
@@ -198,20 +198,13 @@ class PositivitySample(NamedTuple):
     seed: int
 
 
-def _finite_square(a, name: str) -> np.ndarray:
-    m = _as_square(a, name)
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return m
-
-
 def density(matrix, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """Validate and wrap a matrix as a density matrix.
 
     Requires Hermiticity, unit trace and positive semidefiniteness, each
     within tolerance.  Positivity is checked on the Hermitian part.
     """
-    m = _finite_square(matrix, "density matrix")
+    m = finite_square(matrix, "density matrix")
     herm_residual = frobenius(m - m.conj().T)
     if herm_residual > tol.atol + tol.rtol * frobenius(m):
         raise ValidationError(
@@ -257,7 +250,7 @@ def from_kraus(kraus_ops: Sequence) -> SuperOperator:
     """
     if len(kraus_ops) == 0:
         raise ValidationError("at least one Kraus operator is required")
-    ops = tuple(_finite_square(v, "Kraus operator") for v in kraus_ops)
+    ops = tuple(finite_square(v, "Kraus operator") for v in kraus_ops)
     n = ops[0].shape[0]
     for v in ops:
         if v.shape[0] != n:
@@ -314,7 +307,7 @@ def from_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> SuperOperator:
 
 def from_raw(rep) -> SuperOperator:
     """Wrap an n^2 x n^2 representation matrix verbatim; nothing is assumed."""
-    m = _finite_square(rep, "superoperator representation")
+    m = finite_square(rep, "superoperator representation")
     n = math.isqrt(m.shape[0])
     if n * n != m.shape[0]:
         raise DimensionError(
@@ -325,7 +318,7 @@ def from_raw(rep) -> SuperOperator:
 
 def apply(t: SuperOperator, x) -> np.ndarray:
     """Apply the map to a matrix: sum_i V_i X V_i* for a Kraus map, else unvec(rep @ vec(X))."""
-    m = _finite_square(x, "map argument")
+    m = finite_square(x, "map argument")
     if m.shape[0] != t.dim:
         raise DimensionError(f"expected a {t.dim} x {t.dim} matrix, got {m.shape}")
     if t.kraus is None:
@@ -425,9 +418,9 @@ def invariant_state(
 
     The map must be trace preserving.  In the map's
     :attr:`SuperOperator.hermitian_form` (real when the map preserves
-    Hermiticity), with e = vec(I), the candidate pi comes from one bordered
+    Hermiticity), with e = coords(I), the candidate pi comes from one bordered
     solve (:func:`bordered_solve`), and bounds on the extreme singular values
-    of A = I - T + vec(pi) e^T certify a one-dimensional fixed space
+    of A = I - T + coords(pi) e^T certify a one-dimensional fixed space
     (:func:`~hittime.linalg.singular_bounds`): for a real form one shifted
     Cholesky factorization, with ||A||_F above, and the values-only SVD of
     A when that fails, does not clear the threshold, or the form is
@@ -446,13 +439,13 @@ def invariant_state(
             f"map is not trace preserving (residual {tp.residual:.3e})"
         )
     h = t.hermitian_form
-    head = slice(0, t.dim)  # vec(I) in the Hermitian basis
+    e = hermitian_coords(np.eye(t.dim))
     bounds = None
     try:
-        candidate = hermitize(unvec(_from_hermitian_coords(bordered_solve(h, head))))
+        candidate = hermitize(hermitian_matrix(bordered_solve(h, e)))
         tr = float(np.trace(candidate).real)
         if abs(tr) >= _TRACE_FLOOR:
-            bounds = singular_bounds(bordered(h, _to_hermitian_coords(candidate / tr), head), h, tol, True)
+            bounds = singular_bounds(bordered(h, hermitian_coords(candidate / tr), e), h, tol, True)
     except np.linalg.LinAlgError:
         pass
     if bounds is None:
@@ -462,7 +455,7 @@ def invariant_state(
             return IrreducibilityCertificate(None, 0, math.nan, INCONCLUSIVE, tol=tol)
         if dim > 1:
             return IrreducibilityCertificate(None, dim, math.nan, NOT_IRREDUCIBLE, tol=tol)
-        candidate = hermitize(unvec(_from_hermitian_coords(basis[0])))
+        candidate = hermitize(hermitian_matrix(basis[0]))
         tr = float(np.trace(candidate).real)
     if abs(tr) < _TRACE_FLOOR:
         return IrreducibilityCertificate(None, 1, math.nan, INCONCLUSIVE, tol=tol)
@@ -475,7 +468,7 @@ def invariant_state(
         return IrreducibilityCertificate(
             DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE, tol=tol
         )
-    low, high = bounds or singular_bounds(bordered(h, _to_hermitian_coords(pi), head), h, tol, False)
+    low, high = bounds or singular_bounds(bordered(h, hermitian_coords(pi), e), h, tol, False)
     cond = high / low if low > 0 else math.inf
     return IrreducibilityCertificate(
         DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond, tol

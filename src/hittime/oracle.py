@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .hitting import ArrivalSubspace
-from .linalg import DEFAULT_TOL, Tolerance, spectral_radius, start_distribution
-from .linalg import _EPS, _from_hermitian_coords, _to_hermitian_coords
+from .linalg import DEFAULT_TOL, EPS, Tolerance, hermitian_coords, hermitian_matrix
+from .linalg import l1_bound, start_distribution
 from .maps import SuperOperator, as_density, frame_form, validate_column_stochastic
 
 __all__ = ["MonteCarloEstimate", "tau_series", "classical_monte_carlo"]
@@ -51,13 +51,8 @@ def _survival_data(t: SuperOperator, subspace: ArrivalSubspace, rho, tol: Tolera
     """Frame coordinates of rho, QT, e PP T = coords(P) h, and e = coords(I)."""
     sigma = subspace.coords(as_density(rho, tol).matrix)
     h = frame_form(t, subspace.frame)
-    e = _to_hermitian_coords(np.eye(t.dim))
+    e = hermitian_coords(np.eye(t.dim))
     return sigma, subspace.mask(h), (e - subspace.mask(e)) @ h, e
-
-
-def _radius(step: np.ndarray, subspace: ArrivalSubspace) -> float:
-    """The spectral radius of QT, from the kept block of its form ``step``."""
-    return spectral_radius(step[np.ix_(subspace.kept, subspace.kept)])
 
 
 def _contraction(step: np.ndarray, e: np.ndarray) -> tuple[int, float] | None:
@@ -70,14 +65,13 @@ def _contraction(step: np.ndarray, e: np.ndarray) -> tuple[int, float] | None:
     c_B is widened by B d eps for the rounding of its B row products, so a
     c_B within rounding of 1 proves nothing.  None when no c_B is below 1.
     """
-    n = math.isqrt(e.size)
     best, row, steps = None, e, 0
     b = 1
     while b <= _MAX_TAIL_POWER:
         for _ in range(b - steps):
             row = row @ step
         steps = b
-        c = float(np.linalg.eigvalsh(_from_hermitian_coords(row).reshape(n, n))[-1]) + b * e.size * _EPS
+        c = float(np.linalg.eigvalsh(hermitian_matrix(row))[-1]) + b * e.size * EPS
         if c < 1.0 and (best is None or b / (1.0 - c) < best[0] / (1.0 - best[1])):
             best = (b, c)
         if best is not None and best[0] / (1.0 - best[1]) <= 2 * b:
@@ -121,18 +115,6 @@ def _blocks(sigma, step, arrival, b: int, terms: int):
         yield r + k, p, sigma
 
 
-def _l1_bound(sigma: np.ndarray) -> float:
-    """An upper bound on ||vec W* X W||_1, X the matrix of frame coordinates sigma.
-
-    In the Hermitian basis (diagonal first) x_ij, x_ji = (s +- i a) / sqrt(2),
-    so |x_ij| + |x_ji| <= sqrt(2) (|s| + |a|), complex s, a too: the bound
-    exceeds the norm by at most sqrt(2) on real coordinates.  It bounds the
-    survival mass Tr X of a positive X.
-    """
-    n = math.isqrt(sigma.size)
-    return float(np.abs(sigma[:n]).sum() + math.sqrt(2) * np.abs(sigma[n:]).sum())
-
-
 def tau_series(
     t: SuperOperator,
     subspace: ArrivalSubspace,
@@ -158,20 +140,20 @@ def tau_series(
     target = tol.atol / 10.0
     rate = _contraction(step, e) if t.positive else None
     if rate is None:
-        radius = _radius(step, subspace)
+        radius = subspace.radius(step)
         if not radius < 1.0:
             raise NonConvergenceError(
                 f"monitored series does not converge: spectral radius of the "
                 f"survival map is {radius:.12g} (map not irreducible)"
             )
         gap = 1.0 - radius
-        terms = math.log(max(target, _EPS)) / math.log(radius) if radius > 0 else 1.0
+        terms = math.log(max(target, EPS)) / math.log(radius) if radius > 0 else 1.0
 
         def tail(r, x):
-            return _l1_bound(x) * ((r + 1) * gap + radius) / (gap * gap)
+            return l1_bound(x) * ((r + 1) * gap + radius) / (gap * gap)
     else:
         power, c = rate
-        terms = power * math.log(max(target, _EPS)) / math.log(c) if c > 0 else power
+        terms = power * math.log(max(target, EPS)) / math.log(c) if c > 0 else power
 
         def tail(r, x):
             return float(np.real(e @ x)) * (r + 1 + power / (1.0 - c))
@@ -179,11 +161,11 @@ def tau_series(
     total = 0.0
     for r, p, x in _blocks(sigma, step, arrival, b, _MAX_SERIES_TERMS):
         total += np.arange(r - p.size + 1.0, r + 1.0) @ p
-        if tail(r, x) < max(target, 4 * _EPS * abs(total)):
+        if tail(r, x) < max(target, 4 * EPS * abs(total)):
             return float(total)
     raise NonConvergenceError(
         f"series did not reach the target accuracy in {_MAX_SERIES_TERMS} terms "
-        f"(spectral radius {_radius(step, subspace):.12g})"
+        f"(spectral radius {subspace.radius(step):.12g})"
     )
 
 

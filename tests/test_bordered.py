@@ -28,10 +28,10 @@ from hittime import (
 )
 from hittime.examples import symmetric_two_state_chain
 from hittime.linalg import (
-    _to_hermitian_coords,
     bordered,
     bordered_solve,
     fixed_space,
+    hermitian_coords,
     isolates_fixed_vector,
     sigma_min_floor,
 )
@@ -85,14 +85,14 @@ def test_bordered_verdict_matches_the_svd_rule(label, t):
 
 def test_bordered_solve_gives_the_fixed_point_of_unit_sum():
     p = random_column_stochastic(7, np.random.default_rng(1))
-    every = slice(None)
+    every = np.ones(7)
     pi = bordered_solve(p, every)
     assert pi.sum() == pytest.approx(1.0, abs=1e-15)
     assert_allclose(p @ pi, pi, atol=1e-15)
     a = bordered(p, pi, every)
     assert_allclose(a, np.eye(7) - p + np.outer(pi, np.ones(7)), atol=0)
     with pytest.raises(np.linalg.LinAlgError):
-        bordered_solve(np.eye(3), every)
+        bordered_solve(np.eye(3), np.ones(3))
 
 
 @pytest.fixture()
@@ -108,8 +108,8 @@ def fixed_space_calls(monkeypatch):
 
 def certified_a(t, cert):
     """The Hermitian form of A = I - T + vec(pi) vec(I)^T that the certificate took its SVD of."""
-    pi = _to_hermitian_coords(cert.invariant_state.matrix)
-    return bordered(t.hermitian_form, pi, slice(0, t.dim))
+    pi = hermitian_coords(cert.invariant_state.matrix)
+    return bordered(t.hermitian_form, pi, hermitian_coords(np.eye(t.dim)))
 
 
 def svd_calls(calls):

@@ -298,3 +298,29 @@ def test_subset_singular_first_step_system_raises_numeric_error():
     chain = MarkovChain(3, p, np.full(3, 1 / 3), np.eye(3))
     with pytest.raises(NumericError, match="singular"):
         classical_mhtf_subset(chain, 0, [2])
+
+
+def test_subset_refuses_non_finite_first_step_return_times(monkeypatch):
+    """The first-step solve is patched to overflow, as no finite chain makes it."""
+    chain = build_chain(random_column_stochastic(4, rng=66))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.inf))
+    with pytest.raises(NumericError) as refused:
+        classical_mhtf_subset(chain, 0, [1, 2])
+    assert str(refused.value) == (
+        "first-step system on the complement of the subset gave non-finite return times"
+    )
+
+
+def test_subset_refuses_a_fundamental_matrix_that_breaks_anchor_independence():
+    """A hand-built chain whose Z is off by 1e-6 in one entry of the subset's rows:
+    the sums over the subset then depend on the anchor state."""
+    chain = build_chain(random_column_stochastic(5, rng=67))
+    tau = classical_mhtf_subset(chain, 0, [1, 3]).return_times[1]
+    z = chain.z.copy()
+    z[1, 3] += 1e-6
+    with pytest.raises(NumericError) as refused:
+        classical_mhtf_subset(MarkovChain(chain.n, chain.p, chain.pi, z), 0, [1, 3])
+    assert str(refused.value).startswith(
+        f"anchor-state independence violated: sums over the subset spread by {1e-6 * tau:.3e} "
+        "(tolerance 1.0e-09 relative to the largest summand, "
+    )

@@ -28,6 +28,12 @@ from hittime.cli import main
 P3 = [[0.2, 0.5, 0.3], [0.3, 0.1, 0.6], [0.5, 0.4, 0.1]]  # column-stochastic
 S3 = 1 / math.sqrt(3)
 R2 = 1 / math.sqrt(2)
+
+
+def _query(**fields):
+    return {"subspace": {"indices": [2]}, "initial": {"index": 1}, **fields}
+
+
 FILES = {
     "row.json": {"dim": 3, "stochastic": np.array(P3).T.tolist(), "orientation": "row"},
     "c3.json": {"dim": 3, "stochastic": P3},
@@ -50,6 +56,38 @@ FILES = {
     "q_basis5.json": {"subspace": {"indices": [5]}, "initial": {"index": 1}},
     "q_text_tol.json": {"subspace": {"indices": [2]}, "initial": {"index": 1},
                         "tol": {"atol": "0.5", "rtol": True}},
+    "q_two.json": {"queries": [
+        {"subspace": {"indices": [3]}, "initial": {"index": 1}, "method": "direct"},
+        {"subspace": {"indices": [1, 2]}, "initial": {"distribution": [0, 0, 1]}, "method": "mhtf"},
+    ]},
+    # X -> Tr(X) I / 4 + X^T / 2 on row-stacked vecs: positive, not completely positive
+    "half_transpose.json": {"dim": 2, "superoperator": [
+        [0.75, 0, 0, 0.25], [0, 0, 0.5, 0], [0, 0.5, 0, 0], [0.25, 0, 0, 0.75]]},
+    # X -> diag(X) / 2 + Tr(X) psi psi* / 2, psi = (|0> + i|1>) / sqrt(2), from
+    # dyadic Kraus operators; pi = [[1/2, -i/4], [i/4, 1/2]]
+    "complex_pi.json": {"dim": 2, "kraus": [
+        [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+        [[[0.5, 0], [0, 0]], [[0, 0.5], [0, 0]]], [[[0, 0], [0.5, 0]], [[0, 0], [0, 0.5]]]]},
+    # malformed files, each refused by the parser or the realization of a query
+    "empty_kraus.json": {"dim": 2, "kraus": []},
+    "list.json": [{"dim": 2}],
+    "complex_chain.json": {"dim": 2, "stochastic": [[[0.5, 0.1], 0.5], [0.5, 0.5]]},
+    "q_string.json": "query",
+    "q_negative_tol.json": _query(tol=-1),
+    "q_tol_field.json": _query(tol={"atol": 1e-9, "eps": 1}),
+    "q_string_tol.json": _query(tol="1e-9"),
+    "q_number.json": {"queries": [1]},
+    "q_no_vectors.json": _query(subspace={"vectors": []}),
+    "q_float_index.json": _query(subspace={"indices": [1.5]}),
+    "q_span.json": _query(subspace={"span": [1]}),
+    "q_state.json": _query(initial={"state": 1}),
+    "q_complex_dist.json": _query(initial={"distribution": [[0.5, 0.1], 0.5]}),
+    "q_index0.json": _query(initial={"index": 0}),
+    "q_extra.json": {"queries": [_query()], "method": "direct"},
+    "q_zero_vector.json": _query(initial={"vector": [0, 0]}),
+    "q_negative_dist.json": _query(initial={"distribution": [1.5, -0.5]}),
+    "q_zero_dist.json": _query(initial={"distribution": [0, 0]}),
+    "q_trace.json": _query(initial={"density": [[-0.5, 0], [0, 0.25]]}),
 }
 NON_FINITE = {
     "q_nan_vectors.json": '{"subspace": {"vectors": [[NaN, 1]]}, "initial": {"index": 1}}',
@@ -132,6 +170,48 @@ PINNED = [
      '    "std_error": 0.02509349684599378,\n    "trials": 400\n  },\n'
      '  "return_times": {\n    "2": 1.625,\n    "3": 1.375\n  },\n'
      '  "subset": [\n    2,\n    3\n  ],\n  "tau": 1.2499999999999998\n}\n'),
+    (("hit", "c3.json", "q_two.json"),
+     "query 1:\n"
+     "  method                 direct\n"
+     "  tau                    2.10526315789\n"
+     "    direct               2.10526315789\n"
+     "  hitting probability    1 (residual 0)\n"
+     "  normalization          1 (basis state 1)\n"
+     "  spectral radius (QT)   0.666666666667\n"
+     "  condition estimate     6\n"
+     "query 2:\n"
+     "  method                 mhtf\n"
+     "  tau                    1.11111111111\n"
+     "    mhtf                 1.11111111111\n"
+     "  hitting probability    1 (residual 0)\n"
+     "  normalization          1 (diagonal mixture)\n"
+     "  spectral radius (QT)   0.357142857143\n"
+     "  condition estimate     3.11111111111\n"),
+    (("validate", "half_transpose.json"),
+     "map file: half_transpose.json\n"
+     "  dim                  2\n"
+     "  provenance           raw\n"
+     "  trace preserving     yes (residual 0)\n"
+     "  completely positive  no (min Choi eigenvalue -0.25)\n"
+     "  positivity sampling  pass (0 failures in 1000 samples, worst eigenvalue 0.25)\n"
+     "  irreducibility       certified_irreducible\n"
+     "  fixed space dim      1\n"
+     "  min eigenvalue of pi 0.5\n"
+     "  invariant state:\n"
+     "    [0.5, 0]\n"
+     "    [0, 0.5]\n"),
+    (("validate", "complex_pi.json"),
+     "map file: complex_pi.json\n"
+     "  dim                  2\n"
+     "  provenance           kraus\n"
+     "  trace preserving     yes (residual 0)\n"
+     "  completely positive  yes (min Choi eigenvalue 0.146446609407)\n"
+     "  irreducibility       certified_irreducible\n"
+     "  fixed space dim      1\n"
+     "  min eigenvalue of pi 0.25\n"
+     "  invariant state:\n"
+     "    [0.5, 0-0.25j]\n"
+     "    [0+0.25j, 0.5]\n"),
     (("validate", "chain2.json"),
      "map file: chain2.json\n"
      "  dim                  2\n"
@@ -221,6 +301,42 @@ def _raise(error):
     (("classical", "mhtf", "c3.json", "-i", "1", "-j", "2", "--trials", "5", "--seed", "-1"),
      None, 3, "seed must be non-negative"),
     (("selftest", "--seed", "-1"), None, 1, "--seed must be non-negative"),
+    # malformed files exit 1
+    (("validate", "empty_kraus.json"), None, 1,
+     "empty_kraus.json: kraus: expected a nonempty array of matrices"),
+    (("validate", "list.json"), None, 1, "list.json: top-level value must be an object"),
+    (("validate", "complex_chain.json"), None, 1,
+     "complex_chain.json: stochastic: matrix must be real"),
+    (("hit", "chain2.json", "q_string.json"), None, 1,
+     "q_string.json: top-level value must be an object"),
+    (("hit", "chain2.json", "q_negative_tol.json"), None, 1,
+     "q_negative_tol.json: tol: tolerance must be non-negative"),
+    (("hit", "chain2.json", "q_tol_field.json"), None, 1,
+     "q_tol_field.json: tol: unknown tolerance fields ['eps']"),
+    (("hit", "chain2.json", "q_string_tol.json"), None, 1,
+     "q_string_tol.json: tol: expected a number or an object with 'atol'/'rtol'"),
+    (("hit", "chain2.json", "q_number.json"), None, 1,
+     "q_number.json: queries[0]: each query must be an object"),
+    (("hit", "chain2.json", "q_no_vectors.json"), None, 1,
+     "q_no_vectors.json: subspace: expected a nonempty array of vectors"),
+    (("hit", "chain2.json", "q_float_index.json"), None, 1,
+     "q_float_index.json: subspace: expected a nonempty array of 1-based integers"),
+    (("hit", "chain2.json", "q_span.json"), None, 1,
+     "q_span.json: subspace: expected an object with 'vectors' or 'indices'"),
+    (("hit", "chain2.json", "q_state.json"), None, 1,
+     "q_state.json: initial: unknown initial kind 'state'"),
+    (("hit", "chain2.json", "q_complex_dist.json"), None, 1,
+     "q_complex_dist.json: initial.distribution: distribution must be real"),
+    (("hit", "chain2.json", "q_index0.json"), None, 1,
+     "q_index0.json: initial.index: expected a 1-based state index"),
+    (("hit", "chain2.json", "q_extra.json"), None, 1,
+     "q_extra.json: unknown top-level fields ['method']"),
+    (("hit", "chain2.json", "q_zero_vector.json"), None, 1, "initial vector must be nonzero"),
+    (("hit", "chain2.json", "q_negative_dist.json"), None, 1,
+     "initial distribution must be non-negative"),
+    (("hit", "chain2.json", "q_zero_dist.json"), None, 1,
+     "initial distribution must have positive mass"),
+    (("hit", "chain2.json", "q_trace.json"), None, 1, "initial density must have positive trace"),
 ])
 def test_exit_policy(run, monkeypatch, argv, patch, code, stderr):
     if patch is not None:

@@ -40,8 +40,8 @@ from hittime import (
     vec,
 )
 from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
-from hittime.hitting import _survival_rows
-from hittime.linalg import _from_hermitian_coords, _to_hermitian_coords, spectral_radius
+from hittime.hitting import survival_rows
+from hittime.linalg import hermitian_coords, hermitian_matrix, spectral_radius
 from hittime.maps import frame_form
 from hittime.examples import qudit_demo_channel, symmetric_two_state_chain
 from hittime.sampling import (
@@ -558,7 +558,7 @@ def test_solve_hitting_rejects_reducible_map():
 
 def test_solve_hitting_refuses_an_ill_conditioned_resolvent(monkeypatch, qubit_channel):
     sub = subspace_from_indices(2, [0])
-    _, _, _, radius, cond = _survival_rows(qubit_channel, sub)
+    _, _, _, radius, cond = survival_rows(qubit_channel, sub)
     monkeypatch.setattr(hittime.hitting, "COND_CEIL", cond / 2)
     with pytest.raises(NumericError) as refused:
         solve_hitting(qubit_channel, sub)
@@ -571,7 +571,7 @@ def test_solve_hitting_refuses_an_ill_conditioned_resolvent(monkeypatch, qubit_c
 def test_raw_map_refuses_on_the_2_norm_condition_before_solving(monkeypatch, qubit_channel):
     raw = from_raw(qubit_channel.rep)
     sub = subspace_from_indices(2, [0])
-    radius = _survival_rows(raw, sub)[3]
+    radius = survival_rows(raw, sub)[3]
     cond = np.linalg.cond(survival_matrix(raw, sub))
     cert = invariant_state(raw)
     assert solve_hitting(raw, sub, cert).condition_estimate == cond
@@ -756,12 +756,12 @@ def test_direct_time_on_gap_maps_is_the_refined_survival_sum(seed, eps):
     # e M^-1 for M = I - QT, refined with residuals in extended precision
     m = survival_matrix(channel, sub)
     cond = np.linalg.cond(m)
-    e = _to_hermitian_coords(np.eye(8))
+    e = hermitian_coords(np.eye(8))
     x = np.linalg.solve(m.T, e)
     for _ in range(2):
         residual = e.astype(np.longdouble) - x.astype(np.longdouble) @ m.astype(np.longdouble)
         x = x + np.linalg.solve(m.T, residual.astype(float))
-    refined = float(x @ _to_hermitian_coords(start.matrix))
+    refined = float(x @ hermitian_coords(start.matrix))
     unit = cond * np.finfo(float).eps * refined
     assert abs(tau - refined) <= 0.5 * unit
     assert abs(tau - mhtf_orthogonal(hs, start).tau) <= 3 * unit
@@ -805,7 +805,7 @@ def test_condition_estimate_is_kappa_1_and_its_eigenvector_the_slowest_start(lab
     eigenvector, mapped back through W, is the slowest pure start."""
     n = channel.dim
     hs = solve_hitting(channel, sub)
-    x = _from_hermitian_coords(hs.time_covector).reshape(n, n)
+    x = hermitian_matrix(hs.time_covector)
     top = np.linalg.eigvalsh(x)[-1]
     assert hs.condition_estimate == 2 * top
     w = np.eye(n) if sub.frame is None else sub.frame
@@ -859,6 +859,19 @@ def test_an_unproved_radius_is_the_kept_block_radius(monkeypatch, qubit_channel)
     assert fallback.condition_estimate == proved.condition_estimate
 
 
+def test_a_time_row_whose_residual_is_not_below_one_proves_no_radius(qubit_channel):
+    """Twice the solved row y leaves r = 2 y M - e = e + 2 (y M - e), of norm
+    about ||e|| = sqrt(2): kappa_1 is 2 lambda_max(2 X), and no radius is proved."""
+    sub = subspace_from_indices(2, [0])
+    h, e, rows, radius, cond = survival_rows(qubit_channel, sub)
+    resolvent = np.eye(e.size) - sub.mask(h)
+    bounds = hittime.hitting._time_row_bounds
+    assert bounds(resolvent, e, rows[1]) == (cond, radius)
+    doubled, proved = bounds(resolvent, e, 2 * rows[1])
+    assert proved is None
+    assert doubled == pytest.approx(2 * cond, rel=1e-15)
+
+
 @pytest.mark.parametrize("scale", [
     1.0,  # M is exactly singular, so the solve fails
     1.5,  # the solve succeeds, but the time row's matrix is not positive definite
@@ -868,7 +881,7 @@ def test_a_non_contracting_survival_takes_the_fallback_and_keeps_the_message(sca
     t = SuperOperator(2, scale * from_stochastic(np.eye(2)).rep, "stochastic")
     sub = subspace_from_indices(2, [1])
     with pytest.raises(NumericError) as refused:
-        _survival_rows(t, sub)
+        survival_rows(t, sub)
     assert str(refused.value) == (
         f"monitored evolution does not contract: spectral radius of the "
         f"survival map is {scale:.12g} (map reducible or subspace trivial)"

@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 import golden
 from hittime import (
     CERTIFIED_IRREDUCIBLE,
+    INCONCLUSIVE,
     NOT_IRREDUCIBLE,
     DimensionError,
     PreconditionError,
+    Tolerance,
     ValidationError,
     apply,
     check_complete_positivity,
@@ -312,6 +314,35 @@ def test_invariant_state_reducible_block_chain():
     cert = invariant_state(from_stochastic(block))
     assert cert.verdict == NOT_IRREDUCIBLE
     assert cert.fixed_space_dim == 2
+
+
+def inconclusive_cases():
+    """(map, tolerance, fixed_space_dim, min_eigenvalue_of_pi) of each inconclusive verdict."""
+    # At tolerance 0 a reducible chain fails the bordered certificate, and
+    # fixed_space keeps only exactly zero singular values of T - I: none.
+    block = np.block(
+        [
+            [symmetric_two_state_chain(0.3), np.zeros((2, 2))],
+            [np.zeros((2, 2)), symmetric_two_state_chain(0.4)],
+        ]
+    )
+    yield "no-fixed-vector", from_stochastic(block), Tolerance(0.0, 0.0), 0, math.nan
+    # A raw map with a Jordan block at 1, T(I/2) = I/2 + Z and T(Z) = Z, off-diagonals
+    # halved and swapped: its one fixed vector Z is traceless, so it normalizes to no state.
+    rep = np.array([[2.0, 0, 0, 1], [0, 0, 0.5, 0], [0, 0.5, 0, 0], [-1, 0, 0, 0]])
+    yield "traceless", from_raw(rep), Tolerance(), 1, math.nan
+    # X -> Tr(X) diag(1.5, -0.5): one fixed vector, whose unit-trace matrix is not a state.
+    sigma = np.diag([1.5, -0.5])
+    yield "not-a-state", from_raw(np.outer(vec(sigma), vec(np.eye(2)))), Tolerance(), 1, -0.5
+
+
+@pytest.mark.parametrize("label,t,tol,dim,least", list(inconclusive_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_invariant_state_inconclusive_verdicts(label, t, tol, dim, least):
+    assert check_trace_preserving(t, tol).ok
+    cert = invariant_state(t, tol)
+    assert (cert.verdict, cert.fixed_space_dim, cert.invariant_state) == (INCONCLUSIVE, dim, None)
+    assert cert.min_eigenvalue_of_pi == pytest.approx(least, abs=1e-14, nan_ok=True)
 
 
 def test_invariant_state_requires_trace_preservation():

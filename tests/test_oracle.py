@@ -17,6 +17,7 @@ from hittime import (
 import hittime.oracle
 from hittime.blocks import lift
 from hittime.examples import cycle_chain, symmetric_two_state_chain
+from hittime.linalg import l1_bound
 from hittime.sampling import random_column_stochastic, random_cptp_map, random_density, random_subspace
 from test_bordered import block_map
 from test_real_kernels import non_hermiticity_preserving_rep
@@ -36,8 +37,8 @@ def block_terms(t, sp, rho, r_max):
     sigma, step, arrival, _ = hittime.oracle._survival_data(t, sp, rho, DEFAULT_TOL)
     b = hittime.oracle._block_size(sigma.size, r_max)
     blocks = list(hittime.oracle._blocks(sigma, step, arrival, b, r_max))
-    bound = hittime.oracle._l1_bound(blocks[-1][2])
-    return np.concatenate([p for _, p, _ in blocks]), blocks[-1][0], bound, hittime.oracle._radius(step, sp)
+    bound = l1_bound(blocks[-1][2])
+    return np.concatenate([p for _, p, _ in blocks]), blocks[-1][0], bound, sp.radius(step)
 
 
 def test_series_sums_to_one(qubit_channel, qubit_solution, qubit_states):

@@ -25,14 +25,14 @@ from hittime import (
 )
 from hittime import linalg
 from hittime.blocks import hitting_maps, lift
-from hittime.hitting import _survival_rows
+from hittime.hitting import survival_rows
 from hittime.cli import main
 from hittime.examples import qudit_demo_channel
 from hittime.linalg import (
-    _from_hermitian_coords,
-    _to_hermitian_coords,
     fixed_space,
+    hermitian_coords,
     hermitian_form,
+    hermitian_matrix,
     spectral_radius,
 )
 from hittime.maps import frame_form
@@ -298,7 +298,7 @@ def test_each_linear_system_is_kept_once_in_its_hermitian_form(monkeypatch):
         with monkeypatch.context() as patched:
             solved = []
             patched.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
-            h = _survival_rows(t, sub)[0]
+            h = survival_rows(t, sub)[0]
         resolvent = solved[0].T
         assert (h is form) == (sub.frame is None)
         assert np.isrealobj(resolvent)
@@ -415,7 +415,7 @@ def assert_bounds_the_perron_radius(t, sub):
     row's bound lies between it and 1."""
     full = full_survival_radius(t, sub)
     assert spectral_radius(kept_block(t, sub)) == pytest.approx(full, rel=1e-12, abs=0)
-    bound = _survival_rows(t, sub)[3]
+    bound = survival_rows(t, sub)[3]
     assert full <= bound < 1.0
     return full, bound
 
@@ -458,7 +458,7 @@ def test_raw_map_that_is_not_positive_takes_eigvals(linalg_calls):
     assert np.linalg.eigvalsh(unvec(t.rep @ vec(e00)))[0] < 0
     assert np.isrealobj(hermitian_form(t.rep))
     sub = subspace_from_indices(n, [0, 1])
-    radius = _survival_rows(t, sub)[3]  # the route solve_hitting and hitting_maps share
+    radius = survival_rows(t, sub)[3]  # the route solve_hitting and hitting_maps share
     tau_series(t, sub, np.eye(n) / n)
     assert shapes_of(linalg_calls, "eigvals") == [(100, 100)] * 2
     assert radius == pytest.approx(full_survival_radius(t, sub), rel=1e-12)
@@ -491,8 +491,8 @@ def test_perron_route_keeps_the_refusal_messages(linalg_calls):
     if radius < 1.0:
         # kappa_1 = 2 lambda_max(X), X the matrix of the time row e M^-1.
         m = np.eye(144) - sub.mask(frame_form(t, sub.frame))
-        time = np.linalg.solve(m.T, _to_hermitian_coords(np.eye(12)))
-        cond = 2 * np.linalg.eigvalsh(_from_hermitian_coords(time).reshape(12, 12))[-1]
+        time = np.linalg.solve(m.T, hermitian_coords(np.eye(12)))
+        cond = 2 * np.linalg.eigvalsh(hermitian_matrix(time))[-1]
         assert cond > 1e14
         messages = (re.compile(r"survival resolvent is singular to working precision "
                                r"\(condition estimate (\S+), spectral radius "
