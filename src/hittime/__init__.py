@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .hitting import (
-    ORTHOGONALITY_TOL,
     ArrivalSubspace,
     FirstStep,
     HittingSolution,

@@ -29,9 +29,8 @@ from .classical import (
     classical_mhtf_subset,
     kac_return_time,
 )
-from .errors import HittimeError, NumericError, ParseError, ValidationError
+from .errors import HittimeError, NumericError, OrthogonalityError, ParseError, ValidationError
 from .hitting import (
-    ORTHOGONALITY_TOL,
     hitting_probability,
     mean_hitting_time_direct,
     mhtf_general,
@@ -47,7 +46,7 @@ from .io import (
     realize_subspace,
     stochastic_matrix,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frobenius
+from .linalg import DEFAULT_TOL, Tolerance
 from .maps import (
     CERTIFIED_IRREDUCIBLE,
     check_complete_positivity,
@@ -245,13 +244,10 @@ def validate(map_file: str, tol: Tolerance, as_json: bool, digits: int,
 
 def _evaluate_query(channel, cert, solutions, query, tolerance, method):
     """One query's record; ``solutions`` memoizes the solves of ``channel`` by
-    (subspace as stated: sorted indices or vector bytes, query tolerance), so
-    each distinct subspace is realized once."""
+    (:attr:`~hittime.io.QuerySpec.subspace_key`, query tolerance), so each
+    distinct subspace is realized once."""
     query_tol = query.tol or tolerance
-    if query.subspace_indices is not None:
-        key = (tuple(sorted(set(query.subspace_indices))), query_tol)
-    else:
-        key = (tuple(v.tobytes() for v in query.subspace_vectors), query_tol)
+    key = (query.subspace_key, query_tol)
     subspace = None if key in solutions else realize_subspace(query, channel.dim, query_tol)
     initial = realize_initial(query, channel.dim, query_tol)
     if subspace is not None:
@@ -264,11 +260,11 @@ def _evaluate_query(channel, cert, solutions, query, tolerance, method):
     if method in ("direct", "all"):
         routes["direct"] = mean_hitting_time_direct(hs, rho)
     if method in ("mhtf", "mhtf-orthogonal", "all"):
-        q = hs.subspace.projector_q
-        residual = frobenius(q @ rho.matrix @ q - rho.matrix)
-        if method == "mhtf-orthogonal" or residual <= ORTHOGONALITY_TOL:
+        try:  # the orthogonal formula refuses a start not supported off V
             routes["mhtf"] = mhtf_orthogonal(hs, rho).tau
-        else:
+        except OrthogonalityError:
+            if method == "mhtf-orthogonal":
+                raise
             routes["mhtf"] = mhtf_general(hs, rho)
     if method in ("series", "all"):
         routes["series"] = tau_series(channel, hs.subspace, rho, query_tol)

@@ -61,7 +61,6 @@ __all__ = [
     "HittingSolution",
     "OrthogonalMhtf",
     "FirstStep",
-    "ORTHOGONALITY_TOL",
     "subspace_from_vectors",
     "subspace_from_indices",
     "solve_hitting",

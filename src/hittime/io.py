@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError
 from .hitting import ArrivalSubspace, subspace_from_indices, subspace_from_vectors
-from .linalg import DEFAULT_TOL, Tolerance, hermitize, scaled_norm
+from .linalg import DEFAULT_TOL, Tolerance, divide, hermitize, scaled_norm
 from .maps import DensityMatrix, SuperOperator, density, from_kraus, from_raw, from_stochastic, pure_density
 
 __all__ = [
@@ -64,6 +64,14 @@ class QuerySpec:
     initial_value: object = 1
     method: str = "all"
     tol: Tolerance | None = None
+
+    @property
+    def subspace_key(self) -> tuple:
+        """Equal for queries that realize the same subspace, which share a solve:
+        the sorted distinct indices, or each spanning vector's bytes."""
+        if self.subspace_indices is not None:
+            return tuple(sorted(set(self.subspace_indices)))
+        return tuple(v.tobytes() for v in self.subspace_vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,11 +431,4 @@ def realize_initial(
         raise ParseError("initial density must have positive trace")
     if trace == math.inf:
         raise _fail("initial density trace", _OUT_OF_RANGE)
-    try:
-        with np.errstate(over="raise"):
-            rho = herm / trace
-    except FloatingPointError:
-        # numpy divides a complex array by multiplying with 1 / trace, which
-        # overflows for a subnormal trace; divide the parts instead.
-        rho = (herm.view(float) / trace).view(complex)
-    return InitialState(density(rho, tol), trace, "density matrix")
+    return InitialState(density(divide(herm, trace), tol), trace, "density matrix")

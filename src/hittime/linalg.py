@@ -41,6 +41,7 @@ __all__ = [
     "finite_square",
     "frobenius",
     "scaled_norm",
+    "divide",
     "fixed_space",
     "bordered",
     "bordered_solve",
@@ -161,7 +162,20 @@ def scaled_norm(v) -> float:
     scale = float(np.maximum(np.abs(v.real), np.abs(v.imag)).max(initial=0.0))
     if not 0.0 < scale < math.inf:  # v = 0, or non-finite entries
         return norm
-    return scale * float(np.linalg.norm(v / scale))
+    return scale * float(np.linalg.norm(divide(v, scale)))
+
+
+def divide(x, s: float) -> np.ndarray:
+    """x / s for a float s > 0, as numpy divides; a quotient beyond the double range is inf.
+
+    numpy divides a complex array by s through 1 / s, which overflows for a
+    subnormal s; there the real and imaginary parts are divided instead.
+    """
+    x = np.asarray(x)
+    with np.errstate(over="ignore"):
+        if s >= 1 / np.finfo(float).max or not np.iscomplexobj(x):
+            return x / s
+        return (np.ascontiguousarray(x).view(float) / s).view(complex)
 
 
 @functools.lru_cache(maxsize=32)

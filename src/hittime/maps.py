@@ -26,6 +26,7 @@ from .linalg import (
     Tolerance,
     bordered,
     bordered_solve,
+    divide,
     finite_square,
     fixed_space,
     frobenius,
@@ -74,6 +75,19 @@ INCONCLUSIVE = "inconclusive"
 _TRACE_FLOOR = 1e-8
 # Hermitizing the fixed vector must not move it off the fixed space.
 _FIXED_RESIDUAL_CEIL = 1e-8
+# A map on M_n whose representation has Frobenius norm r above this over n is
+# refused.  Below it, T*(I) - I, T(rho) - T(rho)* for a state rho, the Choi
+# matrix and the forms have norms at most 2 sqrt(n) max(r, 1), and each
+# Frobenius norm sums squares below max double / 4n.
+_SCALE_CEIL = math.sqrt(np.finfo(float).max) / 4
+
+
+def _check_scale(r: float, n: int, what: str) -> None:
+    if not r <= _SCALE_CEIL / n:
+        raise ValidationError(
+            f"{what} {r:.3e}, above sqrt(max double) / 4n = {_SCALE_CEIL / n:.3e} for n = {n}: "
+            f"the trace check, T(rho) or a Frobenius norm could overflow"
+        )
 
 
 class SuperOperator:
@@ -206,19 +220,14 @@ def density(matrix, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """
     m = finite_square(matrix, "density matrix")
     herm_residual = frobenius(m - m.conj().T)
-    if herm_residual > tol.atol + tol.rtol * frobenius(m):
-        raise ValidationError(
-            f"density matrix is not Hermitian (residual {herm_residual:.3e})"
-        )
+    if herm_residual > tol.atol + tol.rtol * scaled_norm(m):
+        raise ValidationError(f"density matrix is not Hermitian (residual {herm_residual:.3e})")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > tol.atol + tol.rtol:
         raise ValidationError(f"density matrix has trace {tr}, expected 1")
-    check = is_psd(m, tol)
-    if not check.ok:
-        raise ValidationError(
-            f"density matrix is not positive semidefinite "
-            f"(min eigenvalue {check.min_eigenvalue:.3e})"
-        )
+    min_eig = float(np.linalg.eigvalsh(hermitize(m))[0])
+    if not min_eig >= -tol.atol:
+        raise ValidationError(f"density matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
     return DensityMatrix(m.copy())
 
 
@@ -230,7 +239,7 @@ def pure_density(state) -> DensityMatrix:
         raise ValidationError("pure state vector must be nonzero")
     if not math.isfinite(nrm):
         raise ValidationError(f"pure state vector has norm {nrm}")
-    v = v / nrm
+    v = divide(v, nrm)
     return DensityMatrix(np.outer(v, v.conj()))
 
 
@@ -246,7 +255,8 @@ def from_kraus(kraus_ops: Sequence) -> SuperOperator:
 
     Trace preservation (sum V_i* V_i = I) is not checked here:
     :func:`check_trace_preserving` reports it, and the routes that need it
-    (:func:`invariant_state`, the fundamental map) enforce it.
+    (:func:`invariant_state`, the fundamental map) enforce it.  A family with
+    sum_i ||V_i||_F^2 above sqrt(max double) / 4n is refused.
     """
     if len(kraus_ops) == 0:
         raise ValidationError("at least one Kraus operator is required")
@@ -258,6 +268,8 @@ def from_kraus(kraus_ops: Sequence) -> SuperOperator:
                 f"Kraus operators have mixed dimensions {v.shape[0]} vs {n}"
             )
     family = np.stack(ops)
+    norm = scaled_norm(family)  # ||rep||_F <= sum_i ||V_i||_F^2 = norm^2
+    _check_scale(norm * norm, n, "Kraus family has sum_i ||V_i||_F^2 =")
     family.flags.writeable = False
     return SuperOperator(n, None, "kraus", family)
 
@@ -279,15 +291,16 @@ def validate_column_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise DimensionError(f"stochastic matrix must be square, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("stochastic matrix contains non-finite entries")
-    for j in range(arr.shape[1]):
-        col = arr[:, j]
-        if col.min() < -tol.atol:
-            raise ValidationError(
-                f"column {j + 1} has a negative entry ({col.min():.3e})"
-            )
-        colsum = float(col.sum())
-        if abs(colsum - 1.0) > tol.atol + tol.rtol:
-            raise ValidationError(f"column {j + 1} sums to {colsum!r}, expected 1")
+    lows = arr.min(axis=0, initial=math.inf)
+    # A contiguous row of the transpose sums as arr[:, j].sum() does, bit for bit.
+    with np.errstate(over="ignore"):  # a sum beyond the double range is inf, refused
+        sums = np.ascontiguousarray(arr.T).sum(axis=1)
+    bad = (lows < -tol.atol) | (np.abs(sums - 1.0) > tol.atol + tol.rtol)
+    if bad.any():
+        j = int(np.argmax(bad))  # the first offending column, a negative entry first
+        if lows[j] < -tol.atol:
+            raise ValidationError(f"column {j + 1} has a negative entry ({lows[j]:.3e})")
+        raise ValidationError(f"column {j + 1} sums to {float(sums[j])!r}, expected 1")
     return arr
 
 
@@ -306,13 +319,15 @@ def from_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> SuperOperator:
 
 
 def from_raw(rep) -> SuperOperator:
-    """Wrap an n^2 x n^2 representation matrix verbatim; nothing is assumed."""
+    """Wrap an n^2 x n^2 representation matrix verbatim; nothing is assumed,
+    but a Frobenius norm above sqrt(max double) / 4n is refused."""
     m = finite_square(rep, "superoperator representation")
     n = math.isqrt(m.shape[0])
     if n * n != m.shape[0]:
         raise DimensionError(
             f"representation size {m.shape[0]} is not a perfect square"
         )
+    _check_scale(scaled_norm(m), n, "superoperator representation has Frobenius norm")
     return SuperOperator(n, m.copy(), "raw")
 
 

@@ -352,6 +352,38 @@ def test_hit_batch_solves_once_per_subspace(runner, tmp_path, monkeypatch):
     assert len(realized) == 2
 
 
+@pytest.mark.parametrize("method", ["mhtf", "all"])
+@pytest.mark.parametrize("subspace", [{"indices": [3, 4]}, {"vectors": [[0.6, 0, 0.8, 0]]}])
+@pytest.mark.parametrize("initial,orthogonal", [
+    ({"vector": [0, 1, 0, 0]}, True),  # supported off both targets
+    ({"index": 3}, False),  # inside the index target, not orthogonal to the vector one
+    ({"distribution": [0.1, 0.2, 0.3, 0.4]}, False),
+])
+def test_hit_mhtf_route_is_the_formula_the_start_admits(runner, tmp_path, method, subspace,
+                                                         initial, orthogonal):
+    """The mhtf route of a hit query reports, bit for bit, the orthogonal
+    formula for a start supported off V and the first-step formula for any
+    other, against the library called directly."""
+    map_path = qudit_map_file(tmp_path)
+    spec = {"subspace": subspace, "initial": initial, "method": method}
+    result = runner.invoke(main, ["hit", map_path, write(tmp_path, "q.json", spec), "--json"])
+    assert result.exit_code == 0, result.output
+
+    tol = hittime.DEFAULT_TOL
+    channel = hittime.io.build_superoperator(hittime.io.load_map_spec(map_path))
+    query = hittime.io.load_query_file(str(tmp_path / "q.json"))[0]
+    hs = hittime.solve_hitting(channel, hittime.io.realize_subspace(query, 4, tol),
+                               hittime.invariant_state(channel, tol), tol)
+    rho = hittime.io.realize_initial(query, 4, tol).state
+    if orthogonal:
+        expected = hittime.mhtf_orthogonal(hs, rho).tau
+    else:
+        with pytest.raises(hittime.OrthogonalityError):
+            hittime.mhtf_orthogonal(hs, rho)
+        expected = hittime.mhtf_general(hs, rho)
+    assert json.loads(result.output)["routes"]["mhtf"] == expected
+
+
 @pytest.mark.parametrize("count,forms", [(5, 1), (10, 3)])
 def test_hit_answer_path_takes_one_form_per_frame_and_route(
     runner, tmp_path, monkeypatch, count, forms

@@ -227,7 +227,7 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("argv,stdout", PINNED, ids=lambda v: " ".join(v)[:48])
+@pytest.mark.parametrize("argv,stdout", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
 def test_output_is_byte_pinned(run, argv, stdout):
     assert run(*argv) == (0, stdout, "")
 

@@ -26,6 +26,7 @@ from hittime import (
     positivity_sample,
     pure_density,
     unvec,
+    validate_column_stochastic,
     vec,
 )
 from hittime.examples import (
@@ -116,6 +117,50 @@ def test_from_stochastic_names_offending_column():
     negative = np.array([[1.2, 0.0], [-0.2, 1.0]])
     with pytest.raises(ValidationError, match="column 1 has a negative entry"):
         from_stochastic(negative)
+
+
+def _column_by_column(p, tol):
+    """The reference check: each column in turn, a negative entry before a bad sum."""
+    for j in range(p.shape[1]):
+        col = p[:, j]
+        if col.min() < -tol.atol:
+            raise ValidationError(f"column {j + 1} has a negative entry ({col.min():.3e})")
+        colsum = float(col.sum())
+        if abs(colsum - 1.0) > tol.atol + tol.rtol:
+            raise ValidationError(f"column {j + 1} sums to {colsum!r}, expected 1")
+
+
+def _refusal(check, p, tol):
+    try:
+        check(p, tol)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_check_matches_the_column_by_column_reference(order):
+    """One pass over all columns accepts what the per-column loop accepts and
+    names the same first offending column with the same message.  A
+    row-oriented file gives the check an F-ordered matrix.  Under a zero
+    tolerance a column passes only if its sum is exactly 1, so the messages
+    compare the bits of the sums."""
+    rng = np.random.default_rng(26)
+    for n in [1, 2, 3, 8, 9, 16, 17, 128, 257, *rng.integers(1, 258, 12)]:
+        p = rng.random((n, n)) ** rng.uniform(1, 8)
+        p = np.asarray(p / p.sum(axis=0), order=order)
+        for tol in (Tolerance(), Tolerance(0.0, 0.0), Tolerance(1e-16, 1e-16)):
+            assert _refusal(validate_column_stochastic, p, tol) == _refusal(_column_by_column, p, tol)
+        for defect in ("negative", "sum", "both"):
+            bad = p.copy(order="K")
+            for j in rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False):
+                if defect != "sum":
+                    bad[rng.integers(n), j] = -rng.uniform(1e-9, 1.0)
+                if defect != "negative":
+                    bad[:, j] *= 1 + rng.uniform(1e-9, 1e-3)
+            expected = _refusal(_column_by_column, bad, Tolerance())
+            assert expected is not None
+            assert _refusal(validate_column_stochastic, bad, Tolerance()) == expected
 
 
 def test_from_stochastic_rejects_nonsquare():
