@@ -71,10 +71,6 @@ __all__ = [
     "mhtf_general",
 ]
 
-# User-supplied states carry entry round-off, so support preconditions are
-# checked against a residual looser than the numerical tolerance.
-ORTHOGONALITY_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class ArrivalSubspace:
@@ -128,6 +124,9 @@ class HittingSolution:
     - ``survival_covector``     e QQ T             (weight of the first step)
     - ``first_step_covector``   e K11 Z QQ T       (first-step summand of the mhtf)
 
+    ``psi_term``, the return covector paired with P / rank, is the mhtf's
+    Tr((DZ)_11 rho_psi), the same for every state rho_psi supported in V.
+
     ``condition_estimate`` bounds the condition of M = I - QT: kappa_1 =
     2 lambda_max(X), X the matrix of the time row, for a positive map, and
     cond_2(M) for a ``raw`` one.  ``spectral_radius_qphi`` is, for a
@@ -144,6 +143,7 @@ class HittingSolution:
     start_covector: np.ndarray
     survival_covector: np.ndarray
     first_step_covector: np.ndarray
+    psi_term: float
     spectral_radius_qphi: float
     condition_estimate: float
     tol: Tolerance
@@ -340,15 +340,17 @@ def solve_hitting(
             f"fundamental solve failed (condition estimate {cert.condition_estimate:.3e})"
         ) from exc
     start = subspace.mask(kz)
+    return_row = kz - start
     return HittingSolution(
         subspace=subspace,
         probability_covector=probability,
         time_covector=time,
         trace_covector=trace,
-        return_covector=kz - start,
+        return_covector=return_row,
         start_covector=start,
         survival_covector=subspace.mask(e) @ h,
         first_step_covector=start @ h,
+        psi_term=_pair(return_row, subspace.coords(subspace.projector_p / subspace.rank)),
         spectral_radius_qphi=radius,
         condition_estimate=cond,
         tol=tol,
@@ -393,23 +395,21 @@ def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
     return tau
 
 
-def _require_supported(label: str, residual: float) -> None:
-    if residual > ORTHOGONALITY_TOL:
+def _require_supported(label: str, residual: float, tol: Tolerance) -> None:
+    """Refuse a residual above atol + rtol, the allowance ``density`` gives a state's trace."""
+    if residual > tol.atol + tol.rtol:
         raise OrthogonalityError(
             f"{label} violates its support precondition (residual {residual:.3e})"
         )
 
 
-def _reference_state(hs: HittingSolution, rho_psi) -> DensityMatrix:
-    """rho_psi checked to be supported in V, or by default the normalized projector."""
-    p = hs.subspace.projector_p
+def _psi_term(hs: HittingSolution, rho_psi) -> float:
+    """Tr((DZ)_11 rho_psi) for rho_psi checked to be supported in V, or by default ``hs.psi_term``."""
     if rho_psi is None:
-        return DensityMatrix(p / hs.subspace.rank)
-    state = as_density(rho_psi, hs.tol)
-    _require_supported(
-        "arrival-side state", frobenius(p @ state.matrix @ p - state.matrix)
-    )
-    return state
+        return hs.psi_term
+    m, p = as_density(rho_psi, hs.tol).matrix, hs.subspace.projector_p
+    _require_supported("arrival-side state", frobenius(p @ m @ p - m), hs.tol)
+    return _pair(hs.return_covector, hs.subspace.coords(m))
 
 
 def mhtf_orthogonal(
@@ -428,16 +428,13 @@ def mhtf_orthogonal(
     together with the two summands; the first one does not depend on the
     choice of rho_psi.
     """
-    phi_state = as_density(rho_phi, hs.tol)
-    q = hs.subspace.projector_q
-    _require_supported(
-        "initial state", frobenius(q @ phi_state.matrix @ q - phi_state.matrix)
-    )
-    psi_state = _reference_state(hs, rho_psi)
+    w = hs.subspace.coords(as_density(rho_phi, hs.tol).matrix)
+    # ||Q rho Q - rho||_F: W* Q W is the coordinate mask of an orthonormal basis.
+    _require_supported("initial state", frobenius(w - hs.subspace.mask(w)), hs.tol)
     # Tr((DZ)_11 x) and Tr((DZ)_12 x) are the return and start covectors:
     # e (I - QQ) D = e K11.
-    psi_term = _pair(hs.return_covector, hs.subspace.coords(psi_state.matrix))
-    phi_term = _pair(hs.start_covector, hs.subspace.coords(phi_state.matrix))
+    psi_term = _psi_term(hs, rho_psi)
+    phi_term = _pair(hs.start_covector, w)
     return OrthogonalMhtf(psi_term - phi_term, psi_term, phi_term)
 
 
@@ -460,7 +457,7 @@ def condition_first_step(
     if frobenius(sigma) <= tol.atol:
         return FirstStep(True, 0.0, None)
     weight = float(np.trace(sigma).real)
-    next_state = density(hermitize(sigma) / weight, Tolerance(ORTHOGONALITY_TOL, ORTHOGONALITY_TOL))
+    next_state = density(hermitize(sigma) / weight, tol)
     return FirstStep(False, weight, next_state)
 
 
@@ -479,8 +476,5 @@ def mhtf_general(
     projector; the value does not depend on the choice).  Both traces over
     Q T rho are the survival and first-step rows paired with rho.
     """
-    state = as_density(rho, hs.tol)
-    psi_state = _reference_state(hs, rho_psi)
-    w = hs.subspace.coords(state.matrix)
-    psi_term = _pair(hs.return_covector, hs.subspace.coords(psi_state.matrix))
-    return 1.0 + psi_term * _pair(hs.survival_covector, w) - _pair(hs.first_step_covector, w)
+    w = hs.subspace.coords(as_density(rho, hs.tol).matrix)
+    return 1.0 + _psi_term(hs, rho_psi) * _pair(hs.survival_covector, w) - _pair(hs.first_step_covector, w)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError
 from .hitting import ArrivalSubspace, subspace_from_indices, subspace_from_vectors
-from .linalg import DEFAULT_TOL, Tolerance, divide, hermitize, scaled_norm
+from .linalg import DEFAULT_TOL, Tolerance, divide, scaled_norm
 from .maps import DensityMatrix, SuperOperator, density, from_kraus, from_raw, from_stochastic, pure_density
 
 __all__ = [
@@ -385,15 +385,17 @@ def realize_subspace(query: QuerySpec, n: int, tol: Tolerance = DEFAULT_TOL) -> 
 def realize_initial(
     query: QuerySpec, n: int, tol: Tolerance = DEFAULT_TOL
 ) -> InitialState:
-    """Build the initial density of a query, normalizing and reporting the factor."""
+    """Build the initial density of a query, normalizing and reporting the factor.
+
+    ``density`` judges a density start, divided by its trace, under ``tol``."""
     kind = query.initial_kind
     if kind == "index":
         index = int(query.initial_value)
         if index > n:
             raise DimensionError(f"initial index {index} exceeds dimension {n}")
-        basis = np.zeros(n, dtype=complex)
-        basis[index - 1] = 1.0
-        return InitialState(pure_density(basis), 1.0, f"basis state {index}")
+        basis = np.zeros((n, n), dtype=complex)
+        basis[index - 1, index - 1] = 1.0
+        return InitialState(DensityMatrix(basis), 1.0, f"basis state {index}")
     if kind == "vector":
         v = np.asarray(query.initial_value, dtype=complex)
         if v.size != n:
@@ -424,11 +426,10 @@ def realize_initial(
     m = np.asarray(query.initial_value, dtype=complex)
     if m.shape != (n, n):
         raise DimensionError(f"initial density has shape {m.shape}, expected ({n}, {n})")
-    herm = hermitize(m)
     with np.errstate(over="ignore"):
-        trace = float(np.trace(herm).real)
+        trace = float(np.trace(m).real)
     if trace <= 0:
         raise ParseError("initial density must have positive trace")
     if trace == math.inf:
         raise _fail("initial density trace", _OUT_OF_RANGE)
-    return InitialState(density(divide(herm, trace), tol), trace, "density matrix")
+    return InitialState(density(divide(m, trace), tol), trace, "density matrix")

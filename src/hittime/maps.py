@@ -216,19 +216,22 @@ def density(matrix, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """Validate and wrap a matrix as a density matrix.
 
     Requires Hermiticity, unit trace and positive semidefiniteness, each
-    within tolerance.  Positivity is checked on the Hermitian part.
+    within tolerance, and returns the Hermitian part.
     """
     m = finite_square(matrix, "density matrix")
-    herm_residual = frobenius(m - m.conj().T)
-    if herm_residual > tol.atol + tol.rtol * scaled_norm(m):
+    with np.errstate(over="ignore"):
+        herm_residual = scaled_norm(m - m.conj().T)
+    # A skew part beyond the double range is refused even where ||m||_F is too.
+    if herm_residual == math.inf or herm_residual > tol.atol + tol.rtol * scaled_norm(m):
         raise ValidationError(f"density matrix is not Hermitian (residual {herm_residual:.3e})")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > tol.atol + tol.rtol:
         raise ValidationError(f"density matrix has trace {tr}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(hermitize(m))[0])
+    herm = hermitize(m)
+    min_eig = float(np.linalg.eigvalsh(herm)[0])
     if not min_eig >= -tol.atol:
         raise ValidationError(f"density matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})")
-    return DensityMatrix(m.copy())
+    return DensityMatrix(herm)
 
 
 def pure_density(state) -> DensityMatrix:
@@ -474,17 +477,13 @@ def invariant_state(
         tr = float(np.trace(candidate).real)
     if abs(tr) < _TRACE_FLOOR:
         return IrreducibilityCertificate(None, 1, math.nan, INCONCLUSIVE, tol=tol)
-    pi = candidate / tr
-    check = is_psd(pi, tol)
+    pi = candidate / tr  # exactly Hermitian: a Hermitized matrix over a real trace
+    min_eig = float(np.linalg.eigvalsh(pi)[0])
     fixed_residual = frobenius(apply(t, pi) - pi)
-    if not check.ok or fixed_residual > _FIXED_RESIDUAL_CEIL:
-        return IrreducibilityCertificate(None, 1, check.min_eigenvalue, INCONCLUSIVE, tol=tol)
-    if check.min_eigenvalue <= tol.atol:
-        return IrreducibilityCertificate(
-            DensityMatrix(pi), 1, check.min_eigenvalue, NOT_IRREDUCIBLE, tol=tol
-        )
+    if not (min_eig >= -tol.atol and fixed_residual <= _FIXED_RESIDUAL_CEIL):
+        return IrreducibilityCertificate(None, 1, min_eig, INCONCLUSIVE, tol=tol)
+    if min_eig <= tol.atol:
+        return IrreducibilityCertificate(DensityMatrix(pi), 1, min_eig, NOT_IRREDUCIBLE, tol=tol)
     low, high = bounds or singular_bounds(bordered(h, hermitian_coords(pi), e), h, tol, False)
     cond = high / low if low > 0 else math.inf
-    return IrreducibilityCertificate(
-        DensityMatrix(pi), 1, check.min_eigenvalue, CERTIFIED_IRREDUCIBLE, cond, tol
-    )
+    return IrreducibilityCertificate(DensityMatrix(pi), 1, min_eig, CERTIFIED_IRREDUCIBLE, cond, tol)

@@ -169,6 +169,23 @@ def tau_series(
     )
 
 
+def _mean_first_visit(chain: np.ndarray, in_target: np.ndarray, start: np.ndarray) -> float:
+    """Mean first-visit time of the target from the distribution ``start``, counted from step 1.
+
+    The mean times h from the states of the complement C solve the first-step
+    system (I - P_CC^T) h = 1, so from the start it is 1 + (P_C start) h.  A
+    singular system, and a value below 1 (a failed solve), count as inf.
+    """
+    rest = np.flatnonzero(~in_target)
+    try:
+        h = np.linalg.solve(np.eye(rest.size) - chain[np.ix_(rest, rest)].T, np.ones(rest.size))
+    except np.linalg.LinAlgError:
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(1.0 + chain[rest] @ start @ h)
+    return mean if mean >= 1.0 else math.inf
+
+
 def classical_monte_carlo(
     p,
     start,
@@ -196,25 +213,34 @@ def classical_monte_carlo(
         raise ValidationError("trials must be at least 1")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    rng = np.random.default_rng(int(seed))
     if np.isscalar(start):
         s0 = int(start)
         if s0 < 0 or s0 >= n:
             raise ValidationError(f"start index must lie in [0, {n - 1}]")
-        states = np.full(trials, s0, dtype=np.int64)
+        dist = np.eye(n)[s0]
     else:
         # The tolerated entries in [-atol, 0) are clipped, as the chain's are below.
         dist = np.maximum(start_distribution(start, n, tol), 0.0)
-        states = rng.choice(n, size=trials, p=dist / dist.sum()).astype(np.int64)
-
-    # Row s holds the cumulative outgoing distribution of state s.  Clipping
-    # the entries validation lets through in [-atol, 0) keeps every row
-    # monotone, so a state of negative weight is never drawn.
-    cum = np.cumsum(np.maximum(arr, 0.0), axis=0).T.copy()
-    cum[:, -1] = 1.0  # guard against float round-off at the top
-    block = max(1, _MC_BLOCK_ENTRIES // n)
+        dist = dist / dist.sum()
+    # Clipping the entries validation lets through in [-atol, 0) keeps every
+    # cumulative row monotone, so a state of negative weight is never drawn.
+    chain = np.maximum(arr, 0.0)
     in_target = np.zeros(n, dtype=bool)
     in_target[target_set] = True
+    # Refused before the first draw, when the mean walk alone outruns the cap.
+    mean_time = _mean_first_visit(chain, in_target, dist)
+    if mean_time > _MC_STEP_CAP:
+        raise NonConvergenceError(
+            f"mean first-visit time {mean_time:.3e} exceeds the step cap {_MC_STEP_CAP}"
+        )
+    rng = np.random.default_rng(int(seed))
+    states = (np.full(trials, s0, dtype=np.int64) if np.isscalar(start)
+              else rng.choice(n, size=trials, p=dist).astype(np.int64))
+
+    # Row s holds the cumulative outgoing distribution of state s.
+    cum = np.cumsum(chain, axis=0).T.copy()
+    cum[:, -1] = 1.0  # guard against float round-off at the top
+    block = max(1, _MC_BLOCK_ENTRIES // n)
 
     times = np.zeros(trials, dtype=np.int64)
     alive = np.ones(trials, dtype=bool)

@@ -384,6 +384,48 @@ def test_hit_mhtf_route_is_the_formula_the_start_admits(runner, tmp_path, method
     assert json.loads(result.output)["routes"]["mhtf"] == expected
 
 
+@pytest.mark.parametrize("query_tol,orthogonal", [(None, False), (1e-7, True)])
+def test_hit_mhtf_judges_a_start_under_its_query_tolerance(runner, tmp_path, query_tol, orthogonal):
+    """A start about 1e-9 off the complement of {3, 4} takes the first-step
+    formula at the default tolerance, which allows 2e-10, and the orthogonal
+    one under a query tol of 1e-7, bit for bit the library's."""
+    map_path = qudit_map_file(tmp_path)
+    delta = 1e-9 / math.sqrt(2)
+    spec = {"subspace": {"indices": [3, 4]}, "initial": {"vector": [1, 0, delta, 0]},
+            "method": "mhtf"}
+    if query_tol is not None:
+        spec["tol"] = query_tol
+    result = runner.invoke(main, ["hit", map_path, write(tmp_path, "q.json", spec), "--json"])
+    assert result.exit_code == 0, result.output
+
+    tol = hittime.Tolerance(query_tol, query_tol) if query_tol else hittime.DEFAULT_TOL
+    channel = hittime.io.build_superoperator(hittime.io.load_map_spec(map_path))
+    hs = hittime.solve_hitting(channel, hittime.subspace_from_indices(4, [2, 3]),
+                               hittime.invariant_state(channel), tol)
+    rho = hittime.pure_density([1, 0, delta, 0])
+    if orthogonal:
+        expected = hittime.mhtf_orthogonal(hs, rho).tau
+    else:
+        with pytest.raises(hittime.OrthogonalityError):
+            hittime.mhtf_orthogonal(hs, rho)
+        expected = hittime.mhtf_general(hs, rho)
+    assert json.loads(result.output)["routes"]["mhtf"] == expected
+
+
+@pytest.mark.parametrize("matrix,residual", [
+    ([[0.5, 1], [0, 0.5]], "1.414e+00"),
+    ([[1, 1.7e308], [-1.7e308, 1e-300]], "inf"),  # a skew part beyond the double range
+])
+def test_hit_refuses_a_non_hermitian_density_start(runner, tmp_path, matrix, residual):
+    """A density start is judged as given, not Hermitized first."""
+    query = write(tmp_path, "q.json", {"subspace": {"indices": [2]},
+                                       "initial": {"density": matrix}})
+    result = runner.invoke(main, ["hit", chain_file(tmp_path), query])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: density matrix is not Hermitian (residual {residual})\n"
+
+
 @pytest.mark.parametrize("count,forms", [(5, 1), (10, 3)])
 def test_hit_answer_path_takes_one_form_per_frame_and_route(
     runner, tmp_path, monkeypatch, count, forms
@@ -863,6 +905,25 @@ def test_monte_carlo_accepts_what_the_formula_accepts(runner, tmp_path, stochast
     result = runner.invoke(main, ["classical", argv[0], path, *argv[1:], "--json"])
     assert result.exit_code == 0, result.output
     assert math.isfinite(json.loads(result.output)["monte_carlo"]["mean"])
+
+
+def test_classical_trials_refuse_a_walk_beyond_the_step_cap_before_sampling(
+    runner, tmp_path, monkeypatch
+):
+    """The formula answers 6.27e8 steps; --trials exits 5 naming that mean
+    and the cap, and the generator is never asked for a draw."""
+    path = write(tmp_path, "slow.json", {"dim": 2, "stochastic": [
+        [0.9999999984059049, 0.9984290128293385], [1.594095064128074e-09, 0.001570987170661532]]})
+
+    def no_generator(seed):
+        raise AssertionError("Monte Carlo sampled a walk it cannot finish")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    argv = ["classical", "mhtf", path, "-i", "1", "-j", "2", "--trials", "30", "--seed", "1"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == "error: mean first-visit time 6.273e+08 exceeds the step cap 10000000\n"
 
 
 def test_classical_requires_stochastic_file(runner, tmp_path):

@@ -337,6 +337,70 @@ def test_formula_rejects_unsupported_start(qubit_solution, qubit_states):
         mhtf_orthogonal(qubit_solution, qubit_states["phi"], qubit_states["phi"])
 
 
+def _random_target(target, n, rng):
+    if target == "index":
+        return subspace_from_indices(n, rng.choice(n, size=2, replace=False))
+    return random_subspace(n, 2, rng=rng)
+
+
+@pytest.mark.parametrize("target", ["index", "vector"])
+def test_psi_term_is_the_return_covector_paired_with_the_normalized_projector(target):
+    """The arrival-side term is a number of the solution: every default
+    mhtf reads it, bit for bit the pairing with coords(W* P W / rank)."""
+    rng = np.random.default_rng(61)
+    channel, cert = random_irreducible_cptp(4, rng=rng)
+    sub = _random_target(target, 4, rng)
+    hs = solve_hitting(channel, sub, cert)
+    p = sub.projector_p / sub.rank
+    if sub.frame is not None:
+        p = sub.frame.conj().T @ p @ sub.frame
+    reference = float(np.real(hs.return_covector @ hermitian_coords(p)))
+    rho_phi = random_density_supported(complement_basis(sub.projector_q), rng=rng)
+    assert hs.psi_term == reference
+    assert mhtf_orthogonal(hs, rho_phi).psi_term == reference
+    rho = random_density(4, rng=rng)
+    w = sub.coords(rho.matrix)
+    expected = 1.0 + reference * float(np.real(hs.survival_covector @ w)) - float(
+        np.real(hs.first_step_covector @ w))
+    assert mhtf_general(hs, rho) == expected
+
+
+@pytest.mark.parametrize("target", ["index", "vector"])
+@pytest.mark.parametrize("seed", [62, 63, 64])
+def test_start_support_residual_is_read_in_frame_coordinates(target, seed):
+    """mhtf_orthogonal refuses a start exactly when ||Q rho Q - rho||_F,
+    computed here from the projector, exceeds atol + rtol (to 1e-14), and
+    reads no projector to decide."""
+    rng = np.random.default_rng(seed)
+    channel, cert = random_irreducible_cptp(4, rng=rng)
+    sub = _random_target(target, 4, rng)
+    hs = solve_hitting(channel, sub, cert)
+    rho = random_density(4, rng=rng)
+    q = sub.projector_q
+    residual = np.linalg.norm(q @ rho.matrix @ q - rho.matrix)
+    blind = dataclasses.replace(hs, subspace=dataclasses.replace(sub, projector_q=None))
+    below = dataclasses.replace(blind, tol=Tolerance(residual / 2 - 1e-14, residual / 2))
+    above = dataclasses.replace(blind, tol=Tolerance(residual / 2 + 1e-14, residual / 2))
+    with pytest.raises(OrthogonalityError):
+        mhtf_orthogonal(below, rho)
+    assert mhtf_orthogonal(above, rho).psi_term == hs.psi_term
+
+
+def test_start_support_is_judged_under_the_solution_tolerance():
+    """A start about 1e-9 off the complement is refused at the default
+    tolerance, which allows 2e-10, and accepted under 1e-7."""
+    channel = qudit_demo_channel(0.6)
+    sub = subspace_from_indices(4, [2, 3])
+    delta = 1e-9 / np.sqrt(2)
+    rho = pure_density([1.0, 0.0, delta, 0.0])
+    assert np.linalg.norm(sub.projector_q @ rho.matrix @ sub.projector_q - rho.matrix) == (
+        pytest.approx(1e-9, rel=1e-6))
+    with pytest.raises(OrthogonalityError, match="initial state"):
+        mhtf_orthogonal(solve_hitting(channel, sub), rho)
+    loose = solve_hitting(channel, sub, tol=Tolerance(1e-7, 1e-7))
+    assert mhtf_orthogonal(loose, rho).tau == pytest.approx(mhtf_general(loose, rho), rel=1e-12)
+
+
 # ------------------------------------------------------------------ D / N / L
 
 def test_first_block_row_of_l_equals_h(qubit_channel, qubit_solution):

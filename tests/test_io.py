@@ -249,6 +249,27 @@ def test_realize_initial_dimension_checks(tmp_path):
         realize_initial(query, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_index_start_has_the_bits_of_the_pure_basis_state(tmp_path, n):
+    for i in range(n):
+        payload = {"subspace": {"indices": [1]}, "initial": {"index": i + 1}}
+        state = realize_initial(load_query_file(write(tmp_path, "q.json", payload))[0], n).state
+        assert state.matrix.tobytes() == pure_density(np.eye(n)[i]).matrix.tobytes()
+
+
+def test_density_start_is_judged_as_given(tmp_path):
+    """A density start is divided by its trace and judged by ``density``
+    under the query tolerance, not Hermitized first; a start it accepts is
+    answered from its Hermitian part."""
+    skew = [[0.5, 1e-9], [0, 0.5]]
+    payload = {"subspace": {"indices": [2]}, "initial": {"density": skew}}
+    query = load_query_file(write(tmp_path, "q.json", payload))[0]
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        realize_initial(query, 2)
+    state = realize_initial(query, 2, Tolerance(1e-8, 1e-8)).state
+    assert state.matrix.tobytes() == hermitize(np.array(skew, dtype=complex)).tobytes()
+
+
 # ------------------------------------- initial states beyond the norm's range
 
 def test_initial_vector_whose_norm_overflows(tmp_path):

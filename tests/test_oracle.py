@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -254,6 +256,40 @@ def test_monte_carlo_step_cap(monkeypatch):
     monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", 100)
     with pytest.raises(NonConvergenceError, match="step cap 100"):
         classical_monte_carlo(np.eye(2), 0, [1], trials=10, seed=0)
+
+
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was asked for {name}")
+
+
+@pytest.mark.parametrize("start", [0, [1.0, 0.0]])
+def test_monte_carlo_refuses_a_walk_beyond_the_cap_before_its_first_draw(monkeypatch, start):
+    """From state 1 the chain's mean first visit to state 2 is 6.27e8 steps:
+    the walk is refused before the generator is asked for anything, where
+    stepping up to the cap took about two minutes."""
+    chain = np.array([[0.9999999984059049, 0.9984290128293385],
+                      [1.594095064128074e-09, 0.001570987170661532]])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoDraws())
+    with pytest.raises(NonConvergenceError,
+                       match=r"^mean first-visit time 6\.273e\+08 exceeds the step cap 10000000$"):
+        classical_monte_carlo(chain, start, [1], trials=30, seed=1)
+
+
+@pytest.mark.parametrize("start,mean", [(0, 4), ([0.5, 0.5], 3)])
+def test_monte_carlo_refusal_is_judged_on_the_first_visit_mean(monkeypatch, start, mean):
+    """At p = 1/4 the first visit to state 2 takes 4 steps from state 1 and
+    2 from state 2 (a return), so 3 from the uniform start.  A cap one below
+    that mean refuses up front; at the mean, sampling starts, and only the
+    step loop may refuse."""
+    chain = symmetric_two_state_chain(0.25)
+    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", mean - 1)
+    message = f"mean first-visit time {float(mean):.3e} exceeds the step cap {mean - 1}"
+    with pytest.raises(NonConvergenceError, match=f"^{re.escape(message)}$"):
+        classical_monte_carlo(chain, start, [1], trials=10, seed=0)
+    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", mean)
+    with pytest.raises(NonConvergenceError, match="trajectories exceeded the step cap"):
+        classical_monte_carlo(chain, start, [1], trials=100, seed=0)
 
 
 def test_monte_carlo_validations():
