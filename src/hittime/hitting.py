@@ -118,14 +118,13 @@ class HittingSolution:
 
     - ``probability_covector``  e (I - QQ) H   (hitting probability)
     - ``time_covector``         e (I - QT)^-1  (direct mean time, the survival sum)
-    - ``trace_covector``        e H            (cross-check of the direct time)
-    - ``return_covector``       e K11 Z (I - QQ)   (return summand of the mhtf)
-    - ``start_covector``        e K11 Z QQ         (start summand of the mhtf)
-    - ``survival_covector``     e QQ T             (weight of the first step)
-    - ``first_step_covector``   e K11 Z QQ T       (first-step summand of the mhtf)
+    - ``fundamental_covector``  e K11 Z        (both summands of the mhtf)
+    - ``survival_covector``     e QQ T         (weight of the first step)
+    - ``first_step_covector``   e K11 Z QQ T   (first-step summand of the mhtf)
 
-    ``psi_term``, the return covector paired with P / rank, is the mhtf's
-    Tr((DZ)_11 rho_psi), the same for every state rho_psi supported in V.
+    The mhtf pairs e K11 Z off the mask with rho_psi and on it with rho_phi;
+    ``psi_term``, its pairing with P / rank, is Tr((DZ)_11 rho_psi) for every
+    rho_psi supported in V.  e H is probability + time - e and needs no row.
 
     ``condition_estimate`` bounds the condition of M = I - QT: kappa_1 =
     2 lambda_max(X), X the matrix of the time row, for a positive map, and
@@ -138,9 +137,7 @@ class HittingSolution:
     subspace: ArrivalSubspace
     probability_covector: np.ndarray
     time_covector: np.ndarray
-    trace_covector: np.ndarray
-    return_covector: np.ndarray
-    start_covector: np.ndarray
+    fundamental_covector: np.ndarray
     survival_covector: np.ndarray
     first_step_covector: np.ndarray
     psi_term: float
@@ -267,7 +264,9 @@ def _time_row_bounds(resolvent: np.ndarray, e: np.ndarray, time: np.ndarray) -> 
 def survival_rows(
     t: SuperOperator, subspace: ArrivalSubspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """The frame form h, e = coords(I), the rows (e (I - QQ) h, e, e h) M^-1, the radius of QT and a condition estimate of M = I - QT.
+    """The frame form h, e = coords(I), the rows (e (I - QQ) h, e) M^-1, the radius of QT and a condition estimate of M = I - QT.
+
+    Their sum less e is e h M^-1, as M^-1 - I = QQ h M^-1: no third row is solved.
 
     For a :attr:`~hittime.maps.SuperOperator.positive` map the solve
     comes first.  M^-1 = sum_k (QT)^k is positive, so its trace norm is
@@ -288,7 +287,7 @@ def survival_rows(
         radius = _contracting(h, subspace)
         cond = _conditioned(float(np.linalg.cond(resolvent)), radius)
     try:
-        rows = np.linalg.solve(resolvent.T, np.stack([(e - subspace.mask(e)) @ h, e, e @ h]).T).T
+        rows = np.linalg.solve(resolvent.T, np.stack([(e - subspace.mask(e)) @ h, e]).T).T
     except np.linalg.LinAlgError:
         rows = None
     if t.positive:
@@ -312,13 +311,13 @@ def solve_hitting(
     through its gate; pass it to share one across the subspaces of a map,
     otherwise it is computed here.  It is trusted, not checked against
     ``t``: the certificate of another map gives wrong answers, not an error.
-    One transposed solve against M = I - QT, of e (I - QQ) T, e and e T,
-    gives the probability, time and trace rows, and one against
-    A = I - T + Omega the mhtf rows; A is built
+    One transposed solve against M = I - QT, of e (I - QQ) T and e, gives
+    the probability and time rows, whose sum less e is e T (I - QT)^-1, and
+    one against A = I - T + Omega the fundamental row e K11 Z; A is built
     as :func:`~hittime.maps.invariant_state` builds it, so an index target
     solves against the matrix that certified the map.  One step through the
-    frame form takes the mask of e and the start row to the survival and
-    first-step rows of :func:`mhtf_general`.
+    frame form takes the mask of e and of the fundamental row to the
+    survival and first-step rows of :func:`mhtf_general`.
     """
     if subspace.dim_ambient != t.dim:
         raise DimensionError(
@@ -329,7 +328,7 @@ def solve_hitting(
     pi = cert.fundamental_pi()
     # Each covector l solves l (I - QT) = r, with e = coords(I) and
     # e (I - QQ) = coords(W* P W), exactly 1 on the target's diagonal.
-    h, e, (probability, time, trace), radius, cond = survival_rows(t, subspace)
+    h, e, (probability, time), radius, cond = survival_rows(t, subspace)
     # The probability row is e, so e K11 = e (I - QQ) K (I - QQ) is the time
     # row off the mask; x Z solves x A = e K11, A = I - h + coords(W* pi W) e^T.
     a = bordered(h, subspace.coords(pi.matrix), e)
@@ -340,17 +339,14 @@ def solve_hitting(
             f"fundamental solve failed (condition estimate {cert.condition_estimate:.3e})"
         ) from exc
     start = subspace.mask(kz)
-    return_row = kz - start
     return HittingSolution(
         subspace=subspace,
         probability_covector=probability,
         time_covector=time,
-        trace_covector=trace,
-        return_covector=return_row,
-        start_covector=start,
+        fundamental_covector=kz,
         survival_covector=subspace.mask(e) @ h,
         first_step_covector=start @ h,
-        psi_term=_pair(return_row, subspace.coords(subspace.projector_p / subspace.rank)),
+        psi_term=_pair(kz - start, subspace.coords(subspace.projector_p / subspace.rank)),
         spectral_radius_qphi=radius,
         condition_estimate=cond,
         tol=tol,
@@ -375,15 +371,15 @@ def hitting_probability(hs: HittingSolution, rho) -> float:
 def mean_hitting_time_direct(hs: HittingSolution, rho) -> float:
     """Mean time of first visit, Tr((I - Q) K rho) = sum_k Tr((QT)^k rho).
 
-    The survival sum e M^-1 rho, M = I - QT, is checked against Tr(H rho) =
-    (e T) M^-1 rho, which differs by (e T - e) M^-1 rho: a deviation beyond the
-    tolerance or the forward error cond(M) allows signals breakdown or a map
-    that is not trace preserving.
+    The survival sum tau = e M^-1 rho, M = I - QT, is checked against
+    Tr(H rho) = (e T) M^-1 rho = tau + p - Tr(rho), p the hitting probability,
+    as M^-1 - I = QT M^-1: a deviation beyond the tolerance or the forward
+    error cond(M) allows signals breakdown or a map that is not trace preserving.
     """
     state = as_density(rho, hs.tol)
     w = hs.subspace.coords(state.matrix)
     tau = _pair(hs.time_covector, w)
-    cross = _pair(hs.trace_covector, w)
+    cross = tau + _pair(hs.probability_covector, w) - float(np.trace(state.matrix).real)
     # A solve with condition number c loses about c unit roundoffs (eps / 2)
     # of relative accuracy (Higham, Accuracy and Stability of Numerical
     # Algorithms, ch. 7).
@@ -409,7 +405,8 @@ def _psi_term(hs: HittingSolution, rho_psi) -> float:
         return hs.psi_term
     m, p = as_density(rho_psi, hs.tol).matrix, hs.subspace.projector_p
     _require_supported("arrival-side state", frobenius(p @ m @ p - m), hs.tol)
-    return _pair(hs.return_covector, hs.subspace.coords(m))
+    kz = hs.fundamental_covector
+    return _pair(kz - hs.subspace.mask(kz), hs.subspace.coords(m))
 
 
 def mhtf_orthogonal(
@@ -431,10 +428,10 @@ def mhtf_orthogonal(
     w = hs.subspace.coords(as_density(rho_phi, hs.tol).matrix)
     # ||Q rho Q - rho||_F: W* Q W is the coordinate mask of an orthonormal basis.
     _require_supported("initial state", frobenius(w - hs.subspace.mask(w)), hs.tol)
-    # Tr((DZ)_11 x) and Tr((DZ)_12 x) are the return and start covectors:
+    # Tr((DZ)_11 x) and Tr((DZ)_12 x) pair e K11 Z off and on the mask:
     # e (I - QQ) D = e K11.
     psi_term = _psi_term(hs, rho_psi)
-    phi_term = _pair(hs.start_covector, w)
+    phi_term = _pair(hs.subspace.mask(hs.fundamental_covector), w)
     return OrthogonalMhtf(psi_term - phi_term, psi_term, phi_term)
 
 

@@ -4,9 +4,12 @@ Each test prints one pass/fail line (visible with ``pytest -s`` or in the
 captured output) and enforces the stated runtime budget where one applies.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import golden
 from conftest import complement_basis
@@ -412,3 +415,23 @@ def test_criterion_8_convention_lock():
         worst <= 1e-12,
         f"max deviation {worst:.3e} over 25 random triples",
     )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_gives_the_values_its_comments_state():
+    """Runs the README's "Library quick start" block line by line; a line
+    whose comment starts with a number is evaluated and checked against it."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, stated = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        value = re.match(r"\s*(-?\d+\.\d+)", comment)
+        if code.strip() and value:
+            stated.append(float(value.group(1)))
+            assert eval(code, namespace) == pytest.approx(stated[-1], rel=1e-12, abs=0), line
+        else:
+            exec(line, namespace)
+    assert stated == [6.0, 6.0, 6.0, 1.0, 2.0, 2.0]

@@ -820,6 +820,12 @@ def test_classical_dist_command(runner, tmp_path):
     assert json.loads(result.output)["tau"] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_classical_dist_refuses_an_unparsable_distribution(runner, tmp_path):
+    result = runner.invoke(main, ["classical", "dist", chain_file(tmp_path), "-x", "a,b", "-j", "1"])
+    assert result.exit_code == 1
+    assert result.output == "error: cannot parse distribution 'a,b'\n"
+
+
 @pytest.mark.parametrize("argv,code", [
     (["--tol", "1e-3"], 0),
     (["--tol", "1e-3", "--trials", "10"], 0),
@@ -890,6 +896,17 @@ def test_classical_monte_carlo_flag(runner, tmp_path):
     assert mc["trials"] == 20000
     assert mc["seed"] == 3
     assert abs(mc["mean"] - 2.0) <= 4.0 * mc["std_error"]
+
+
+def test_classical_monte_carlo_of_one_trial_has_zero_standard_error(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["classical", "mhtf", chain_file(tmp_path), "-i", "1", "-j", "2", "--trials", "1", "--json"],
+    )
+    assert result.exit_code == 0, result.output
+    mc = json.loads(result.output)["monte_carlo"]
+    assert mc["trials"] == 1
+    assert mc["std_error"] == 0.0
 
 
 @pytest.mark.parametrize("stochastic,argv", [

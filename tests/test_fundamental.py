@@ -169,7 +169,7 @@ def _frame_basis(sub) -> np.ndarray:
 
 def _z_rows(hs):
     """The row e K11 of a solution and the row e K11 Z it carried through Z."""
-    return hs.time_covector - hs.subspace.mask(hs.time_covector), hs.return_covector + hs.start_covector
+    return hs.time_covector - hs.subspace.mask(hs.time_covector), hs.fundamental_covector
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -43,7 +43,12 @@ from hittime.blocks import block, dnl, fundamental, hitting_maps, lift
 from hittime.hitting import survival_rows
 from hittime.linalg import hermitian_coords, hermitian_matrix, spectral_radius
 from hittime.maps import frame_form
-from hittime.examples import qudit_demo_channel, symmetric_two_state_chain
+from hittime.examples import (
+    qubit_demo_kraus,
+    qubit_demo_subspace,
+    qudit_demo_channel,
+    symmetric_two_state_chain,
+)
 from hittime.sampling import (
     random_column_stochastic,
     random_cptp_map,
@@ -89,6 +94,18 @@ def test_subspace_collapses_linear_dependence():
 def test_subspace_rejects_zero_span():
     with pytest.raises(ValidationError):
         subspace_from_vectors([np.zeros(3)])
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: subspace_from_vectors([]), ValidationError, "at least one spanning vector is required"),
+    (lambda: subspace_from_vectors([np.ones(2), np.ones(3)]), DimensionError,
+     "spanning vectors have mixed lengths"),
+    (lambda: subspace_from_indices(3, []), ValidationError, "at least one basis index is required"),
+    (lambda: subspace_from_indices(3, [3]), ValidationError, r"basis indices must lie in \[0, 2\]"),
+])
+def test_subspace_constructors_refuse_empty_and_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("scale", [2.0**-1000, 1e-12, 1.0, 1e12, 2.0**1000])
@@ -344,9 +361,10 @@ def _random_target(target, n, rng):
 
 
 @pytest.mark.parametrize("target", ["index", "vector"])
-def test_psi_term_is_the_return_covector_paired_with_the_normalized_projector(target):
+def test_psi_term_pairs_the_fundamental_row_off_the_mask_with_p_over_rank(target):
     """The arrival-side term is a number of the solution: every default
-    mhtf reads it, bit for bit the pairing with coords(W* P W / rank)."""
+    mhtf reads it, bit for bit the pairing of e K11 Z off the mask with
+    coords(W* P W / rank)."""
     rng = np.random.default_rng(61)
     channel, cert = random_irreducible_cptp(4, rng=rng)
     sub = _random_target(target, 4, rng)
@@ -354,7 +372,8 @@ def test_psi_term_is_the_return_covector_paired_with_the_normalized_projector(ta
     p = sub.projector_p / sub.rank
     if sub.frame is not None:
         p = sub.frame.conj().T @ p @ sub.frame
-    reference = float(np.real(hs.return_covector @ hermitian_coords(p)))
+    off_mask = hs.fundamental_covector - sub.mask(hs.fundamental_covector)
+    reference = float(np.real(off_mask @ hermitian_coords(p)))
     rho_phi = random_density_supported(complement_basis(sub.projector_q), rng=rng)
     assert hs.psi_term == reference
     assert mhtf_orthogonal(hs, rho_phi).psi_term == reference
@@ -762,15 +781,54 @@ def test_unitary_channel_is_refused():
         solve_hitting(channel, random_subspace(3, 1, rng=51))
 
 
+def test_sampling_a_unitary_channel_runs_out_of_tries():
+    # one Kraus operator always gives a unitary channel, so every draw is refused
+    with pytest.raises(ValidationError, match="^could not sample a certified irreducible map in 20 tries$"):
+        random_irreducible_cptp(3, 1, 0)
+
+
 def test_direct_cross_check_rejects_deviation_beyond_conditioning():
     channel = from_stochastic(symmetric_two_state_chain(1e-7))
     hs = solve_hitting(channel, subspace_from_indices(2, [1]))
     start = pure_density([1.0, 0.0])
-    assert mean_hitting_time_direct(hs, start) == pytest.approx(1e7, rel=1e-6)
-    # the allowed relative deviation is about cond x unit roundoff, 1.1e-9 here
-    skewed = dataclasses.replace(hs, trace_covector=hs.trace_covector * (1 + 1e-8))
+    tau = mean_hitting_time_direct(hs, start)
+    assert tau == pytest.approx(1e7, rel=1e-6)
+    # The allowed deviation of Tr(H rho) = tau + p - Tr(rho) is about
+    # cond x unit roundoff x tau, 1.1e-9 x 1e7 = 0.011 here; p = 1.1 and
+    # p = 1.001 deviate by 0.1 and 1e-3.
+    skewed = dataclasses.replace(hs, probability_covector=hs.probability_covector * 1.1)
     with pytest.raises(NumericError, match="cross-check"):
         mean_hitting_time_direct(skewed, start)
+    within = dataclasses.replace(hs, probability_covector=hs.probability_covector * (1 + 1e-3))
+    assert mean_hitting_time_direct(within, start) == tau
+
+
+def _trace_row_case(case):
+    """A (map, subspace): a random Kraus map with an index or a vector target,
+    a raw map, or the demo map scaled by 1 + 2e-12, not trace preserving."""
+    if case == "raw":
+        return from_raw(golden.QUBIT_PHI), qubit_demo_subspace()
+    if case == "scaled demo":
+        return from_kraus([(1 + 2e-12) * op for op in qubit_demo_kraus()]), qubit_demo_subspace()
+    n, target = case.split("-")
+    rng = np.random.default_rng(70 + int(n))
+    channel, _ = random_irreducible_cptp(int(n), rng=rng)
+    return channel, _random_target(target, int(n), rng)
+
+
+@pytest.mark.parametrize("case", [
+    "3-index", "3-vector", "4-index", "4-vector", "5-index", "5-vector", "raw", "scaled demo",
+])
+def test_trace_row_is_the_probability_and_time_rows_less_e(case):
+    """e H = e h M^-1 is probability + time - e for any map, as M^-1 - I =
+    QQ h M^-1: the direct route's cross-check needs no row of its own."""
+    t, sub = _trace_row_case(case)
+    hs = solve_hitting(t, sub)
+    m = survival_matrix(t, sub)
+    e = hermitian_coords(np.eye(t.dim))
+    trace_row = np.linalg.solve(m.T, e @ frame_form(t, sub.frame))
+    bound = np.linalg.cond(m) * np.finfo(float).eps * np.abs(trace_row).max()
+    assert_allclose(hs.probability_covector + hs.time_covector - e, trace_row, rtol=0, atol=bound)
 
 
 @pytest.mark.parametrize("p", [

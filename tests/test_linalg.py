@@ -32,6 +32,11 @@ def test_vec_rejects_nonsquare():
         vec(np.ones((2, 3)))
 
 
+def test_vec_rejects_a_vector():
+    with pytest.raises(DimensionError, match=r"^vec input must be 2-dimensional, got shape \(3,\)$"):
+        vec(np.zeros(3))
+
+
 def test_unvec_identity():
     assert_allclose(unvec([1, 0, 0, 1]), np.eye(2))
 
@@ -148,6 +153,10 @@ def test_is_psd_conjugated_diagonal():
 
 def test_spectral_radius_identity():
     assert spectral_radius(np.eye(4)) == pytest.approx(1.0)
+
+
+def test_spectral_radius_of_an_empty_matrix_is_zero():
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
 def test_spectral_radius_nilpotent():

@@ -30,6 +30,7 @@ from hittime import (
     vec,
 )
 from hittime.examples import (
+    cycle_chain,
     qudit_demo_channel,
     qudit_demo_kraus,
     symmetric_two_state_chain,
@@ -161,6 +162,32 @@ def test_column_check_matches_the_column_by_column_reference(order):
             expected = _refusal(_column_by_column, bad, Tolerance())
             assert expected is not None
             assert _refusal(validate_column_stochastic, bad, Tolerance()) == expected
+
+
+@pytest.mark.parametrize("p,message", [
+    (np.array([[0.5, 0.5j], [0.5, 0.5]]), "stochastic matrix must be real"),
+    (np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), None),
+    (np.array([[0.5, np.inf], [0.5, 0.5]]), "stochastic matrix contains non-finite entries"),
+])
+def test_validate_column_stochastic_takes_only_real_finite_entries(p, message):
+    """A complex dtype passes when every imaginary part is zero."""
+    if message is None:
+        checked = validate_column_stochastic(p)
+        assert checked.dtype == float
+        assert_allclose(checked, np.full((2, 2), 0.5), rtol=0, atol=0)
+    else:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            validate_column_stochastic(p)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: qudit_demo_kraus(1.5), "parameter a must lie strictly between 0 and 1"),
+    (lambda: symmetric_two_state_chain(2.0), r"switch probability must lie in \[0, 1\]"),
+    (lambda: cycle_chain(0), "cycle length must be positive"),
+])
+def test_example_builders_refuse_parameters_out_of_range(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
 
 
 def test_from_stochastic_rejects_nonsquare():
@@ -405,6 +432,11 @@ def test_density_accepts_valid_state():
 def test_density_rejects_non_hermitian():
     with pytest.raises(ValidationError, match="Hermitian"):
         density(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+
+def test_density_rejects_non_finite_entries():
+    with pytest.raises(ValidationError, match="^density matrix contains non-finite entries$"):
+        density([[np.nan]])
 
 
 def test_density_rejects_wrong_trace():
