@@ -54,6 +54,7 @@ from .maps import (
     CpCheck,
     DensityMatrix,
     IrreducibilityCertificate,
+    KrausMap,
     PositivitySample,
     SuperOperator,
     TraceCheck,

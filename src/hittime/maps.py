@@ -3,10 +3,11 @@
 A map T on n x n matrices acts through its n^2 x n^2 matrix representation
 ``rep`` on row-stacked vectorizations: ``T(X) = unvec(rep @ vec(X))``.
 Constructors are provided for Kraus families, for classical
-column-stochastic matrices, and for raw representation matrices.  A Kraus
-map keeps its family V_i, from which its real and frame forms, its action,
-its trace check and its Choi matrix are computed; it builds
-``rep = sum_i kron(V_i, V_i.conj())`` only when ``rep`` is read.
+column-stochastic matrices, and for raw representation matrices.  Each
+storage is one class: :class:`SuperOperator` stores ``rep``, and its
+subclass :class:`KrausMap` stores the family V_i, from which its real and
+frame forms, its action, its trace check and its Choi matrix are computed;
+it builds ``rep = sum_i kron(V_i, V_i.conj())`` only when ``rep`` is read.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .linalg import (
 
 __all__ = [
     "SuperOperator",
+    "KrausMap",
     "DensityMatrix",
     "IrreducibilityCertificate",
     "CERTIFIED_IRREDUCIBLE",
@@ -91,31 +93,86 @@ def _check_scale(r: float, n: int, what: str) -> None:
 
 
 class SuperOperator:
-    """A linear map on M_n, given by its Kraus family or by its matrix representation.
+    """A linear map on M_n, stored as its matrix representation.
+
+    Its frame form contracts ``rep`` with K = kron(W, conj(W)) one index at a time, it applies as
+    unvec(rep @ vec(X)), T*(I) is conj(rep)^T vec(I), and its Choi matrix is ``rep`` reshuffled.
 
     Attributes
     ----------
     dim : int
         Dimension n of the underlying pure-state space.
     rep : ndarray, shape (n^2, n^2)
-        Representation matrix acting on row-stacked vectorizations.  A map
-        built from its Kraus family builds it on first access, as
-        sum_i kron(V_i, conj(V_i)); nothing on the answer path reads it.
+        Representation matrix acting on row-stacked vectorizations.
     provenance : str
-        One of ``"kraus"``, ``"stochastic"``, ``"raw"``; all but ``"raw"``
-        assert positivity (:attr:`positive`).
-    kraus : ndarray, shape (k, n, n), or None
-        The Kraus family V_i of X -> sum_i V_i X V_i*, read-only; None for
-        other provenances.
+        ``"stochastic"`` or ``"raw"`` (``"kraus"`` for a :class:`KrausMap`).
+    kraus : None
+        A map stored as its representation has no Kraus family.
     """
 
-    def __init__(self, dim: int, rep: np.ndarray | None, provenance: str,
-                 kraus: np.ndarray | None = None):
+    kraus = None
+
+    def __init__(self, dim: int, rep: np.ndarray, provenance: str):
         self.dim = dim
+        self.rep = rep
         self.provenance = provenance
-        self.kraus = kraus
-        if rep is not None:
-            self.__dict__["rep"] = rep
+
+    @property
+    def positive(self) -> bool:
+        """Whether the map is known to be positive: a Kraus map, or a representation labelled ``"stochastic"``."""
+        return self.kraus is not None or self.provenance == "stochastic"
+
+    @functools.cached_property
+    def hermitian_form(self) -> np.ndarray:
+        """The map's own Hermitian form (:func:`frame_form` for no frame), computed once; read-only."""
+        h = self._form(None)
+        h.flags.writeable = False
+        return h
+
+    def _form(self, w: np.ndarray | None) -> np.ndarray:
+        if w is None:
+            return hermitian_form(self.rep)
+        n, d, wc = self.dim, self.dim * self.dim, w.conj()
+        x = w.T @ (self.rep.reshape(d * n, n) @ wc).reshape(d, n, n)
+        x = w.T @ (wc.T @ x.reshape(n, n * d)).reshape(n, n, d)
+        return hermitian_form(x.reshape(d, d))
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        return unvec(self.rep @ vec(m))
+
+    def _adjoint_identity(self) -> np.ndarray:
+        # T*(I) = conj(rep)^T vec(I) = conj(vec(I) rep), without a conjugated copy of rep.
+        return unvec((vec(np.eye(self.dim)) @ self.rep).conj())
+
+    def _choi(self) -> np.ndarray:
+        n = self.dim
+        return np.einsum("klij->ikjl", self.rep.reshape(n, n, n, n)).reshape(n * n, n * n)
+
+
+class KrausMap(SuperOperator):
+    """The map X -> sum_i V_i X V_i*, stored as its Kraus family ``kraus``, read-only, shape (k, n, n).
+
+    Its forms are those of the family W* V_i W (:func:`~hittime.linalg.kraus_form`), T*(I) is
+    sum_i V_i* V_i, and its Choi matrix is G G*, G the n^2 x k matrix whose columns are the
+    column-stacked V_i; ``rep``, sum_i kron(V_i, conj(V_i)), is built only when read.  Trace
+    preservation is left to :func:`check_trace_preserving` and the routes that need it; a family
+    with sum_i ||V_i||_F^2 above sqrt(max double) / 4n is refused.
+    """
+
+    def __init__(self, kraus_ops: Sequence):
+        if len(kraus_ops) == 0:
+            raise ValidationError("at least one Kraus operator is required")
+        ops = tuple(finite_square(v, "Kraus operator") for v in kraus_ops)
+        n = ops[0].shape[0]
+        for v in ops:
+            if v.shape[0] != n:
+                raise DimensionError(f"Kraus operators have mixed dimensions {v.shape[0]} vs {n}")
+        family = np.stack(ops)
+        norm = scaled_norm(family)  # ||rep||_F <= sum_i ||V_i||_F^2 = norm^2
+        _check_scale(norm * norm, n, "Kraus family has sum_i ||V_i||_F^2 =")
+        family.flags.writeable = False
+        # No SuperOperator.__init__: its rep would shadow the cached one below.
+        self.dim, self.provenance, self.kraus = n, "kraus", family
 
     @functools.cached_property
     def rep(self) -> np.ndarray:
@@ -124,20 +181,19 @@ class SuperOperator:
             rep += np.kron(v, v.conj())
         return rep
 
-    @property
-    def positive(self) -> bool:
-        """Whether the map is known to be positive: a Kraus or stochastic map, not a ``raw`` one."""
-        return self.provenance != "raw"
+    def _form(self, w: np.ndarray | None) -> np.ndarray:
+        return kraus_form(self.kraus if w is None else w.conj().T @ self.kraus @ w)
 
-    @functools.cached_property
-    def hermitian_form(self) -> np.ndarray:
-        """The :func:`~hittime.linalg.hermitian_form` of ``rep``, computed once; read-only.
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        return (self.kraus @ m @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
-        A Kraus map takes it from its family (:func:`~hittime.linalg.kraus_form`).
-        """
-        h = hermitian_form(self.rep) if self.kraus is None else kraus_form(self.kraus)
-        h.flags.writeable = False
-        return h
+    def _adjoint_identity(self) -> np.ndarray:
+        stacked = self.kraus.reshape(-1, self.dim)  # [V_1; ...; V_k]
+        return stacked.conj().T @ stacked
+
+    def _choi(self) -> np.ndarray:
+        g = self.kraus.transpose(0, 2, 1).reshape(len(self.kraus), self.dim * self.dim).T
+        return g @ g.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,28 +309,9 @@ def as_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     return density(rho, tol)
 
 
-def from_kraus(kraus_ops: Sequence) -> SuperOperator:
-    """Superoperator of the map X -> sum_i V_i X V_i*.
-
-    Trace preservation (sum V_i* V_i = I) is not checked here:
-    :func:`check_trace_preserving` reports it, and the routes that need it
-    (:func:`invariant_state`, the fundamental map) enforce it.  A family with
-    sum_i ||V_i||_F^2 above sqrt(max double) / 4n is refused.
-    """
-    if len(kraus_ops) == 0:
-        raise ValidationError("at least one Kraus operator is required")
-    ops = tuple(finite_square(v, "Kraus operator") for v in kraus_ops)
-    n = ops[0].shape[0]
-    for v in ops:
-        if v.shape[0] != n:
-            raise DimensionError(
-                f"Kraus operators have mixed dimensions {v.shape[0]} vs {n}"
-            )
-    family = np.stack(ops)
-    norm = scaled_norm(family)  # ||rep||_F <= sum_i ||V_i||_F^2 = norm^2
-    _check_scale(norm * norm, n, "Kraus family has sum_i ||V_i||_F^2 =")
-    family.flags.writeable = False
-    return SuperOperator(n, None, "kraus", family)
+def from_kraus(kraus_ops: Sequence) -> KrausMap:
+    """Superoperator of the map X -> sum_i V_i X V_i*: the :class:`KrausMap` of the family."""
+    return KrausMap(kraus_ops)
 
 
 def validate_column_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -335,59 +372,27 @@ def from_raw(rep) -> SuperOperator:
 
 
 def apply(t: SuperOperator, x) -> np.ndarray:
-    """Apply the map to a matrix: sum_i V_i X V_i* for a Kraus map, else unvec(rep @ vec(X))."""
+    """Apply the map to a matrix."""
     m = finite_square(x, "map argument")
     if m.shape[0] != t.dim:
         raise DimensionError(f"expected a {t.dim} x {t.dim} matrix, got {m.shape}")
-    if t.kraus is None:
-        return unvec(t.rep @ vec(m))
-    return (t.kraus @ m @ t.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+    return t._apply(m)
 
 
 def frame_form(t: SuperOperator, w: np.ndarray | None) -> np.ndarray:
-    """The Hermitian form of X -> W* T(W X W*) W for the unitary frame ``w``; the map's own for None.
-
-    For a Kraus map it is the form of the family W* V_i W (:func:`~hittime.linalg.kraus_form`),
-    otherwise that of K* rep K, K = kron(W, conj(W)), contracted one index of rep at a time.
-    """
-    if w is None:
-        return t.hermitian_form
-    if t.kraus is not None:
-        return kraus_form(w.conj().T @ t.kraus @ w)
-    n, d, wc = t.dim, t.dim * t.dim, w.conj()
-    x = w.T @ (t.rep.reshape(d * n, n) @ wc).reshape(d, n, n)
-    x = w.T @ (wc.T @ x.reshape(n, n * d)).reshape(n, n, d)
-    return hermitian_form(x.reshape(d, d))
+    """The Hermitian form of X -> W* T(W X W*) W for the unitary frame ``w``; the map's own for None."""
+    return t.hermitian_form if w is None else t._form(w)
 
 
 def choi_matrix(t: SuperOperator) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) T(|i><j|), PSD iff T is completely positive.
-
-    For a Kraus map it is G G*, G the n^2 x k matrix whose columns are the
-    column-stacked V_i.
-    """
-    n = t.dim
-    if t.kraus is not None:
-        g = t.kraus.transpose(0, 2, 1).reshape(len(t.kraus), n * n).T
-        return g @ g.conj().T
-    rep4 = t.rep.reshape(n, n, n, n)
-    return np.einsum("klij->ikjl", rep4).reshape(n * n, n * n)
+    """Choi matrix sum_ij |i><j| (x) T(|i><j|), PSD iff T is completely positive."""
+    return t._choi()
 
 
 def check_trace_preserving(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> TraceCheck:
-    """Check T*(I) = I; returns the verdict and the Frobenius residual.
-
-    T*(I) is sum_i V_i* V_i for a Kraus map.
-    """
-    n = t.dim
-    if t.kraus is None:
-        # T*(I) = conj(rep)^T vec(I) = conj(vec(I) rep), without a conjugated copy of rep.
-        adjoint = unvec((vec(np.eye(n)) @ t.rep).conj())
-    else:
-        stacked = t.kraus.reshape(-1, n)  # [V_1; ...; V_k]
-        adjoint = stacked.conj().T @ stacked
-    residual = frobenius(adjoint - np.eye(n))
-    return TraceCheck(residual <= tol.atol + tol.rtol * math.sqrt(n), residual)
+    """Check T*(I) = I; returns the verdict and the Frobenius residual."""
+    residual = frobenius(t._adjoint_identity() - np.eye(t.dim))
+    return TraceCheck(residual <= tol.atol + tol.rtol * math.sqrt(t.dim), residual)
 
 
 def check_complete_positivity(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CpCheck:

@@ -227,11 +227,14 @@ def classical_monte_carlo(
     chain = np.maximum(arr, 0.0)
     in_target = np.zeros(n, dtype=bool)
     in_target[target_set] = True
-    # Refused before the first draw, when the mean walk alone outruns the cap.
+    # Refused before the first draw when the slowest of N trials, expected to take
+    # E H_N steps for exponential times of mean E (H_N harmonic), would outrun the cap.
     mean_time = _mean_first_visit(chain, in_target, dist)
-    if mean_time > _MC_STEP_CAP:
+    harmonic = float(np.sum(1.0 / np.arange(1, trials + 1)))
+    if mean_time * harmonic > _MC_STEP_CAP:
         raise NonConvergenceError(
-            f"mean first-visit time {mean_time:.3e} exceeds the step cap {_MC_STEP_CAP}"
+            f"mean first-visit time {mean_time:.3e} times H_{trials} = {harmonic:.4f} gives the slowest "
+            f"of {trials} trials {mean_time * harmonic:.3e} expected steps, above the step cap {_MC_STEP_CAP}"
         )
     rng = np.random.default_rng(int(seed))
     states = (np.full(trials, s0, dtype=np.int64) if np.isscalar(start)

@@ -927,8 +927,9 @@ def test_monte_carlo_accepts_what_the_formula_accepts(runner, tmp_path, stochast
 def test_classical_trials_refuse_a_walk_beyond_the_step_cap_before_sampling(
     runner, tmp_path, monkeypatch
 ):
-    """The formula answers 6.27e8 steps; --trials exits 5 naming that mean
-    and the cap, and the generator is never asked for a draw."""
+    """The formula answers 6.27e8 steps; --trials 30 exits 5 naming that mean,
+    the trials, the slowest trial's expected steps and the cap, and the
+    generator is never asked for a draw."""
     path = write(tmp_path, "slow.json", {"dim": 2, "stochastic": [
         [0.9999999984059049, 0.9984290128293385], [1.594095064128074e-09, 0.001570987170661532]]})
 
@@ -940,7 +941,8 @@ def test_classical_trials_refuse_a_walk_beyond_the_step_cap_before_sampling(
     result = runner.invoke(main, argv)
     assert result.exit_code == 5
     assert result.stdout == ""
-    assert result.stderr == "error: mean first-visit time 6.273e+08 exceeds the step cap 10000000\n"
+    assert result.stderr == ("error: mean first-visit time 6.273e+08 times H_30 = 3.9950 gives the slowest "
+                             "of 30 trials 2.506e+09 expected steps, above the step cap 10000000\n")
 
 
 def test_classical_requires_stochastic_file(runner, tmp_path):

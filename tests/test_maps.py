@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hittime import (
     INCONCLUSIVE,
     NOT_IRREDUCIBLE,
     DimensionError,
+    KrausMap,
     PreconditionError,
+    SuperOperator,
     Tolerance,
     ValidationError,
     apply,
@@ -71,14 +74,45 @@ def test_from_kraus_qudit_demo_is_trace_preserving():
     assert_allclose(sum(v.conj().T @ v for v in ops), np.eye(4), atol=1e-14)
 
 
-def test_from_kraus_rejects_mixed_dimensions():
-    with pytest.raises(DimensionError):
-        from_kraus([np.eye(2), np.eye(3)])
+def test_positive_is_not_read_off_a_label(qubit_channel):
+    """Only a Kraus family, or a representation labelled exactly "stochastic", is positive."""
+    assert SuperOperator(2, qubit_channel.rep, "kraus").positive is False
+    assert SuperOperator(2, qubit_channel.rep, "Raw").positive is False
 
 
-def test_from_kraus_rejects_empty_list():
-    with pytest.raises(ValidationError):
-        from_kraus([])
+def test_from_kraus_returns_a_kraus_map_with_a_read_only_family():
+    t = from_kraus([np.eye(2)])
+    assert isinstance(t, KrausMap)
+    with pytest.raises(ValueError, match="read-only"):
+        t.kraus[0, 0, 0] = 2.0
+
+
+KRAUS_ENTRY_POINTS = pytest.mark.parametrize("build", [from_kraus, KrausMap], ids=["from_kraus", "KrausMap"])
+
+
+@KRAUS_ENTRY_POINTS
+def test_from_kraus_rejects_mixed_dimensions(build):
+    with pytest.raises(DimensionError, match=r"^Kraus operators have mixed dimensions 3 vs 2$"):
+        build([np.eye(2), np.eye(3)])
+
+
+@KRAUS_ENTRY_POINTS
+def test_from_kraus_rejects_empty_list(build):
+    with pytest.raises(ValidationError, match=r"^at least one Kraus operator is required$"):
+        build([])
+
+
+@KRAUS_ENTRY_POINTS
+@pytest.mark.parametrize("ops,message", [
+    ([np.eye(2), np.diag([1.0, np.nan])], "Kraus operator contains non-finite entries"),
+    # sum_i ||V_i||_F^2 = 2e154, above sqrt(max double) / 8 = 1.676e153
+    ([1e77 * np.eye(2)], "Kraus family has sum_i ||V_i||_F^2 = 2.000e+154, above sqrt(max double) "
+                         "/ 4n = 1.676e+153 for n = 2: the trace check, T(rho) or a Frobenius norm "
+                         "could overflow"),
+], ids=["non-finite", "above the scale ceiling"])
+def test_kraus_entry_points_refuse_a_non_finite_or_oversized_family(build, ops, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build(ops)
 
 
 def test_from_kraus_leaves_trace_preservation_to_its_check():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -263,33 +264,68 @@ class _NoDraws:
         raise AssertionError(f"the generator was asked for {name}")
 
 
+def _harmonic(n: int) -> float:
+    return math.fsum(1.0 / k for k in range(1, n + 1))
+
+
 @pytest.mark.parametrize("start", [0, [1.0, 0.0]])
 def test_monte_carlo_refuses_a_walk_beyond_the_cap_before_its_first_draw(monkeypatch, start):
-    """From state 1 the chain's mean first visit to state 2 is 6.27e8 steps:
+    """From state 1 the chain's mean first visit to state 2 is 6.27e8 steps,
+    so the slowest of 30 trials is expected to take 6.27e8 H_30 = 2.51e9:
     the walk is refused before the generator is asked for anything, where
     stepping up to the cap took about two minutes."""
     chain = np.array([[0.9999999984059049, 0.9984290128293385],
                       [1.594095064128074e-09, 0.001570987170661532]])
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoDraws())
-    with pytest.raises(NonConvergenceError,
-                       match=r"^mean first-visit time 6\.273e\+08 exceeds the step cap 10000000$"):
+    message = ("mean first-visit time 6.273e+08 times H_30 = 3.9950 gives the slowest of 30 "
+               "trials 2.506e+09 expected steps, above the step cap 10000000")
+    with pytest.raises(NonConvergenceError, match=f"^{re.escape(message)}$"):
         classical_monte_carlo(chain, start, [1], trials=30, seed=1)
+
+
+@pytest.mark.parametrize("trials,refused", [(30, True), (10, False)])
+def test_monte_carlo_judges_its_slowest_trial_not_its_mean(monkeypatch, trials, refused):
+    """The mean first visit is 3.0e6 steps, below the 1e7 cap, but the slowest
+    of 30 trials is expected to take 3.0e6 H_30 = 1.198e7 steps: refused before
+    any draw.  Of 10 trials it is 3.0e6 H_10 = 8.79e6, so sampling starts."""
+    chain = np.array([[0.9999996666666667, 0.5], [3.333333333e-07, 0.5]])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoDraws())
+    if refused:
+        message = ("mean first-visit time 3.000e+06 times H_30 = 3.9950 gives the slowest of 30 "
+                   "trials 1.198e+07 expected steps, above the step cap 10000000")
+        with pytest.raises(NonConvergenceError, match=f"^{re.escape(message)}$"):
+            classical_monte_carlo(chain, 0, [1], trials=trials, seed=1)
+    else:
+        with pytest.raises(AssertionError, match="the generator was asked for random"):
+            classical_monte_carlo(chain, 0, [1], trials=trials, seed=1)
 
 
 @pytest.mark.parametrize("start,mean", [(0, 4), ([0.5, 0.5], 3)])
 def test_monte_carlo_refusal_is_judged_on_the_first_visit_mean(monkeypatch, start, mean):
     """At p = 1/4 the first visit to state 2 takes 4 steps from state 1 and
-    2 from state 2 (a return), so 3 from the uniform start.  A cap one below
-    that mean refuses up front; at the mean, sampling starts, and only the
-    step loop may refuse."""
+    2 from state 2 (a return), so 3 from the uniform start.  Of 10 trials the
+    slowest is expected to take that mean times H_10.  A cap one below that
+    gate refuses before any draw; at the gate, sampling starts."""
     chain = symmetric_two_state_chain(0.25)
-    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", mean - 1)
-    message = f"mean first-visit time {float(mean):.3e} exceeds the step cap {mean - 1}"
+    gate = mean * _harmonic(10)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoDraws())
+    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", math.ceil(gate) - 1)
+    message = (f"mean first-visit time {float(mean):.3e} times H_10 = {_harmonic(10):.4f} gives the "
+               f"slowest of 10 trials {gate:.3e} expected steps, above the step cap {math.ceil(gate) - 1}")
     with pytest.raises(NonConvergenceError, match=f"^{re.escape(message)}$"):
         classical_monte_carlo(chain, start, [1], trials=10, seed=0)
-    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", mean)
-    with pytest.raises(NonConvergenceError, match="trajectories exceeded the step cap"):
-        classical_monte_carlo(chain, start, [1], trials=100, seed=0)
+    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", math.ceil(gate))
+    with pytest.raises(AssertionError, match="the generator was asked for"):
+        classical_monte_carlo(chain, start, [1], trials=10, seed=0)
+
+
+def test_monte_carlo_step_loop_refuses_a_trial_the_gate_let_through(monkeypatch):
+    """The gate judges the expected slowest trial, 4 H_100 = 20.7 steps from
+    state 1 at p = 1/4; with seed 2 one of the 100 trials takes longer than a
+    cap of 21, and the step loop refuses it."""
+    monkeypatch.setattr(hittime.oracle, "_MC_STEP_CAP", math.ceil(4 * _harmonic(100)))
+    with pytest.raises(NonConvergenceError, match=r"^1 trajectories exceeded the step cap 21$"):
+        classical_monte_carlo(symmetric_two_state_chain(0.25), 0, [1], trials=100, seed=2)
 
 
 def test_monte_carlo_validations():
