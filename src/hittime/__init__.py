@@ -56,6 +56,7 @@ from .maps import (
     IrreducibilityCertificate,
     KrausMap,
     PositivitySample,
+    StochasticMap,
     SuperOperator,
     TraceCheck,
     apply,

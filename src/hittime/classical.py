@@ -50,6 +50,7 @@ __all__ = [
     "kac_return_time",
     "classical_mhtf_distribution",
     "classical_mhtf_subset",
+    "first_step_times",
 ]
 
 # Relative to the largest summand |Z[k, j] tau(k -> S)| of the anchor sums.
@@ -148,24 +149,9 @@ def classical_mhtf_distribution(
     return float(1.0 + (mc.z[j, j] - reached[j]) / mc.pi[j])
 
 
-def _first_step_return_times(p: np.ndarray, states: list[int]) -> dict[int, float]:
-    """Return times tau(k -> S) for k in S from the first-step system on C."""
-    rest = np.setdiff1d(np.arange(p.shape[0]), states)
-    try:
-        h = np.linalg.solve(
-            np.eye(rest.size) - p[np.ix_(rest, rest)].T, np.ones(rest.size)
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"first-step system on the complement of the subset is singular ({exc})"
-        ) from exc
-    taus = 1.0 + p[np.ix_(rest, states)].T @ h
-    if not np.all(np.isfinite(taus)):
-        raise NumericError(
-            "first-step system on the complement of the subset gave non-finite "
-            "return times"
-        )
-    return {k: float(t) for k, t in zip(states, taus)}
+def first_step_times(p: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """h = (I - P[C, C]^T)^{-1} 1, the mean times to leave C = ``rest``; numpy's LinAlgError if singular."""
+    return np.linalg.solve(np.eye(rest.size) - p[np.ix_(rest, rest)].T, np.ones(rest.size))
 
 
 def classical_mhtf_subset(
@@ -190,7 +176,15 @@ def classical_mhtf_subset(
     if i in states:
         raise PreconditionError("initial state must lie outside the subset")
 
-    return_times = _first_step_return_times(mc.p, states)
+    rest = np.setdiff1d(np.arange(mc.n), states)
+    try:
+        h = first_step_times(mc.p, rest)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"first-step system on the complement of the subset is singular ({exc})") from exc
+    taus = 1.0 + mc.p[np.ix_(rest, states)].T @ h
+    if not np.all(np.isfinite(taus)):
+        raise NumericError("first-step system on the complement of the subset gave non-finite return times")
+    return_times = {k: float(t) for k, t in zip(states, taus)}
     sums = [sum(mc.z[k, j] * return_times[k] for k in states) for j in states]
     residual = float(max(sums) - min(sums))
     bound = _J_INDEPENDENCE_TOL * max(abs(mc.z[k, j] * return_times[k]) for k in states for j in states)

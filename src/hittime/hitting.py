@@ -162,7 +162,7 @@ def subspace_from_vectors(vectors, tol: Tolerance = DEFAULT_TOL) -> ArrivalSubsp
     """Arrival subspace spanned by the given vectors, whatever their overall scale.
 
     The vectors are orthonormalized; singular values up to (atol + rtol) times
-    the largest are collapsed.  The span must be proper and nonzero.
+    the largest are collapsed.  The span must be proper and keep a direction.
     """
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not cols:
@@ -173,9 +173,13 @@ def subspace_from_vectors(vectors, tol: Tolerance = DEFAULT_TOL) -> ArrivalSubsp
             raise DimensionError("spanning vectors have mixed lengths")
     a = np.column_stack(cols)
     u, sing, _ = np.linalg.svd(a)
+    if sing.size and not sing[0] < math.inf:  # overflowed: divide every real part by the largest
+        u, sing, _ = np.linalg.svd((a.view(float) / np.abs(a.view(float)).max()).view(complex))
     if sing.size == 0 or not sing[0] > 0:
         raise ValidationError("spanning vectors span the zero subspace")
     rank = int(np.sum(sing > (tol.atol + tol.rtol) * sing[0]))
+    if rank == 0:
+        raise ValidationError(f"spanning vectors keep no direction under atol {tol.atol:g} and rtol {tol.rtol:g}")
     if rank >= n:
         raise ValidationError(
             "arrival subspace must be proper (a nontrivial subspace is required)"

@@ -4,10 +4,11 @@ A map T on n x n matrices acts through its n^2 x n^2 matrix representation
 ``rep`` on row-stacked vectorizations: ``T(X) = unvec(rep @ vec(X))``.
 Constructors are provided for Kraus families, for classical
 column-stochastic matrices, and for raw representation matrices.  Each
-storage is one class: :class:`SuperOperator` stores ``rep``, and its
-subclass :class:`KrausMap` stores the family V_i, from which its real and
-frame forms, its action, its trace check and its Choi matrix are computed;
-it builds ``rep = sum_i kron(V_i, V_i.conj())`` only when ``rep`` is read.
+storage is one class: :class:`SuperOperator` stores ``rep``, its subclass
+:class:`KrausMap` the family V_i and :class:`StochasticMap` the chain's
+matrix P.  From its storage each class computes its forms, its action, its
+trace and complete-positivity checks and whether it is known to be positive;
+the subclasses build ``rep`` only when it is read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import DimensionError, NumericError, PreconditionError, ValidationE
 from .linalg import (
     COND_CEIL,
     DEFAULT_TOL,
-    PsdCheck,
     Tolerance,
     bordered,
     bordered_solve,
@@ -46,6 +46,7 @@ from .linalg import (
 __all__ = [
     "SuperOperator",
     "KrausMap",
+    "StochasticMap",
     "DensityMatrix",
     "IrreducibilityCertificate",
     "CERTIFIED_IRREDUCIBLE",
@@ -93,7 +94,7 @@ def _check_scale(r: float, n: int, what: str) -> None:
 
 
 class SuperOperator:
-    """A linear map on M_n, stored as its matrix representation.
+    """A linear map on M_n, stored as its matrix representation; nothing vouches for its positivity.
 
     Its frame form contracts ``rep`` with K = kron(W, conj(W)) one index at a time, it applies as
     unvec(rep @ vec(X)), T*(I) is conj(rep)^T vec(I), and its Choi matrix is ``rep`` reshuffled.
@@ -105,22 +106,14 @@ class SuperOperator:
     rep : ndarray, shape (n^2, n^2)
         Representation matrix acting on row-stacked vectorizations.
     provenance : str
-        ``"stochastic"`` or ``"raw"`` (``"kraus"`` for a :class:`KrausMap`).
-    kraus : None
-        A map stored as its representation has no Kraus family.
+        ``"raw"``; ``"kraus"`` for a :class:`KrausMap`, ``"stochastic"`` for a :class:`StochasticMap`.
     """
 
-    kraus = None
+    provenance = "raw"
+    positive = property(lambda self: False, doc="Whether the map is known to be positive (Kraus, stochastic).")
 
-    def __init__(self, dim: int, rep: np.ndarray, provenance: str):
-        self.dim = dim
-        self.rep = rep
-        self.provenance = provenance
-
-    @property
-    def positive(self) -> bool:
-        """Whether the map is known to be positive: a Kraus map, or a representation labelled ``"stochastic"``."""
-        return self.kraus is not None or self.provenance == "stochastic"
+    def __init__(self, dim: int, rep: np.ndarray):
+        self.dim, self.rep = dim, rep
 
     @functools.cached_property
     def hermitian_form(self) -> np.ndarray:
@@ -148,16 +141,23 @@ class SuperOperator:
         n = self.dim
         return np.einsum("klij->ikjl", self.rep.reshape(n, n, n, n)).reshape(n * n, n * n)
 
+    def _complete_positivity(self, tol: Tolerance) -> CpCheck:
+        return CpCheck(*is_psd(self._choi(), tol))
+
 
 class KrausMap(SuperOperator):
     """The map X -> sum_i V_i X V_i*, stored as its Kraus family ``kraus``, read-only, shape (k, n, n).
 
     Its forms are those of the family W* V_i W (:func:`~hittime.linalg.kraus_form`), T*(I) is
     sum_i V_i* V_i, and its Choi matrix is G G*, G the n^2 x k matrix whose columns are the
-    column-stacked V_i; ``rep``, sum_i kron(V_i, conj(V_i)), is built only when read.  Trace
-    preservation is left to :func:`check_trace_preserving` and the routes that need it; a family
-    with sum_i ||V_i||_F^2 above sqrt(max double) / 4n is refused.
+    column-stacked V_i, of rank at most k: for k < n^2 its least eigenvalue, exactly 0, is
+    reported without building it.  ``rep``, sum_i kron(V_i, conj(V_i)), is built only when read.
+    Trace preservation is left to :func:`check_trace_preserving` and the routes that need it; a
+    family with sum_i ||V_i||_F^2 above sqrt(max double) / 4n is refused.
     """
+
+    provenance = "kraus"
+    positive = property(lambda self: True)
 
     def __init__(self, kraus_ops: Sequence):
         if len(kraus_ops) == 0:
@@ -172,7 +172,7 @@ class KrausMap(SuperOperator):
         _check_scale(norm * norm, n, "Kraus family has sum_i ||V_i||_F^2 =")
         family.flags.writeable = False
         # No SuperOperator.__init__: its rep would shadow the cached one below.
-        self.dim, self.provenance, self.kraus = n, "kraus", family
+        self.dim, self.kraus = n, family
 
     @functools.cached_property
     def rep(self) -> np.ndarray:
@@ -194,6 +194,49 @@ class KrausMap(SuperOperator):
     def _choi(self) -> np.ndarray:
         g = self.kraus.transpose(0, 2, 1).reshape(len(self.kraus), self.dim * self.dim).T
         return g @ g.conj().T
+
+    def _complete_positivity(self, tol: Tolerance) -> CpCheck:
+        return CpCheck(True, 0.0) if len(self.kraus) < self.dim**2 else super()._complete_positivity(tol)
+
+
+class StochasticMap(SuperOperator):
+    """The map X -> diag(P diag X), stored as the column-stochastic ``p``, read-only, shape (n, n).
+
+    The constructor runs :func:`validate_column_stochastic`.  The map's own form is P on the n
+    diagonal coordinates and 0 elsewhere, T*(I) is diag(1^T P), and its Choi matrix is diagonal
+    with the entries of P, so its least eigenvalue is min P.  ``rep`` is built only when read.
+    """
+
+    provenance = "stochastic"
+    positive = property(lambda self: True)
+
+    def __init__(self, p, tol: Tolerance = DEFAULT_TOL):
+        p = validate_column_stochastic(p, tol).copy()  # owned and C-ordered, whatever the orientation
+        p.flags.writeable = False
+        self.dim, self.p = p.shape[0], p  # no SuperOperator.__init__, as for KrausMap
+
+    @functools.cached_property
+    def rep(self) -> np.ndarray:
+        rep = np.zeros((self.dim * self.dim,) * 2, dtype=complex)
+        rep[:: self.dim + 1, :: self.dim + 1] = self.p  # the vec indices of the diagonal
+        return rep
+
+    def _form(self, w: np.ndarray | None) -> np.ndarray:
+        if w is not None:
+            return super()._form(w)
+        h = np.zeros((self.dim * self.dim,) * 2)  # untouched pages of zeros take no memory
+        h[: self.dim, : self.dim] = self.p  # P on the diagonal coordinates
+        return h
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        return np.diag(self.p @ np.diag(m))
+
+    def _adjoint_identity(self) -> np.ndarray:
+        return np.diag(self.p.sum(axis=0))
+
+    def _complete_positivity(self, tol: Tolerance) -> CpCheck:
+        low = float(self.p.min())
+        return CpCheck(low >= -tol.atol, low)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,18 +387,9 @@ def validate_column_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return arr
 
 
-def from_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> SuperOperator:
-    """Embed a column-stochastic matrix as a map on M_n.
-
-    The resulting map sends diag(x) to diag(P x) and annihilates off-diagonal
-    components, so its action on diagonal matrices mimics the Markov chain.
-    """
-    arr = validate_column_stochastic(p, tol)
-    n = arr.shape[0]
-    rep = np.zeros((n * n, n * n), dtype=complex)
-    diag_idx = np.arange(n) * (n + 1)
-    rep[np.ix_(diag_idx, diag_idx)] = arr
-    return SuperOperator(n, rep, "stochastic")
+def from_stochastic(p, tol: Tolerance = DEFAULT_TOL) -> StochasticMap:
+    """The map X -> diag(P diag X) of a column-stochastic P, its :class:`StochasticMap`."""
+    return StochasticMap(p, tol)
 
 
 def from_raw(rep) -> SuperOperator:
@@ -368,7 +402,7 @@ def from_raw(rep) -> SuperOperator:
             f"representation size {m.shape[0]} is not a perfect square"
         )
     _check_scale(scaled_norm(m), n, "superoperator representation has Frobenius norm")
-    return SuperOperator(n, m.copy(), "raw")
+    return SuperOperator(n, m.copy())
 
 
 def apply(t: SuperOperator, x) -> np.ndarray:
@@ -396,17 +430,8 @@ def check_trace_preserving(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Tr
 
 
 def check_complete_positivity(t: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CpCheck:
-    """PSD test on the Choi matrix; certifies complete positivity.
-
-    The Choi matrix of k Kraus operators V_i is sum_i vec(V_i) vec(V_i)*,
-    positive semidefinite of rank at most k: for a Kraus map of k < n^2
-    operators its least eigenvalue is exactly 0, reported without building
-    it.
-    """
-    if t.kraus is not None and len(t.kraus) < t.dim * t.dim:
-        return CpCheck(True, 0.0)
-    check: PsdCheck = is_psd(choi_matrix(t), tol)
-    return CpCheck(check.ok, check.min_eigenvalue)
+    """PSD test on the Choi matrix, whose least eigenvalue a Kraus or stochastic map reads off its storage."""
+    return t._complete_positivity(tol)
 
 
 def positivity_sample(

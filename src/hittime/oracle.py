@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import first_step_times
 from .errors import NonConvergenceError, ValidationError
 from .hitting import ArrivalSubspace
 from .linalg import DEFAULT_TOL, EPS, Tolerance, hermitian_coords, hermitian_matrix
@@ -172,13 +173,13 @@ def tau_series(
 def _mean_first_visit(chain: np.ndarray, in_target: np.ndarray, start: np.ndarray) -> float:
     """Mean first-visit time of the target from the distribution ``start``, counted from step 1.
 
-    The mean times h from the states of the complement C solve the first-step
-    system (I - P_CC^T) h = 1, so from the start it is 1 + (P_C start) h.  A
-    singular system, and a value below 1 (a failed solve), count as inf.
+    With h the mean times from the states of the complement C
+    (:func:`~hittime.classical.first_step_times`), it is 1 + (P_C start) h.
+    A singular system, and a value below 1 (a failed solve), count as inf.
     """
     rest = np.flatnonzero(~in_target)
     try:
-        h = np.linalg.solve(np.eye(rest.size) - chain[np.ix_(rest, rest)].T, np.ones(rest.size))
+        h = first_step_times(chain, rest)
     except np.linalg.LinAlgError:
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):

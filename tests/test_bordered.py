@@ -54,7 +54,7 @@ def block_map(rng, n, eps):
     ops[:, :half, :half] = kraus_family(rng, half, 2)
     ops[:, half:, half:] = kraus_family(rng, n - half, 2)
     mixer = from_kraus(kraus_family(rng, n, 2))
-    return SuperOperator(n, (1 - eps) * from_kraus(list(ops)).rep + eps * mixer.rep, "raw")
+    return SuperOperator(n, (1 - eps) * from_kraus(list(ops)).rep + eps * mixer.rep)
 
 
 def random_maps():

@@ -1233,3 +1233,64 @@ def test_classical_subset_nearly_reducible_answers_relative_anchor_check(runner,
             np.eye(len(rest)) - p[np.ix_(rest, rest)].T, np.ones(len(rest))
         )
         assert json.loads(result.output)["tau"] == pytest.approx(h[0], rel=1e-6)
+
+
+# ------------------------------------------------------ chains stored as P
+
+def random_chain_file(tmp_path, n, seed):
+    p = np.random.default_rng(seed).random((n, n))
+    return write(tmp_path, f"chain{n}.json", {"dim": n, "stochastic": (p / p.sum(axis=0)).tolist()})
+
+
+@pytest.mark.parametrize("command", ["validate", "hit"])
+def test_chain_commands_never_build_the_embedding(runner, tmp_path, monkeypatch, linalg_calls, command):
+    """validate and an index-target hit on a 12-state chain factor no complex n^2 x n^2 matrix."""
+    built = []
+
+    def recorded(*args):
+        built.append(hittime.io.build_superoperator(*args))
+        return built[-1]
+
+    monkeypatch.setattr(hittime.cli, "build_superoperator", recorded)
+    path = random_chain_file(tmp_path, 12, 5)
+    query = write(tmp_path, "q.json", {"subspace": {"indices": [1]}, "initial": {"index": 12}})
+    result = runner.invoke(main, [command, path, *([query] if command == "hit" else []), "--json"])
+    assert result.exit_code == 0, result.output
+    (t,) = built
+    assert isinstance(t, hittime.StochasticMap)
+    assert "rep" not in t.__dict__
+    assert linalg_calls
+    assert not [call for call in linalg_calls if call[0].startswith("complex") and call[1] == (144, 144)]
+
+
+def test_a_vector_target_on_a_chain_agrees_with_classical_mhtf(runner, tmp_path):
+    """A vector target takes the frame form, from the rep built on reading; an index target does not."""
+    path = random_chain_file(tmp_path, 5, 8)
+    classical = runner.invoke(main, ["classical", "mhtf", path, "-i", "4", "-j", "2", "--json"])
+    assert classical.exit_code == 0, classical.output
+    for subspace in ({"vectors": [[0, -3, 0, 0, 0]]}, {"indices": [2]}):
+        query = write(tmp_path, "q.json", {"subspace": subspace, "initial": {"index": 4}})
+        result = runner.invoke(main, ["hit", path, query, "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["tau"] == pytest.approx(json.loads(classical.output)["tau"], rel=1e-12)
+
+
+def test_a_spanning_vector_beyond_the_double_range_spans_its_direction(runner, tmp_path):
+    """Its largest singular value overflows; divided by its largest entry it is [1, -1], bit for bit."""
+    answers = []
+    for scale in (1.0, 1.7e308):
+        query = write(tmp_path, "q.json", {"subspace": {"vectors": [[scale, -scale]]}, "initial": {"index": 1}})
+        result = runner.invoke(main, ["hit", qubit_map_file(tmp_path), query, "--json"])
+        assert result.exit_code == 0, result.output
+        answers.append(result.output)
+    assert answers[0] == answers[1]
+    assert json.loads(answers[1])["tau"] == pytest.approx(2.0, rel=1e-14)
+
+
+def test_a_tolerance_that_collapses_every_singular_value_exits_3(runner, tmp_path):
+    """atol + rtol >= 1 keeps no singular value above (atol + rtol) times the largest."""
+    query = write(tmp_path, "q.json", {"subspace": {"vectors": [[1, -1]]}, "initial": {"index": 1}, "tol": 0.6})
+    result = runner.invoke(main, ["hit", qubit_map_file(tmp_path), query])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        3, "", "error: spanning vectors keep no direction under atol 0.6 and rtol 0.6\n"
+    )

@@ -116,7 +116,7 @@ def test_fundamental_map_refuses_a_condition_beyond_the_ceiling(monkeypatch, qub
 
 
 def test_fundamental_map_refuses_a_map_that_is_not_trace_preserving(qubit_channel):
-    scaled = SuperOperator(2, 0.5 * qubit_channel.rep, "raw")  # T*(I) = I / 2
+    scaled = SuperOperator(2, 0.5 * qubit_channel.rep)  # T*(I) = I / 2
     with pytest.raises(PreconditionError) as refused:
         solve_hitting(scaled, subspace_from_indices(2, [0]))
     assert str(refused.value) == "map is not trace preserving (residual 7.071e-01)"

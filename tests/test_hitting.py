@@ -15,8 +15,8 @@ from conftest import complement_basis, survival_matrix
 from hittime import (
     DEFAULT_TOL,
     DimensionError,
+    KrausMap,
     NumericError,
-    SuperOperator,
     OrthogonalityError,
     PreconditionError,
     Tolerance,
@@ -999,8 +999,10 @@ def test_a_time_row_whose_residual_is_not_below_one_proves_no_radius(qubit_chann
     1.5,  # the solve succeeds, but the time row's matrix is not positive definite
 ])
 def test_a_non_contracting_survival_takes_the_fallback_and_keeps_the_message(scale):
-    """The stay-put chain, scaled: QT keeps the start with weight ``scale``."""
-    t = SuperOperator(2, scale * from_stochastic(np.eye(2)).rep, "stochastic")
+    """The stay-put map, scaled: QT keeps the start with weight ``scale``."""
+    unit = np.eye(2)
+    t = KrausMap([np.sqrt(scale) * np.outer(unit[k], unit[k]) for k in range(2)])
+    assert t.positive
     sub = subspace_from_indices(2, [1])
     with pytest.raises(NumericError) as refused:
         survival_rows(t, sub)

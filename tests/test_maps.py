@@ -13,6 +13,7 @@ from hittime import (
     DimensionError,
     KrausMap,
     PreconditionError,
+    StochasticMap,
     SuperOperator,
     Tolerance,
     ValidationError,
@@ -32,6 +33,8 @@ from hittime import (
     validate_column_stochastic,
     vec,
 )
+from hittime.linalg import hermitian_form
+from hittime.maps import frame_form
 from hittime.examples import (
     cycle_chain,
     qudit_demo_channel,
@@ -52,12 +55,14 @@ def transpose_map(n: int):
 # ---------------------------------------------------------------- from_kraus
 
 def test_positive_follows_the_constructor_and_is_read_only(qubit_channel):
+    chain = from_stochastic(symmetric_two_state_chain(0.3))
     assert qubit_channel.positive is True
-    assert from_stochastic(symmetric_two_state_chain(0.3)).positive is True
+    assert chain.positive is True
     assert from_raw(qubit_channel.rep).positive is False
     assert transpose_map(2).positive is False  # positive, but nothing asserts it
-    with pytest.raises(AttributeError):
-        qubit_channel.positive = False
+    for t in (qubit_channel, chain, transpose_map(2)):
+        with pytest.raises(AttributeError):
+            t.positive = not t.positive
 
 
 def test_from_kraus_identity():
@@ -75,9 +80,14 @@ def test_from_kraus_qudit_demo_is_trace_preserving():
 
 
 def test_positive_is_not_read_off_a_label(qubit_channel):
-    """Only a Kraus family, or a representation labelled exactly "stochastic", is positive."""
-    assert SuperOperator(2, qubit_channel.rep, "kraus").positive is False
-    assert SuperOperator(2, qubit_channel.rep, "Raw").positive is False
+    """Only a Kraus family or a stochastic matrix is positive; a representation never is, whatever it holds."""
+    chain = from_stochastic(symmetric_two_state_chain(0.3))
+    for rep in (qubit_channel.rep, chain.rep):
+        t = SuperOperator(2, rep)
+        assert t.positive is False
+        assert t.provenance == "raw"
+    with pytest.raises(TypeError):
+        SuperOperator(2, chain.rep, "stochastic")
 
 
 def test_from_kraus_returns_a_kraus_map_with_a_read_only_family():
@@ -229,6 +239,96 @@ def test_from_stochastic_rejects_nonsquare():
         from_stochastic(np.ones((2, 3)) / 2)
 
 
+# ------------------------------------------------------------ StochasticMap
+
+def embedding(p: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 complex representation of X -> diag(P diag X): P on the diagonal vec indices."""
+    n = p.shape[0]
+    rep = np.zeros((n * n, n * n), dtype=complex)
+    diag = np.arange(n) * (n + 1)
+    rep[np.ix_(diag, diag)] = p
+    return rep
+
+
+def sparse_chain(n: int, seed: int) -> np.ndarray:
+    """A random column-stochastic matrix with exact zeros, as a chain file may hold."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    p[0] += 0.25
+    return p / p.sum(axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 25])
+def test_stochastic_form_is_the_embedding_form_bit_for_bit(n):
+    t = StochasticMap(sparse_chain(n, n))
+    old = hermitian_form(embedding(t.p))
+    form = frame_form(t, None)
+    assert form.dtype == old.dtype == float
+    assert np.array_equal(form, old)
+    assert np.array_equal(np.signbit(form), np.signbit(old))  # no -0.0 either side
+    assert "rep" not in t.__dict__
+
+
+def test_stochastic_map_builds_the_embedding_only_when_read():
+    p = sparse_chain(5, 1)
+    t = from_stochastic(p)
+    assert isinstance(t, StochasticMap)
+    assert (t.provenance, t.positive) == ("stochastic", True)
+    assert "rep" not in t.__dict__
+    assert np.array_equal(t.rep, embedding(p))
+    assert t.rep is t.rep  # built once
+    with pytest.raises(ValueError, match="read-only"):
+        t.p[0, 0] = 2.0
+
+
+def test_stochastic_map_owns_a_c_ordered_copy_and_leaves_the_input_writable():
+    p = np.asfortranarray(sparse_chain(4, 2))
+    t = StochasticMap(p)
+    assert t.p.flags.c_contiguous and not t.p.flags.writeable
+    assert p.flags.writeable
+    assert np.array_equal(t.p, p)
+
+
+def test_stochastic_action_and_adjoint_match_the_embedding():
+    """apply and T*(I) are diag(P diag X) and diag(1^T P), equal to the embedding's to rounding."""
+    rng = np.random.default_rng(11)
+    p = sparse_chain(6, 3)
+    t = StochasticMap(p)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    assert_allclose(apply(t, x), unvec(embedding(p) @ vec(x)), rtol=0, atol=1e-15)
+    dense = SuperOperator(6, embedding(p))
+    assert check_trace_preserving(t).residual == pytest.approx(check_trace_preserving(dense).residual, abs=1e-15)
+    assert "rep" not in t.__dict__
+
+
+def test_stochastic_complete_positivity_is_min_p_without_eigvalsh(linalg_calls):
+    p = np.array([[0.5, -1e-12, 0.25], [0.25, 0.5 + 1e-12, 0.25], [0.25, 0.5, 0.5]])
+    t = StochasticMap(p)  # the default tolerance lets the negative entry through
+    check = check_complete_positivity(t)
+    assert not linalg_calls
+    assert check == (True, -1e-12)
+    assert type(check.ok) is bool
+    assert check_complete_positivity(t, Tolerance(1e-13, 1e-10)) == (False, -1e-12)
+    # The embedding's Choi matrix is diagonal with P's entries: the same least eigenvalue.
+    for chain in (p, sparse_chain(7, 4)):
+        dense = SuperOperator(chain.shape[0], embedding(chain))
+        assert check_complete_positivity(StochasticMap(chain)) == check_complete_positivity(dense)
+
+
+@pytest.mark.parametrize("build", [from_stochastic, StochasticMap], ids=["from_stochastic", "StochasticMap"])
+@pytest.mark.parametrize("p,error,message", [
+    ([[0.9, 0.1], [0.5, 0.5]], ValidationError, "column 1 sums to 1.4, expected 1"),
+    ([[1.2, 0.0], [-0.2, 1.0]], ValidationError, "column 1 has a negative entry (-2.000e-01)"),
+    ([[0.5, 0.5j], [0.5, 0.5]], ValidationError, "stochastic matrix must be real"),
+    ([[0.5, math.inf], [0.5, 0.5]], ValidationError, "stochastic matrix contains non-finite entries"),
+    ([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], DimensionError, "stochastic matrix must be square, got (2, 3)"),
+], ids=["sum", "negative", "complex", "non-finite", "non-square"])
+def test_stochastic_constructor_refuses_with_the_column_messages(build, p, error, message):
+    with pytest.raises(error) as refused:
+        build(np.array(p))
+    assert str(refused.value) == message
+
+
 # ------------------------------------------------------------------ from_raw
 
 def test_from_raw_identity():
@@ -367,7 +467,7 @@ def test_transpose_map_is_not_completely_positive():
 def test_raw_map_has_no_family_and_takes_the_choi_eigenvalues(linalg_calls):
     """Only a Kraus family vouches for the rank of its Choi matrix; a raw map has none."""
     t = transpose_map(2)
-    assert t.kraus is None
+    assert not hasattr(t, "kraus")
     check = check_complete_positivity(t)
     assert linalg_calls == [("complex eigvalsh", (4, 4))]
     assert not check.ok

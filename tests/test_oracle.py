@@ -162,7 +162,7 @@ def _series_cases():
     gap = block_map(rng, 8, 1e-2)
     for kind in ("index", "vector", "density"):
         yield f"gap-{kind}", gap, subspace_from_indices(8, [0]), _start(kind, 8, rng)
-    raw = SuperOperator(4, non_hermiticity_preserving_rep(), "raw")
+    raw = SuperOperator(4, non_hermiticity_preserving_rep())
     yield "raw-index", raw, subspace_from_indices(4, [0]), _start("index", 4, rng)
     yield "raw-subspace", raw, random_subspace(4, 2, rng), _start("vector", 4, rng)
 

@@ -120,7 +120,7 @@ def test_vector_frame_form_conjugates_the_family(n, rank):
     k = 2 if rank == "2" else n * n + 1
     rng = np.random.default_rng(2000 * n + k)
     t = from_kraus(kraus_family(rng, n, k))
-    dense = SuperOperator(n, t.rep, "raw")
+    dense = SuperOperator(n, t.rep)
     for sub in (_subspaces(n, 1, rng)[1], _subspaces(n, n - 1, rng)[1]):
         form, reference = frame_form(t, sub.frame), frame_form(dense, sub.frame)
         assert form.dtype == np.float64
@@ -452,7 +452,7 @@ def test_raw_map_that_is_not_positive_takes_eigvals(linalg_calls):
     # Half a channel and half of X -> Tr(X) I / n - X: trace preserving and
     # Hermiticity preserving, so its form is real, but not positive.
     psi = np.outer(vec(np.eye(n)) / n, vec(np.eye(n))) - np.eye(n * n)
-    t = SuperOperator(n, 0.5 * random_cptp_map(n, 2, rng).rep + 0.5 * psi, "raw")
+    t = SuperOperator(n, 0.5 * random_cptp_map(n, 2, rng).rep + 0.5 * psi)
     e00 = np.zeros((n, n))
     e00[0, 0] = 1.0
     assert np.linalg.eigvalsh(unvec(t.rep @ vec(e00)))[0] < 0
